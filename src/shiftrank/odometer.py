@@ -12,6 +12,7 @@ that stay realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .substitution import (
     RegimeError,
@@ -65,12 +66,11 @@ class ColumnStructure:
 
 
 def column_sets(s: Substitution, k: int) -> ColumnStructure:
-    q = s.require_constant_length()
+    s.require_constant_length()
     if k < 1:
         raise ValueError("column depth must be at least 1")
     images = letter_images(s, k)
-    cols = tuple(frozenset(img[i] for img in images) for i in range(q**k))
-    return ColumnStructure(k, cols)
+    return ColumnStructure(k, tuple(frozenset(col) for col in zip(*images)))
 
 
 def column_number(s: Substitution, k_max: int = 8) -> tuple[int, int, bool]:
@@ -80,13 +80,15 @@ def column_number(s: Substitution, k_max: int = 8) -> tuple[int, int, bool]:
     unchanged over the last two consecutive powers.  The sequence of minima
     is nonincreasing because columns of higher powers are compositions.
     """
+    s.require_constant_length()
     best = s.alphabet_size
     witness = 0
     prev = None
     stabilized = False
+    images = tuple(s.letters)
     for k in range(1, k_max + 1):
-        structure = column_sets(s, k)
-        m = min(len(col) for col in structure.columns)
+        images = tuple(map(s.image, images))
+        m = min(len(set(col)) for col in zip(*images))
         if m < best:
             best = m
             witness = k
@@ -160,25 +162,29 @@ def residue_of_window(s: Substitution, w: CenteredWord, k: int) -> frozenset[Odo
 
 @dataclass(frozen=True)
 class PathState:
-    """Survivors of a digit path at one depth.
+    """Survivors of a digit path at one depth, each with its level-0 window.
 
     ``cut`` is the accumulated residue mod q^depth; survivors are the
     admissible words over level-``depth`` blocks m_lo..m_hi whose expansion
     matches some window of radius L that was alive on every shallower prefix
-    of the path.
+    of the path.  ``survivors`` maps each survivor to the radius-L central
+    window of its depth-fold expansion at ``cut``.  The map is well defined
+    because a survivor induces exactly one word one level up the path: its
+    image, read over the parent's blocks, is a parent survivor, and the
+    survivor's expansion restricts to the same central window as the
+    parent's.  At depth 0 every word is its own window.
     """
 
     depth: int
     cut: int
     m_lo: int
     m_hi: int
-    survivors: frozenset[str]
+    survivors: Mapping[str, str]
 
 
 def initial_state(s: Substitution, radius: int) -> PathState:
     table = table_for(s)
-    words = frozenset(table.words(2 * radius + 1))
-    return PathState(0, 0, -radius, radius, words)
+    return PathState(0, 0, -radius, radius, {w: w for w in table.words(2 * radius + 1)})
 
 
 def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> PathState:
@@ -189,18 +195,15 @@ def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> Pa
     table = table_for(s)
     new_lo = (state.m_lo + digit) // q
     new_hi = (state.m_hi + digit) // q
-    length = new_hi - new_lo + 1
-    letters = s.letters
-    rules = s.rules
-    span = range(state.m_lo, state.m_hi + 1)
-    keep = []
-    for cand in table.words(length):
-        induced = "".join(
-            rules[letters.index(cand[(m + digit) // q - new_lo])][(m + digit) % q]
-            for m in span
-        )
-        if induced in state.survivors:
-            keep.append(cand)
+    # block m of the parent span is symbol m + digit - q * new_lo of image(cand)
+    off = state.m_lo + digit - q * new_lo
+    end = off + state.m_hi - state.m_lo + 1
+    parents = state.survivors
+    keep = {}
+    for cand in table.words(new_hi - new_lo + 1):
+        window = parents.get(s.image(cand)[off:end])
+        if window is not None:
+            keep[cand] = window
     if not keep:
         raise FiberInvariantError(
             f"no survivors at depth {state.depth + 1}; the odometer map is onto, "
@@ -211,30 +214,17 @@ def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> Pa
         state.cut + digit * q**state.depth,
         new_lo,
         new_hi,
-        frozenset(keep),
+        keep,
     )
 
 
 def base_windows(s: Substitution, state: PathState, radius: int) -> frozenset[str]:
-    """Distinct radius-``radius`` central windows realizable by the survivors."""
-    q = s.require_constant_length()
-    block = q**state.depth
-    images = letter_images(s, state.depth)
-    letters = s.letters
-    out = set()
-    for v in state.survivors:
-        pieces = []
-        for i, ch in enumerate(v):
-            m = state.m_lo + i
-            lo = m * block - state.cut
-            hi = lo + block - 1
-            s_lo = max(lo, -radius)
-            s_hi = min(hi, radius)
-            if s_lo > s_hi:
-                continue
-            pieces.append(images[letters.index(ch)][s_lo - lo : s_hi - lo + 1])
-        out.add("".join(pieces))
-    return frozenset(out)
+    """Distinct radius-``radius`` central windows realizable by the survivors.
+
+    ``radius`` must be the one the path started from; the windows are the
+    ones the state carries.
+    """
+    return frozenset(state.survivors.values())
 
 
 @dataclass(frozen=True)
@@ -252,6 +242,49 @@ class PathCensus:
         return self.counts[-1]
 
 
+def follow_path(
+    s: Substitution,
+    state: PathState,
+    radius: int,
+    prefix: tuple[int, ...],
+    pattern: tuple[int, ...],
+    plateau: int,
+    extra_depth: int,
+) -> PathCensus:
+    """Lift ``state`` along ``prefix``, then along ``pattern`` repeated.
+
+    The pattern is followed until the last ``plateau`` + 1 window counts are
+    equal (stabilization) or ``extra_depth`` levels past the prefix are
+    reached.  Counts are nonincreasing in depth (constraints only
+    accumulate), which is why a plateau is taken as stabilization.  An empty
+    pattern stops after the prefix, unstabilized.
+    """
+    windows = base_windows(s, state, radius)
+    counts = [len(windows)]
+    path: list[int] = []
+
+    def plateaued() -> bool:
+        return len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1
+
+    def step(d: int) -> None:
+        nonlocal state, windows
+        state = lift_state(s, state, d, radius)
+        windows = base_windows(s, state, radius)
+        path.append(d)
+        counts.append(len(windows))
+
+    for d in prefix:
+        step(d)
+    if pattern:
+        cap = state.depth + extra_depth
+        i = 0
+        while state.depth < cap and not plateaued():
+            step(pattern[i % len(pattern)])
+            i += 1
+    stabilized = bool(pattern) and plateaued()
+    return PathCensus(tuple(path), radius, tuple(counts), tuple(sorted(windows)), stabilized)
+
+
 def census_along_path(
     s: Substitution,
     digits: tuple[int, ...],
@@ -262,45 +295,16 @@ def census_along_path(
 ) -> PathCensus:
     """Follow a digit path downward, counting surviving central windows.
 
-    Counts are nonincreasing in depth (constraints only accumulate), so a
-    plateau of ``plateau`` equal values past the given digits is taken as
-    stabilization.  With ``extend_periodically`` the finite digit string is
-    repeated to its canonical eventually-periodic continuation; all-zero
-    digits thus denote the forward orbit of zero, where the largest fibers
-    live, and mixed digits denote a generic q-adic point.
+    The census stops on a plateau of window counts, as in ``follow_path``.
+    With ``extend_periodically`` the finite digit string is repeated to its
+    canonical eventually-periodic continuation; all-zero digits thus denote
+    the forward orbit of zero, where the largest fibers live, and mixed
+    digits denote a generic q-adic point.
     """
-    q = s.require_constant_length()
-    state = initial_state(s, radius)
-    counts = [len(base_windows(s, state, radius))]
-    path: list[int] = []
-
-    def step(d: int) -> None:
-        nonlocal state
-        state = lift_state(s, state, d, radius)
-        path.append(d)
-        counts.append(len(base_windows(s, state, radius)))
-
-    for d in digits:
-        step(d)
-    stabilized = False
-    if extend_periodically:
-        pattern = tuple(digits) if digits else (0,)
-        cap = state.depth + extra_depth
-        i = 0
-        while state.depth < cap:
-            if len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1:
-                stabilized = True
-                break
-            step(pattern[i % len(pattern)])
-            i += 1
-        if not stabilized and len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1:
-            stabilized = True
-    return PathCensus(
-        tuple(path),
-        radius,
-        tuple(counts),
-        tuple(sorted(base_windows(s, state, radius))),
-        stabilized,
+    s.require_constant_length()
+    pattern = (tuple(digits) or (0,)) if extend_periodically else ()
+    return follow_path(
+        s, initial_state(s, radius), radius, tuple(digits), pattern, plateau, extra_depth
     )
 
 

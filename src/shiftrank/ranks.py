@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .odometer import (
+    PathCensus,
     PathState,
     base_windows,
     column_number,
     column_sets,
+    follow_path,
     initial_state,
     lift_state,
 )
@@ -104,37 +106,6 @@ class RankReport:
 # Digit-tree census scans
 
 
-@dataclass(frozen=True)
-class _PathValue:
-    value: int
-    stabilized: bool
-    digits: tuple[int, ...]
-
-
-def _follow(
-    s: Substitution,
-    state: PathState,
-    radius: int,
-    pattern: tuple[int, ...],
-    plateau: int,
-    extra_depth: int,
-) -> _PathValue:
-    counts = [len(base_windows(s, state, radius))]
-    digits: list[int] = []
-    cap = state.depth + extra_depth
-    i = 0
-    while state.depth < cap:
-        if len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1:
-            return _PathValue(counts[-1], True, tuple(digits))
-        d = pattern[i % len(pattern)]
-        state = lift_state(s, state, d, radius)
-        digits.append(d)
-        counts.append(len(base_windows(s, state, radius)))
-        i += 1
-    stable = len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1
-    return _PathValue(counts[-1], stable, tuple(digits))
-
-
 def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[int, ...]]:
     pats: list[tuple[int, ...]] = []
     if policy == "max":
@@ -171,18 +142,18 @@ def _tree_extreme(
     best: int | None = None
     all_stable = True
 
-    def consider(pv: _PathValue) -> None:
+    def consider(census: PathCensus) -> None:
         nonlocal best, all_stable
         if best is None:
-            best = pv.value
-            all_stable = pv.stabilized
+            best = census.count
+            all_stable = census.stabilized
         else:
-            better = pv.value > best if policy == "max" else pv.value < best
+            better = census.count > best if policy == "max" else census.count < best
             if better:
-                best = pv.value
-                all_stable = pv.stabilized
-            elif pv.value == best:
-                all_stable = all_stable or pv.stabilized
+                best = census.count
+                all_stable = census.stabilized
+            elif census.count == best:
+                all_stable = all_stable or census.stabilized
 
     def walk(state: PathState, prefix: tuple[int, ...]) -> None:
         nonlocal best
@@ -193,7 +164,7 @@ def _tree_extreme(
             return
         if state.depth >= branch_depth:
             for pattern in _continuations(q, prefix, policy):
-                consider(_follow(s, state, radius, pattern, plateau, extra_depth))
+                consider(follow_path(s, state, radius, (), pattern, plateau, extra_depth))
             return
         for d in range(q):
             walk(lift_state(s, state, d, radius), prefix + (d,))

@@ -13,7 +13,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .verdicts import Verdict, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, shift_window, sym_char
@@ -66,8 +66,13 @@ class Substitution:
             raise RegimeError("operation requires a constant-length substitution")
         return q
 
+    @cached_property
+    def _translation(self) -> dict[int, str]:
+        return {ord(c): image for c, image in zip(self.letters, self.rules)}
+
     def image(self, word: str) -> str:
-        return "".join(self.rules[sym_idx] for sym_idx in map(self.letters.index, word))
+        """One application of the substitution to a word over its alphabet."""
+        return word.translate(self._translation)
 
     def to_text(self) -> str:
         return "\n".join(f"{sym_char(i)} -> {img}" for i, img in enumerate(self.rules))
@@ -116,19 +121,18 @@ def is_primitive(s: Substitution) -> bool:
     return all(all(row) for row in power)
 
 
-@lru_cache(maxsize=None)
-def _letter_images(s: Substitution, k: int) -> tuple[str, ...]:
-    if k == 0:
-        return tuple(s.letters)
-    prev = _letter_images(s, k - 1)
-    return tuple(s.image(w) for w in prev)
-
-
 def letter_images(s: Substitution, k: int) -> tuple[str, ...]:
-    """Images of all letters under the k-th power of the substitution."""
+    """Images of all letters under the k-th power of the substitution.
+
+    Built afresh on each call: the images are q^k symbols long, so a cache
+    of them would hold that memory for the life of the process.
+    """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    return _letter_images(s, k)
+    images = tuple(s.letters)
+    for _ in range(k):
+        images = tuple(map(s.image, images))
+    return images
 
 
 class LanguageTable:
@@ -165,19 +169,20 @@ class LanguageTable:
             self._pairs = frozenset(pairs)
         return self._pairs
 
-    def _power_covering(self, n: int) -> int:
+    def _images_covering(self, n: int) -> tuple[str, ...]:
+        """Letter images under the least power whose shortest image has length >= n."""
         s = self.substitution
         lengths = [len(r) for r in s.rules]
         if min(lengths) < 2 and max(lengths) < 2:
             raise RegimeError("substitution does not expand; language undefined at this length")
+        images = tuple(s.letters)
         k = 0
-        shortest = 1
-        while shortest < n:
+        while min(map(len, images)) < n:
             k += 1
-            shortest = min(len(w) for w in letter_images(s, k))
             if k > 64:
                 raise RegimeError("substitution images grow too slowly to cover the request")
-        return k
+            images = tuple(map(s.image, images))
+        return images
 
     def words(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted."""
@@ -194,8 +199,7 @@ class LanguageTable:
                 letters.update(c for img in s.rules for c in img)
                 found = letters
             else:
-                k = self._power_covering(n)
-                images = letter_images(s, k)
+                images = self._images_covering(n)
                 seeds = set(self._two_letter_words())
                 if not seeds:  # single-letter alphabet with expanding rule
                     seeds = {2 * s.letters}

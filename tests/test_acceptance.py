@@ -4,6 +4,7 @@ Shared state (verify reports, rank reports, certificates) is computed once in
 module-scoped fixtures so the criteria stay order-independent.
 """
 
+import hashlib
 import json
 import time
 
@@ -31,6 +32,7 @@ from shiftrank.verify import INCONSISTENT, verify_system
 
 DEFAULT = SearchBudget()
 EXACT_NAMES = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
+C5_ROWS_SHA256 = "b6d14cdc7b0732b7cf5466d123b3851e4362483b6fcd594ffd57d22a940d843b"
 
 
 class Collected:
@@ -143,6 +145,7 @@ def test_criterion_5_oracle_equivalence(collected):
     started = time.monotonic()
     systems = catalog.random_exact_substitutions(200)
     mismatches = []
+    rows = []
     for s in systems:
         c = column_number(s)[0]
         rc = coincidence_rank(s)
@@ -150,11 +153,14 @@ def test_criterion_5_oracle_equivalence(collected):
         rM = maximal_rank(s, depth_max=3, radius_max=16)
         report = RankReport(f"random-{s.rules}", rc, rm, rM, {})
         collected.rank_reports.append(report)
+        rows.append((c, rc.value, rm.value, rM.value))
         if not (rc.value == c == rm.value):
             mismatches.append((s.rules, c, rc.value, rm.value))
     elapsed = time.monotonic() - started
     assert len(systems) == 200
     assert not mismatches, mismatches[:5]
+    # frozen (column number, r_c, r_m, r_M) of all 200 systems
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == C5_ROWS_SHA256
     print(
         f"PASS criterion 5: pair-graph rank = column number = stabilized census "
         f"minimum on 200 random systems, zero mismatches, {elapsed:.1f}s"

@@ -1,8 +1,11 @@
 """Odometer factor: columns, de-substitution, residues, fiber censuses."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftrank import catalog
 from shiftrank.odometer import (
     OdometerResidue,
     census_along_path,
@@ -190,6 +193,23 @@ def test_counts_nonincreasing_along_paths(digits):
     census = census_along_path(TM, tuple(digits), 16, extend_periodically=False)
     counts = census.counts
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize(
+    "s", [TM, PD, catalog.system_for("keane-morse-011").substitution], ids=["tm", "pd", "keane"]
+)
+def test_carried_windows_match_expansion(s):
+    # the window each survivor carries is the central window of its
+    # depth-fold expansion, computed here by the reference route
+    radius = 9
+    for path in itertools.product(range(s.constant_length), repeat=3):
+        states = [initial_state(s, radius)]
+        for d in path:
+            states.append(lift_state(s, states[-1], d, radius))
+        for state in states:
+            for v, window in state.survivors.items():
+                image = expand(s, CenteredWord(v, state.m_lo), state.depth, state.cut)
+                assert window == image.restrict(-radius, radius).symbols, (path, state.depth, v)
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=3))

@@ -1,7 +1,7 @@
 """Window metric and shift action: examples plus metric laws."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftrank.words import (
     CenteredWord,
@@ -98,17 +98,26 @@ def test_ultrametric_inequality(data):
         assert sac >= min(sab, sbc)
 
 
-@given(st.data())
-def test_scale_commutes_with_common_shift(data):
-    n = data.draw(st.integers(4, 9))
-    g = data.draw(st.integers(-2, 2))
-    words = [data.draw(st.text(alphabet="01", min_size=2 * n + 1, max_size=2 * n + 1)) for _ in range(2)]
-    a, b = (CenteredWord(w, -n) for w in words)
+shifted_pairs = st.integers(4, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(-2, 2),
+        st.text(alphabet="01", min_size=2 * n + 1, max_size=2 * n + 1),
+        st.text(alphabet="01", min_size=2 * n + 1, max_size=2 * n + 1),
+    )
+)
+
+
+@given(shifted_pairs)
+@example((4, -1, "010010000", "010010001"))  # only difference beyond the overlap radius
+def test_scale_commutes_with_common_shift(case):
+    n, g, wa, wb = case
+    a, b = CenteredWord(wa, -n), CenteredWord(wb, -n)
     sa, sb = shift_window(a, g), shift_window(b, g)
     # scanning the full overlap of the shifted pair reproduces the scan of
     # the originals about the shifted origin
     direct = min(
-        (abs(m) for m in range(-(n - abs(g)), n - abs(g) + 1) if a.at(m + g) != b.at(m + g)),
+        (abs(m) for m in range(sa.left, sa.right + 1) if a.at(m + g) != b.at(m + g)),
         default=None,
     )
     assert scale_of_difference(sa, sb).first_difference == direct
