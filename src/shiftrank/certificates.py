@@ -57,11 +57,17 @@ def _check_separated_tuple(
     return checks
 
 
-def _replay_sensitivity_entry(entry: dict, K: int, failures: list[str]) -> int:
+def _check_tuple_size(windows: list[CenteredWord], m: int, failures: list[str], label: str) -> int:
+    if len(windows) != m:
+        failures.append(f"{label}: {len(windows)} windows for a claimed tuple size m={m}")
+    return 1
+
+
+def _replay_sensitivity_entry(entry: dict, m: int, K: int, failures: list[str]) -> int:
     windows = _windows(entry["windows"])
     cylinder = entry["cylinder"]
     half = len(cylinder) // 2
-    checks = 0
+    checks = _check_tuple_size(windows, m, failures, f"cylinder {cylinder!r}")
     for idx, w in enumerate(windows):
         checks += 1
         if w.central(half) != cylinder:
@@ -116,13 +122,13 @@ def _replay_regional(doc: dict, failures: list[str]) -> int:
 
 def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
     checks = 0
-    K = doc["K"]
+    m, K = doc["m"], doc["K"]
     for stage in doc["stages"]:
         windows = _windows(stage["windows"])
+        label = f"gap stage W={stage['delta_radius']}"
+        checks += _check_tuple_size(windows, m, failures, label)
         for t in range(stage["gap_start"], stage["gap_end"] + 1):
-            checks += _check_separated_tuple(
-                windows, t, K, failures, f"gap stage W={stage['delta_radius']}"
-            )
+            checks += _check_separated_tuple(windows, t, K, failures, label)
     return checks
 
 
@@ -136,15 +142,13 @@ def replay(doc: dict) -> ReplayResult:
     elif kind == "regional-proximal":
         checks = _replay_regional(doc, failures)
     elif kind in ("m-sensitivity", "block-m-sensitivity"):
-        K = doc["K"]
         for entry in doc["cylinders"]:
-            checks += _replay_sensitivity_entry(entry, K, failures)
+            checks += _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures)
     elif kind == "eq-point-counterexample":
         # each stage's "cylinder" is the base point's central word at that
         # delta radius, so the entry replay also pins agreement with the point
-        K = doc["K"]
         for stage in doc["stages"]:
-            checks += _replay_sensitivity_entry(stage, K, failures)
+            checks += _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
     elif kind == "cover-falsified":
         checks = _replay_cover_falsified(doc, failures)
     elif kind == "cover-witness":

@@ -14,6 +14,7 @@ replay its defining inequality with window operations alone.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -165,13 +166,12 @@ def _pairwise_scales(
 ) -> tuple[tuple[int | None, ...], ...]:
     shifted = [shift_window(w, g) for w in windows]
     size = len(windows)
-    return tuple(
-        tuple(
-            scale_of_difference(shifted[i], shifted[j]).first_difference if i != j else None
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    rows: list[list[int | None]] = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            # the measure is symmetric: compute the upper triangle, mirror it
+            rows[i][j] = rows[j][i] = scale_of_difference(shifted[i], shifted[j]).first_difference
+    return tuple(tuple(row) for row in rows)
 
 
 def _make_witness(
@@ -189,6 +189,14 @@ def _make_witness(
     )
 
 
+def _first_indices(blocks: Iterable[str]) -> dict[str, int]:
+    """Each distinct block with the index of its first occurrence, in that order."""
+    first: dict[str, int] = {}
+    for idx, block in enumerate(blocks):
+        first.setdefault(block, idx)
+    return first
+
+
 def _separation_scan(
     exts: Sequence[str], radius: int, K: int, horizon: int, m_cap: int
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
@@ -204,14 +212,10 @@ def _separation_scan(
     width = 2 * K + 1
     for g in shifts(horizon):
         start = radius + g - K
-        seen: dict[str, int] = {}
-        for idx, w in enumerate(exts):
-            block = w[start : start + width]
-            if block not in seen:
-                seen[block] = idx
-        count = len(seen)
+        block_of = operator.itemgetter(slice(start, start + width))
+        count = len(set(map(block_of, exts)))
         if count > best:
-            first_indices = list(seen.values())
+            first_indices = list(_first_indices(map(block_of, exts)).values())
             for m in range(best + 1, min(count, m_cap) + 1):
                 witnesses[m] = (g, sorted(first_indices[:m]))
             best = count
@@ -326,12 +330,8 @@ def regional_proximal_search(
     width = 2 * K + 1
     for g in shifts(N):
         start = radius + g - K
-        block_maps = []
-        for ext in ext_lists:
-            bm: dict[str, int] = {}
-            for idx, w in enumerate(ext):
-                bm.setdefault(w[start : start + width], idx)
-            block_maps.append(bm)
+        block_of = operator.itemgetter(slice(start, start + width))
+        block_maps = [_first_indices(map(block_of, ext)) for ext in ext_lists]
         common = set(block_maps[0])
         for bm in block_maps[1:]:
             common &= set(bm)
@@ -419,16 +419,15 @@ def m_equicontinuity_point_test(
 # ask for m extensions pairwise separated at every shift in a whole run.
 
 
-def _pair_separated_over_run(b1: str, b2: str, K: int, centers: int) -> bool:
-    """Whether two run-blocks differ within distance K of every one of the centers."""
-    n = len(b1)
-    pref = [0] * (n + 1)
-    for i in range(n):
-        pref[i + 1] = pref[i] + (b1[i] != b2[i])
-    for p in range(K, K + centers):
-        if pref[p + K + 1] - pref[p - K] == 0:
-            return False
-    return True
+def _pair_separated_over_run(b1: str, b2: str, K: int) -> bool:
+    """Whether two run-blocks differ within distance K of every one of the centers.
+
+    A run-block spans its centers plus K symbols on each side, so the
+    radius-K windows around the centers are exactly its (2K+1)-windows: the
+    pair is separated iff the mismatch mask has no run of 2K+1 zero bytes.
+    """
+    mask = bytes(map(operator.ne, b1, b2))
+    return bytes(2 * K + 1) not in mask
 
 
 class _RunCliqueFinder:
@@ -439,9 +438,8 @@ class _RunCliqueFinder:
     run positions and cylinders.
     """
 
-    def __init__(self, K: int, centers: int, m_cap: int):
+    def __init__(self, K: int, m_cap: int):
         self.K = K
-        self.centers = centers
         self.m_cap = m_cap
         self._pairs: dict[tuple[str, str], bool] = {}
         self._cliques: dict[tuple[str, ...], tuple[int, tuple[int, ...]]] = {}
@@ -450,7 +448,7 @@ class _RunCliqueFinder:
         key = (b1, b2) if b1 < b2 else (b2, b1)
         cached = self._pairs.get(key)
         if cached is None:
-            cached = _pair_separated_over_run(key[0], key[1], self.K, self.centers)
+            cached = _pair_separated_over_run(key[0], key[1], self.K)
             self._pairs[key] = cached
         return cached
 
@@ -510,12 +508,11 @@ def _run_scan(
     width = centers + 2 * K
     for a in starts:
         lo = radius + a - K
-        first_idx: dict[str, int] = {}
-        for idx, w in enumerate(exts):
-            first_idx.setdefault(w[lo : lo + width], idx)
-        blocks = tuple(sorted(first_idx))
+        block_of = operator.itemgetter(slice(lo, lo + width))
+        blocks = tuple(sorted(set(map(block_of, exts))))
         size, members = finder.best(blocks)
         if size > best:
+            first_idx = _first_indices(map(block_of, exts))
             for m in range(best + 1, min(size, m_cap) + 1):
                 idxs = sorted(first_idx[blocks[v]] for v in members[:m])
                 witnesses[m] = (a, idxs)
@@ -531,7 +528,7 @@ def block_sensitivity_scan(
     """Per-cylinder scan for tuples separated across whole blocks [h-B, h+B]."""
     radius = budget.L + budget.N + B + K
     centers = 2 * B + 1
-    finder = _RunCliqueFinder(K, centers, m_cap)
+    finder = _RunCliqueFinder(K, m_cap)
     scans = []
     for u in system.language(2 * budget.L + 1):
         exts = extensions(system, u, radius)
@@ -575,7 +572,7 @@ def cover_m_equicontinuity_test(
     B, N = budget.B, budget.N
     centers = 2 * B + 2
     radius = N + B + K + 1
-    finder = _RunCliqueFinder(K, centers, m)
+    finder = _RunCliqueFinder(K, m)
     claim = (
         f"cover {m}-equicontinuity at scale 2^-{K} with gap bound {2 * B + 1} near the given point"
     )

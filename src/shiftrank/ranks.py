@@ -245,9 +245,8 @@ def _census_rank(
     flags = _exact_regime_flags(s)
     if not flags.get("exact_regime"):
         raise RegimeError("census ranks require the exact regime")
-    small_v, small_st = _tree_extreme(
-        s, policy, max(1, depth_max - 1), max(q, radius_max // 2)
-    )
+    small_depth, small_radius = max(1, depth_max - 1), max(q, radius_max // 2)
+    small_v, small_st = _tree_extreme(s, policy, small_depth, small_radius)
     big_v, big_st = _tree_extreme(s, policy, depth_max, radius_max)
     kind = (
         EstimateKind.STABILIZED
@@ -262,7 +261,7 @@ def _census_rank(
             "policy": policy,
             "branch_depth": depth_max,
             "radius": radius_max,
-            "confirmation": {"branch_depth": depth_max - 1, "radius": radius_max // 2, "value": small_v},
+            "confirmation": {"branch_depth": small_depth, "radius": small_radius, "value": small_v},
         },
     )
 

@@ -129,24 +129,43 @@ class DistanceScale:
         return self.first_difference is not None and self.first_difference <= scale_exp
 
 
+def _first_mismatch(x: str, y: str) -> int | None:
+    """Index of the first position where two equal-length strings differ, or None."""
+    if x == y:
+        return None
+    lo, hi = 0, len(x)  # x[:lo] == y[:lo], and x[lo:hi] != y[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x[lo:mid] == y[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def scale_of_difference(a: CenteredWord, b: CenteredWord) -> DistanceScale:
     """First coordinate (by absolute value) where the windows disagree.
 
-    Scans the intersection of both windows outward from the origin.  The
-    result's ``radius`` is the symmetric overlap radius, so the caller can
-    tell whether the reported scale is the exact metric value.
+    Scans each side of the intersection of both windows outward from the
+    origin: coordinates ``0..hi`` as they stand, ``lo..-1`` reversed.  Each
+    side's first mismatch is found by bisection on slice equality, so a scan
+    costs O(log n) string comparisons.  ``first_difference`` is the exact
+    minimum |n| over the whole (possibly asymmetric) overlap, including
+    differences beyond ``radius``; the result's ``radius`` is the symmetric
+    overlap radius, so the caller can tell whether the reported scale is the
+    exact metric value.
     """
     lo = max(a.left, b.left)
     hi = min(a.right, b.right)
     radius = min(-lo, hi)
-    best: int | None = None
-    for n in range(lo, hi + 1):
-        if a.at(n) != b.at(n):
-            k = abs(n)
-            if best is None or k < best:
-                best = k
-                if best == 0:
-                    break
+    sa, sb = a.symbols, b.symbols
+    oa, ob = -a.left, -b.left
+    best = _first_mismatch(sa[oa : oa + hi + 1], sb[ob : ob + hi + 1])
+    # on the left only coordinates -1..-reach can still match or beat best
+    reach = -lo if best is None else min(-lo, best)
+    left = _first_mismatch(sa[oa - reach : oa][::-1], sb[ob - reach : ob][::-1])
+    if left is not None:
+        best = left + 1
     return DistanceScale(best, radius)
 
 

@@ -8,6 +8,7 @@ from shiftrank.certificates import certificate_json, load_certificate, replay
 from shiftrank.oracles import (
     SearchBudget,
     block_m_sensitivity_test,
+    cover_m_equicontinuity_test,
     m_equicontinuity_point_test,
     m_sensitivity_test,
     proximal_pair_search,
@@ -93,6 +94,32 @@ def test_flipped_window_fails_replay():
     entry["windows"][1] = entry["windows"][0]
     result = replay(cert)
     assert not result.ok
+
+
+TUPLE_BUDGET = SearchBudget(L=2, N=64, K=2, B=8, ladder=(1, 2))
+
+
+def _tm_point():
+    return TM_SYS.point_window(TM_SYS.seed_points()[0], 64 + 8 + 2 + 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: m_sensitivity_test(TM_SYS, 3, 2, TUPLE_BUDGET).aggregate.certificate,
+        lambda: block_m_sensitivity_test(TM_SYS, 2, 1, 8, TUPLE_BUDGET).aggregate.certificate,
+        lambda: m_equicontinuity_point_test(TM_SYS, _tm_point(), 3, 2, TUPLE_BUDGET).certificate,
+        lambda: cover_m_equicontinuity_test(TM_SYS, _tm_point(), 2, 2, TUPLE_BUDGET).certificate,
+    ],
+    ids=["m-sensitivity", "block-m-sensitivity", "eq-point-counterexample", "cover-falsified"],
+)
+def test_claimed_tuple_size_is_checked(make):
+    cert = roundtrip(make())
+    assert replay(cert).ok
+    cert["m"] = 5  # claim a larger tuple than the entries carry
+    result = replay(cert)
+    assert not result.ok
+    assert "windows for a claimed tuple size m=5" in result.failures[0]
 
 
 def test_unknown_kind_rejected():

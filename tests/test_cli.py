@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, determinism, replay round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import shiftrank
 from shiftrank.cli import main
 
 
@@ -160,10 +163,15 @@ def test_missing_subcommand_exits_two(capsys):
 
 
 def test_installed_entry_point_runs():
+    # the child process must find the package this process imported, also
+    # when pytest put it on sys.path through its own `pythonpath` setting
+    paths = [str(Path(shiftrank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "shiftrank.cli", "catalog"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "thue-morse" in proc.stdout

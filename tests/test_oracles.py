@@ -1,12 +1,18 @@
 """Witness searches: examples, certificates, and cross-test invariants."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from shiftrank.catalog import system_for
 from shiftrank.odometer import OdometerResidue, fiber_census
 from shiftrank.oracles import (
     DEFAULT_BUDGET,
     PairClass,
     SearchBudget,
+    _RunCliqueFinder,
+    _pair_separated_over_run,
+    _run_scan,
+    _separation_scan,
     block_m_sensitivity_test,
     cover_m_equicontinuity_test,
     extensions,
@@ -19,7 +25,7 @@ from shiftrank.oracles import (
 )
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
 from shiftrank.verdicts import VerdictStatus
-from shiftrank.words import CenteredWord, scale_of_difference, shift_window
+from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
 PD_SYS = SubstitutionSystem("period-doubling", Substitution(("01", "00")))
@@ -333,3 +339,100 @@ def test_point_test_verdict_stable_under_seed_shifts():
             if base is None:
                 base = v.status
             assert v.status == base, (system.name, g)
+
+
+# -- scan kernels against the per-extension loops ----------------------------------
+
+
+def _prefix_sum_separated(b1, b2, K, centers):
+    """Reference: a prefix-sum count of mismatches around every center."""
+    pref = [0]
+    for x, y in zip(b1, b2):
+        pref.append(pref[-1] + (x != y))
+    return all(pref[p + K + 1] - pref[p - K] > 0 for p in range(K, K + centers))
+
+
+run_block_pairs = st.tuples(st.integers(0, 3), st.integers(1, 6)).flatmap(
+    lambda kc: st.tuples(
+        st.just(kc[0]),
+        st.just(kc[1]),
+        st.text(alphabet="01", min_size=kc[1] + 2 * kc[0], max_size=kc[1] + 2 * kc[0]),
+        st.lists(st.integers(0, kc[1] + 2 * kc[0] - 1), max_size=4),
+    )
+)
+
+
+@given(run_block_pairs)
+def test_pair_separation_matches_prefix_sums(case):
+    K, centers, b1, flips = case
+    b2 = list(b1)
+    for i in flips:
+        b2[i] = "1" if b2[i] == "0" else "0"
+    b2 = "".join(b2)
+    assert _pair_separated_over_run(b1, b2, K) == _prefix_sum_separated(b1, b2, K, centers)
+
+
+def _dict_separation_scan(exts, radius, K, horizon, m_cap):
+    """Reference: the first-index dict built at every shift."""
+    best, witnesses, width = 0, {}, 2 * K + 1
+    for g in shifts(horizon):
+        start = radius + g - K
+        seen = {}
+        for idx, w in enumerate(exts):
+            seen.setdefault(w[start : start + width], idx)
+        if len(seen) > best:
+            first = list(seen.values())
+            for m in range(best + 1, min(len(seen), m_cap) + 1):
+                witnesses[m] = (g, sorted(first[:m]))
+            best = len(seen)
+            if best >= m_cap:
+                break
+    return best, witnesses
+
+
+class _PrefixSumFinder(_RunCliqueFinder):
+    def __init__(self, K, centers, m_cap):
+        super().__init__(K, m_cap)
+        self.centers = centers
+
+    def _separated(self, b1, b2):
+        return _prefix_sum_separated(b1, b2, self.K, self.centers)
+
+
+def _dict_run_scan(exts, radius, K, centers, starts, m_cap):
+    """Reference: the first-index dict built at every run start."""
+    finder = _PrefixSumFinder(K, centers, m_cap)
+    best, witnesses, width = 0, {}, centers + 2 * K
+    for a in starts:
+        lo = radius + a - K
+        first_idx = {}
+        for idx, w in enumerate(exts):
+            first_idx.setdefault(w[lo : lo + width], idx)
+        blocks = tuple(sorted(first_idx))
+        size, members = finder.best(blocks)
+        if size > best:
+            for m in range(best + 1, min(size, m_cap) + 1):
+                witnesses[m] = (a, sorted(first_idx[blocks[v]] for v in members[:m]))
+            best = size
+            if best >= m_cap:
+                break
+    return best, witnesses
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "keane-morse-011"])
+def test_scans_match_per_extension_loops(name):
+    system = system_for(name)
+    L, N, K, B, m_cap = 2, 24, 1, 2, 5
+    sep_radius = L + N + K
+    run_radius = L + N + B + K
+    centers = 2 * B + 1
+    finder = _RunCliqueFinder(K, m_cap)
+    for u in system.language(2 * L + 1):
+        exts = extensions(system, u, sep_radius)
+        assert _separation_scan(exts, sep_radius, K, N, m_cap) == _dict_separation_scan(
+            exts, sep_radius, K, N, m_cap
+        )
+        exts = extensions(system, u, run_radius)
+        starts = [h - B for h in shifts(N)]
+        got = _run_scan(exts, run_radius, K, centers, starts, m_cap, finder)
+        assert got == _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)

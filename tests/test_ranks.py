@@ -68,6 +68,14 @@ def test_ternary_minimal_rank_is_three():
     assert est.value == 3 and est.kind is EstimateKind.STABILIZED
 
 
+@pytest.mark.parametrize("census", [minimal_rank, maximal_rank])
+def test_census_records_the_confirmation_run_it_made(census):
+    # the confirmation run uses radius max(q, radius_max // 2) = 3 here, not 2
+    est = census(TERN, depth_max=1, radius_max=4)
+    assert est.evidence["confirmation"]["branch_depth"] == 1
+    assert est.evidence["confirmation"]["radius"] == 3
+
+
 def test_period_doubling_census_ranks():
     # derived once by the census and frozen: smallest fiber 1, largest 2
     assert minimal_rank(PD).value == 1

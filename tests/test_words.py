@@ -136,3 +136,49 @@ def test_within_and_separated_are_complements_inside_radius(data):
 
 def test_shifts_order_deterministic():
     assert list(shifts(3)) == [0, 1, -1, 2, -2, 3, -3]
+
+
+def _scan_every_coordinate(a: CenteredWord, b: CenteredWord) -> int | None:
+    """Reference: the per-coordinate scan of the whole overlap."""
+    best = None
+    for n in range(max(a.left, b.left), min(a.right, b.right) + 1):
+        if a.at(n) != b.at(n):
+            if best is None or abs(n) < best:
+                best = abs(n)
+    return best
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two windows over a common sequence, with edits at chosen coordinates.
+
+    The windows reach independently far on each side, so overlaps are
+    asymmetric; edits land anywhere in the overlap, beyond the symmetric
+    radius included, and optionally on both n and -n.
+    """
+    left_a, left_b = draw(st.integers(-40, 0)), draw(st.integers(-40, 0))
+    right_a, right_b = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    lo, hi = min(left_a, left_b), max(right_a, right_b)
+    base = draw(st.text(alphabet="012", min_size=hi - lo + 1, max_size=hi - lo + 1))
+    edited = list(base)
+    ov_lo, ov_hi = max(left_a, left_b), min(right_a, right_b)
+    for n in draw(st.lists(st.integers(ov_lo, ov_hi), max_size=3)):
+        mirrored = [n, -n] if draw(st.booleans()) and ov_lo <= -n <= ov_hi else [n]
+        for k in mirrored:
+            edited[k - lo] = "012"[("012".index(edited[k - lo]) + 1) % 3]
+    edited = "".join(edited)
+    a = CenteredWord(base[left_a - lo : right_a - lo + 1], left_a)
+    b = CenteredWord(edited[left_b - lo : right_b - lo + 1], left_b)
+    return a, b
+
+
+@given(overlapping_pairs())
+@example((CenteredWord("0000000", -1), CenteredWord("0000001", -1)))  # only beyond radius 1
+@example((CenteredWord("1000001", -3), CenteredWord("0000000", -3)))  # |n| = 3 on both sides
+@example((CenteredWord("0100", -2), CenteredWord("0000", -2)))  # left side only
+@example((CenteredWord("0", 0), CenteredWord("1", 0)))  # one-symbol overlap
+def test_scale_matches_coordinate_scan(pair):
+    a, b = pair
+    scale = scale_of_difference(a, b)
+    assert scale.first_difference == _scan_every_coordinate(a, b)
+    assert scale.radius == min(-max(a.left, b.left), min(a.right, b.right))
