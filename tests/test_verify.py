@@ -1,7 +1,40 @@
-"""Cell grading rules of the consistency loop."""
+"""Cell grading rules of the consistency loop, and its frozen certificates."""
 
+import hashlib
+
+from shiftrank import catalog
+from shiftrank.certificates import certificate_json
 from shiftrank.verdicts import exhausted, witnessed
-from shiftrank.verify import CONSISTENT, INCONCLUSIVE, INCONSISTENT, _grade
+from shiftrank.verify import CONSISTENT, INCONCLUSIVE, INCONSISTENT, _grade, verify_system
+
+# sha256 of the canonical JSON of each witnessed certificate, in cell order,
+# from verify_system at its defaults; `verify --all --json` records only cell
+# labels, so this is what notices a changed witness
+VERIFY_CERTIFICATE_SHA256 = {
+    "thue-morse": [
+        "5d195ba02207c471d438fd09473e83f79f58cb30b3e10e3b38b24f6ef0a4d14b",
+        "809ca154b69338da0012a09859b6fa640b8a048b750e225bfd4ea58070b60498",
+        "ab43ba2d54f3c7d1f06678b7637b53d58b52abe62db4e22536fe708224eb5a02",
+        "a5b40d753c2af6b66b49813afc76a54ad224674fb8dd74a8bb0bb7259118a6d5",
+    ],
+    "period-doubling": ["d1d2655f56d2ca3e77fead0da5f0fdfbf54b2bcb63b00689fea723df0bafe6f1"],
+    "ternary-morse": [
+        "f50d4278c2851c0aec9870b449123e4295251cb0f7eb45a21f50a49769f4c1d6",
+        "fd0e1eedec3a15a20ecadb36d44a899c52fbbb5885fb122832a77cac1a2bb9a7",
+        "42778369da40d37192304408fca4e7bc699a8b936c2f4f2296fa3bf7f7152b9f",
+        "5dda12eddd3dc38a5ccd3f19e7a336dbc62a8f7e0a28551e70eeabb00c97d6e1",
+        "87fcd5af267264a27fac1e332b0795c1fce7c22510ddc99eaacbdf177287dd78",
+        "8b687743d3b5b8d792ae209b3cdbb82095467eea6f72b848d10bc5a1d7f9e20f",
+    ],
+    "keane-morse-011": [
+        "fa8c7dce531fbbe0c22aa0668b7522fd240844691a555ee1890b2c74ec412250",
+        "ef8b052decaf1578ec88ed8cbaefb961afd9a45eb04a2049136943f53d4064d3",
+        "82da68f7df7606009de2e404506eba0144204acc94fbde0d749fd44dce0e7d6e",
+        "5ff93751fd46fd7ec1d0e8c2c88cb5e95cecd161a3e6982be662564efc536b92",
+    ],
+    "toeplitz-doubling": ["20a54ec2d17ff293c49fab4e182873f2310abb24f755ff614e1ed511b98eda61"],
+    "trivial-1": [],
+}
 
 
 def test_witness_where_predicted_is_consistent():
@@ -18,3 +51,16 @@ def test_exhausted_where_predicted_positive_is_inconclusive():
 
 def test_exhausted_where_predicted_negative_is_consistent():
     assert _grade(False, exhausted("claim")) == CONSISTENT
+
+
+def test_verify_certificates_are_frozen():
+    got = {}
+    for name in catalog.names():
+        if catalog.get(name).verify:
+            report = verify_system(catalog.system_for(name))
+            got[name] = [
+                hashlib.sha256(certificate_json(c).encode()).hexdigest()
+                for c in report.witnessed_certificates()
+            ]
+    assert got == VERIFY_CERTIFICATE_SHA256
+    assert sum(map(len, got.values())) == 16
