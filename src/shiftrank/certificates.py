@@ -34,7 +34,12 @@ def certificate_json(payload: dict) -> str:
 
 
 def load_certificate(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed certificate: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("malformed certificate: not a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate schema: {doc.get('schema')!r}")
     return doc
@@ -133,26 +138,38 @@ def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
 
 
 def replay(doc: dict) -> ReplayResult:
-    """Re-verify a certificate's inequalities; no search, windows only."""
-    kind = doc["kind"]
+    """Re-verify a certificate's inequalities; no search, windows only.
+
+    A document that lacks a field its kind needs raises ValueError.
+    """
     failures: list[str] = []
-    checks = 0
+    try:
+        checks = _replay_kind(doc, failures)
+    except KeyError as e:
+        raise ValueError(f"malformed certificate: missing field {e.args[0]!r}") from None
+    return ReplayResult(not failures, checks, tuple(failures))
+
+
+def _replay_kind(doc: dict, failures: list[str]) -> int:
+    kind = doc["kind"]
     if kind == "proximal-pair":
-        checks = _replay_proximal(doc, failures)
-    elif kind == "regional-proximal":
-        checks = _replay_regional(doc, failures)
-    elif kind in ("m-sensitivity", "block-m-sensitivity"):
-        for entry in doc["cylinders"]:
-            checks += _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures)
-    elif kind == "eq-point-counterexample":
+        return _replay_proximal(doc, failures)
+    if kind == "regional-proximal":
+        return _replay_regional(doc, failures)
+    if kind in ("m-sensitivity", "block-m-sensitivity"):
+        return sum(
+            _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures)
+            for entry in doc["cylinders"]
+        )
+    if kind == "eq-point-counterexample":
         # each stage's "cylinder" is the base point's central word at that
         # delta radius, so the entry replay also pins agreement with the point
-        for stage in doc["stages"]:
-            checks += _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
-    elif kind == "cover-falsified":
-        checks = _replay_cover_falsified(doc, failures)
-    elif kind == "cover-witness":
-        checks = 1  # universal claim: the payload is a summary, nothing to replay
-    else:
-        raise ValueError(f"unknown certificate kind: {kind!r}")
-    return ReplayResult(not failures, checks, tuple(failures))
+        return sum(
+            _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
+            for stage in doc["stages"]
+        )
+    if kind == "cover-falsified":
+        return _replay_cover_falsified(doc, failures)
+    if kind == "cover-witness":
+        return 1  # universal claim: the payload is a summary, nothing to replay
+    raise ValueError(f"unknown certificate kind: {kind!r}")

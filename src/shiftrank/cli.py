@@ -2,7 +2,8 @@
 
 Output is deterministic for a fixed build and configuration: searches use
 fixed scan orders and the JSON mode emits sorted keys with no timestamps.
-Exit codes: 0 success / consistent, 1 inconsistent verify, 2 usage errors.
+Exit codes: 0 success / consistent, 1 inconsistent verify or failed replay,
+2 usage errors (including an unreadable or malformed certificate).
 """
 
 from __future__ import annotations
@@ -61,14 +62,10 @@ def _budget(args) -> SearchBudget:
             key = key.strip()
             if key == "ladder":
                 fields[key] = tuple(int(x) for x in value.split("/"))
-            elif key in ("L", "N", "K", "B", "m"):
+            elif key in ("L", "N", "K", "B"):
                 fields[key] = int(value)
             else:
                 raise UsageError(f"unknown budget key {key!r}")
-    for key in ("L", "N", "K", "B"):
-        flag = getattr(args, f"budget_{key}", None)
-        if flag is not None:
-            fields[key] = flag
     try:
         return SearchBudget(**fields)
     except ValueError as e:
@@ -138,61 +135,36 @@ def _maybe_write_cert(verdict, path_arg) -> None:
         Path(path_arg).write_text(certificate_json(verdict.certificate))
 
 
-def cmd_sensitivity(args) -> int:
+def cmd_cylinder_search(args) -> int:
+    """``sensitivity`` and ``block``: a tuple search over every cylinder."""
     system = _resolve_system(args.system)
     budget = _budget(args)
-    report = m_sensitivity_test(system, args.m, args.scale, budget)
+    doc = {"system": system.name, "m": args.m, "K": args.scale}
+    if args.command == "block":
+        doc["B"] = args.block
+        report = block_m_sensitivity_test(system, args.m, args.scale, args.block, budget)
+    else:
+        report = m_sensitivity_test(system, args.m, args.scale, budget)
     _maybe_write_cert(report.aggregate, args.cert)
-    doc = {
-        "system": system.name,
-        "m": args.m,
-        "K": args.scale,
-        "aggregate": report.aggregate.status.value,
-        "cylinders": {u: v.status.value for u, v in report.per_cylinder.items()},
-    }
+    doc["aggregate"] = report.aggregate.status.value
+    doc["cylinders"] = {u: v.status.value for u, v in report.per_cylinder.items()}
     _emit(doc, args.json, _verdict_lines(report.aggregate))
     return 0
 
 
-def cmd_block(args) -> int:
+def cmd_seed_point_test(args) -> int:
+    """``point`` and ``cover``: a tuple test near a seed point."""
     system = _resolve_system(args.system)
     budget = _budget(args)
-    report = block_m_sensitivity_test(system, args.m, args.scale, args.block, budget)
-    _maybe_write_cert(report.aggregate, args.cert)
-    doc = {
-        "system": system.name,
-        "m": args.m,
-        "K": args.scale,
-        "B": args.block,
-        "aggregate": report.aggregate.status.value,
-        "cylinders": {u: v.status.value for u, v in report.per_cylinder.items()},
-    }
-    _emit(doc, args.json, _verdict_lines(report.aggregate))
-    return 0
-
-
-def cmd_cover(args) -> int:
-    system = _resolve_system(args.system)
-    budget = _budget(args)
-    point = _seed_point(system, args.seed_index, budget.N + budget.B + args.scale + 1 + max(budget.ladder))
-    verdict = cover_m_equicontinuity_test(system, point, args.m, args.scale, budget)
-    doc = {
-        "system": system.name,
-        "m": args.m,
-        "K": args.scale,
-        "status": verdict.status.value,
-        "annotations": dict(verdict.annotations),
-    }
-    _emit(doc, args.json, _verdict_lines(verdict))
-    return 0
-
-
-def cmd_point(args) -> int:
-    system = _resolve_system(args.system)
-    budget = _budget(args)
-    point = _seed_point(system, args.seed_index, budget.N + args.scale + max(budget.ladder))
-    verdict = m_equicontinuity_point_test(system, point, args.m, args.scale, budget)
-    _maybe_write_cert(verdict, args.cert)
+    radius = budget.N + args.scale + max(budget.ladder)
+    if args.command == "cover":
+        radius += budget.B + 1
+        test = cover_m_equicontinuity_test
+    else:
+        test = m_equicontinuity_point_test
+    point = _seed_point(system, args.seed_index, radius)
+    verdict = test(system, point, args.m, args.scale, budget)
+    _maybe_write_cert(verdict, getattr(args, "cert", None))
     doc = {
         "system": system.name,
         "m": args.m,
@@ -263,8 +235,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    doc = load_certificate(Path(args.certificate).read_text())
-    result = replay(doc)
+    try:
+        text = Path(args.certificate).read_text()
+    except OSError as e:
+        raise UsageError(f"cannot read certificate {args.certificate!r}: {e.strerror}") from None
+    result = replay(load_certificate(text))
     print(result.summary())
     for f in result.failures:
         print(f"  {f}")
@@ -301,35 +276,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=64)
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("sensitivity", help="tuple sensitivity search over all cylinders")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--scale", type=int, default=2, help="epsilon exponent K")
-    p.add_argument("--cert", help="write the witnessed certificate to this path")
-    p.set_defaults(fn=cmd_sensitivity)
+    def tuple_search(name, summary, fn, scale, scale_help):
+        p = sub.add_parser(name, help=summary)
+        common(p)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--scale", type=int, default=scale, help=scale_help)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("block", help="block sensitivity search over all cylinders")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--scale", type=int, default=1)
+    witnessed_cert = "write the witnessed certificate to this path"
+    p = tuple_search(
+        "sensitivity",
+        "tuple sensitivity search over all cylinders",
+        cmd_cylinder_search,
+        scale=2,
+        scale_help="epsilon exponent K",
+    )
+    p.add_argument("--cert", help=witnessed_cert)
+
+    p = tuple_search(
+        "block",
+        "block sensitivity search over all cylinders",
+        cmd_cylinder_search,
+        scale=1,
+        scale_help=None,
+    )
     p.add_argument("--block", type=int, default=8, help="block half-length B")
-    p.add_argument("--cert", help="write the witnessed certificate to this path")
-    p.set_defaults(fn=cmd_block)
+    p.add_argument("--cert", help=witnessed_cert)
 
-    p = sub.add_parser("cover", help="cover equicontinuity test at a seed point")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--scale", type=int, default=2)
+    p = tuple_search(
+        "cover",
+        "cover equicontinuity test at a seed point",
+        cmd_seed_point_test,
+        scale=2,
+        scale_help=None,
+    )
     p.add_argument("--seed-index", type=int, default=0)
-    p.set_defaults(fn=cmd_cover)
 
-    p = sub.add_parser("point", help="equicontinuity point test at a seed point")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--scale", type=int, default=2)
+    p = tuple_search(
+        "point",
+        "equicontinuity point test at a seed point",
+        cmd_seed_point_test,
+        scale=2,
+        scale_help=None,
+    )
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--cert", help="write the counterexample certificate to this path")
-    p.set_defaults(fn=cmd_point)
 
     p = sub.add_parser("fiber", help="fiber census over an odometer residue")
     common(p)

@@ -42,9 +42,11 @@ class SearchBudget:
     """Finite horizons for the searches.
 
     L is the cylinder radius, N the shift horizon, K the scale exponent
-    (epsilon = 2^-K), B the block half-length for block sensitivity, m the
-    default tuple arity, and ladder the increasing sequence of candidate
-    delta-window radii used to exhaust "for every delta".
+    (epsilon = 2^-K), B the block half-length for block sensitivity, and
+    ladder the increasing sequence of candidate delta-window radii used to
+    exhaust "for every delta".  No search reads m: each test takes its tuple
+    size as an argument, and m is kept only because certificates record the
+    whole budget.
     """
 
     L: int = 2
@@ -257,24 +259,48 @@ class SensitivityReport:
     per_cylinder: dict[str, Verdict]
 
 
-def _aggregate_from_scans(
+def _certificate_header(
+    kind: str, system: ShiftSystem, m: int, K: int, budget: SearchBudget
+) -> dict:
+    """The top-level fields every tuple-search certificate starts with."""
+    return {
+        "kind": kind,
+        "system": system.name,
+        "spec_hash": system.spec_hash,
+        "m": m,
+        "K": K,
+        "budget": budget.as_dict(),
+    }
+
+
+def sensitivity_report(
     system: ShiftSystem,
     scans: Sequence[CylinderScan],
     m: int,
     K: int,
+    B: int | None,
     budget: SearchBudget,
-    kind: str,
-    claim: str,
-    extra: dict | None = None,
 ) -> SensitivityReport:
+    """Grade per-cylinder scans for tuple size m: the one scan-to-verdict step.
+
+    ``B`` None grades an m-sensitivity scan, an integer a block m-sensitivity
+    scan with that half-length.  The aggregate is witnessed, with a
+    certificate bundling every cylinder's witness, only when each cylinder
+    has one; otherwise it is exhausted and names the witness-free cylinders.
+    """
+    if B is None:
+        kind, claim = "m-sensitivity", f"{m}-sensitivity at scale 2^-{K} on {system.name}"
+    else:
+        kind = "block-m-sensitivity"
+        claim = f"block {m}-sensitivity at scale 2^-{K}, half-length {B}, on {system.name}"
     per: dict[str, Verdict] = {}
     bundle = []
     missing = []
     for scan in scans:
         if m in scan.witnesses:
-            w = scan.witnesses[m]
-            per[scan.cylinder] = witnessed(claim, w.to_payload())
-            bundle.append(w.to_payload())
+            payload = scan.witnesses[m].to_payload()
+            per[scan.cylinder] = witnessed(claim, payload)
+            bundle.append(payload)
         else:
             per[scan.cylinder] = exhausted(claim, budget=budget.as_dict())
             missing.append(scan.cylinder)
@@ -283,17 +309,9 @@ def _aggregate_from_scans(
             claim, budget=budget.as_dict(), witness_free_cylinders=tuple(missing)
         )
     else:
-        payload = {
-            "kind": kind,
-            "system": system.name,
-            "spec_hash": system.spec_hash,
-            "m": m,
-            "K": K,
-            "budget": budget.as_dict(),
-            "cylinders": bundle,
-        }
-        if extra:
-            payload.update(extra)
+        payload = {**_certificate_header(kind, system, m, K, budget), "cylinders": bundle}
+        if B is not None:
+            payload["B"] = B
         aggregate = witnessed(claim, payload)
     return SensitivityReport(m, K, aggregate, per)
 
@@ -305,8 +323,7 @@ def m_sensitivity_test(
     if m < 2:
         raise ValueError("tuple size must be at least 2")
     scans = sensitivity_scan(system, m, K, budget)
-    claim = f"{m}-sensitivity at scale 2^-{K} on {system.name}"
-    return _aggregate_from_scans(system, scans, m, K, budget, "m-sensitivity", claim)
+    return sensitivity_report(system, scans, m, K, None, budget)
 
 
 def regional_proximal_search(
@@ -402,12 +419,7 @@ def m_equicontinuity_point_test(
         wit = _make_witness(x.central(W), exts, idxs, radius, g, K)
         stages.append({"delta_radius": W, **wit.to_payload()})
     payload = {
-        "kind": "eq-point-counterexample",
-        "system": system.name,
-        "spec_hash": system.spec_hash,
-        "m": m,
-        "K": K,
-        "budget": budget.as_dict(),
+        **_certificate_header("eq-point-counterexample", system, m, K, budget),
         "point": x.central(max(budget.ladder)),
         "stages": stages,
     }
@@ -549,10 +561,7 @@ def block_m_sensitivity_test(
     if m < 2:
         raise ValueError("tuple size must be at least 2")
     scans = block_sensitivity_scan(system, m, K, B, budget)
-    claim = f"block {m}-sensitivity at scale 2^-{K}, half-length {B}, on {system.name}"
-    return _aggregate_from_scans(
-        system, scans, m, K, budget, "block-m-sensitivity", claim, extra={"B": B}
-    )
+    return sensitivity_report(system, scans, m, K, B, budget)
 
 
 def cover_m_equicontinuity_test(
@@ -583,14 +592,9 @@ def cover_m_equicontinuity_test(
         best, raw = _run_scan(exts, radius, K, centers, starts, m, finder)
         if best < m:
             payload = {
-                "kind": "cover-witness",
-                "system": system.name,
-                "spec_hash": system.spec_hash,
-                "m": m,
-                "K": K,
+                **_certificate_header("cover-witness", system, m, K, budget),
                 "B": B,
                 "delta_radius": W,
-                "budget": budget.as_dict(),
                 "note": "universal claim over tuples; checked exhaustively within budget",
             }
             return witnessed(claim, payload, delta_radius=W)
@@ -600,13 +604,8 @@ def cover_m_equicontinuity_test(
             {"delta_radius": W, "gap_start": a, "gap_end": a + centers - 1, **wit.to_payload()}
         )
     payload = {
-        "kind": "cover-falsified",
-        "system": system.name,
-        "spec_hash": system.spec_hash,
-        "m": m,
-        "K": K,
+        **_certificate_header("cover-falsified", system, m, K, budget),
         "B": B,
-        "budget": budget.as_dict(),
         "stages": falsifications,
     }
     return Verdict(

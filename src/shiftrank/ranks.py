@@ -26,16 +26,7 @@ from .odometer import (
     lift_state,
 )
 from .oracles import PairClass, proximal_pair_exact
-from .substitution import (
-    RegimeError,
-    StabilizationError,
-    Substitution,
-    SubstitutionSystem,
-    aperiodicity_check,
-    height,
-    is_primitive,
-)
-from .verdicts import VerdictStatus
+from .substitution import RegimeError, Substitution, SubstitutionSystem
 
 
 class EstimateKind(enum.Enum):
@@ -174,34 +165,9 @@ def _tree_extreme(
     return best, all_stable
 
 
-def _exact_regime_flags(s: Substitution) -> dict:
-    flags: dict[str, object] = {
-        "primitive": is_primitive(s),
-        "constant_length": s.constant_length,
-    }
-    if not flags["primitive"] or s.constant_length is None:
-        flags["exact_regime"] = False
-        return flags
-    aper = aperiodicity_check(s)
-    flags["aperiodic"] = aper.status.value
-    if aper.status is VerdictStatus.REFUTED:
-        flags["period"] = aper.annotations.get("period")
-        flags["exact_regime"] = False
-        flags["periodic"] = True
-        return flags
-    try:
-        h = height(s)
-    except (StabilizationError, RegimeError):
-        h = None
-    flags["height"] = h
-    flags["exact_regime"] = aper.status is VerdictStatus.WITNESSED and h == 1
-    return flags
-
-
 def coincidence_rank(s: Substitution) -> Estimate:
     """Largest pairwise-distal subset of a minimal column, via the pair graph."""
-    flags = _exact_regime_flags(s)
-    if not flags.get("exact_regime"):
+    if not s.regime.exact:
         return Estimate(
             1,
             EstimateKind.LOWER_BOUND,
@@ -242,8 +208,7 @@ def _census_rank(
     s: Substitution, policy: str, depth_max: int, radius_max: int
 ) -> Estimate:
     q = s.require_constant_length()
-    flags = _exact_regime_flags(s)
-    if not flags.get("exact_regime"):
+    if not s.regime.exact:
         raise RegimeError("census ranks require the exact regime")
     small_depth, small_radius = max(1, depth_max - 1), max(q, radius_max // 2)
     small_v, small_st = _tree_extreme(s, policy, small_depth, small_radius)
@@ -280,12 +245,12 @@ def substitution_rank_report(
     system: SubstitutionSystem, depth_max: int = 4, radius_max: int = 64
 ) -> RankReport:
     s = system.substitution
-    flags = _exact_regime_flags(s)
-    if flags.get("periodic"):
-        ev = {"method": "periodic-orbit", "period": flags.get("period")}
+    regime = s.regime
+    if regime.periodic:
+        ev = {"method": "periodic-orbit", "period": regime.flags["period"]}
         one = Estimate(1, EstimateKind.EXACT, ev)
-        return RankReport(system.name, one, one, one, flags)
-    if not flags.get("exact_regime"):
+        return RankReport(system.name, one, one, one, regime.flags)
+    if not regime.exact:
         raise RegimeError(
             f"{system.name}: rank pipelines need the exact regime "
             "(constant length, primitive, aperiodic, height 1) or a periodic system"
@@ -295,7 +260,7 @@ def substitution_rank_report(
         coincidence_rank(s),
         minimal_rank(s, depth_max, radius_max),
         maximal_rank(s, depth_max, radius_max),
-        flags,
+        regime.flags,
     )
 
 

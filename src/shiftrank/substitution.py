@@ -14,8 +14,10 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
-from .verdicts import Verdict, exhausted, refuted, witnessed
+from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, shift_window, sym_char
 
 
@@ -69,6 +71,11 @@ class Substitution:
     @cached_property
     def _translation(self) -> dict[int, str]:
         return {ord(c): image for c, image in zip(self.letters, self.rules)}
+
+    @cached_property
+    def regime(self) -> ExactRegime:
+        """Membership in the exact regime, checked once per substitution."""
+        return ExactRegime(MappingProxyType(_exact_regime_flags(self)))
 
     def image(self, word: str) -> str:
         """One application of the substitution to a word over its alphabet."""
@@ -399,6 +406,50 @@ def aperiodicity_check(s: Substitution, n_max: int = 32) -> Verdict:
             scanned_to=n_max,
         )
     return exhausted(claim, budget={"n_max": n_max})
+
+
+@dataclass(frozen=True)
+class ExactRegime:
+    """Whether a substitution is in the exact regime, with the evidence.
+
+    The exact regime is constant length, primitive, aperiodic and height
+    one; ``flags`` is the evidence that rank reports carry.  A primitive
+    constant-length substitution whose complexity goes flat is periodic.
+    """
+
+    flags: Mapping[str, object]
+
+    @property
+    def exact(self) -> bool:
+        return bool(self.flags["exact_regime"])
+
+    @property
+    def periodic(self) -> bool:
+        return bool(self.flags.get("periodic"))
+
+
+def _exact_regime_flags(s: Substitution) -> dict:
+    flags: dict[str, object] = {
+        "primitive": is_primitive(s),
+        "constant_length": s.constant_length,
+    }
+    if not flags["primitive"] or s.constant_length is None:
+        flags["exact_regime"] = False
+        return flags
+    aper = aperiodicity_check(s)
+    flags["aperiodic"] = aper.status.value
+    if aper.status is VerdictStatus.REFUTED:
+        flags["period"] = aper.annotations.get("period")
+        flags["exact_regime"] = False
+        flags["periodic"] = True
+        return flags
+    try:
+        h = height(s)
+    except (StabilizationError, RegimeError):
+        h = None
+    flags["height"] = h
+    flags["exact_regime"] = aper.status is VerdictStatus.WITNESSED and h == 1
+    return flags
 
 
 @dataclass(frozen=True)

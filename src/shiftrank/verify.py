@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracles import SearchBudget, _aggregate_from_scans, block_sensitivity_scan, sensitivity_scan
+from .oracles import SearchBudget, block_sensitivity_scan, sensitivity_report, sensitivity_scan
 from .ranks import MultivariateProfile, RankReport, predict_profile, rank_report
 from .verdicts import Verdict
 
@@ -97,35 +97,10 @@ def verify_system(
     cells = []
     for m in range(2, m_max + 1):
         row = profile.row(m)
-        sens = _aggregate_from_scans(
-            system,
-            sens_scans,
-            m,
-            budget.K,
-            budget,
-            "m-sensitivity",
-            f"{m}-sensitivity at scale 2^-{budget.K} on {system.name}",
-        )
-        cells.append(
-            Cell(m, "sensitivity", row.m_sensitive, sens.aggregate, _grade(row.m_sensitive, sens.aggregate))
-        )
-        block = _aggregate_from_scans(
-            system,
-            block_scans,
-            m,
-            block_scale,
-            budget,
-            "block-m-sensitivity",
-            f"block {m}-sensitivity at scale 2^-{block_scale}, half-length {budget.B}, on {system.name}",
-            extra={"B": budget.B},
-        )
-        cells.append(
-            Cell(
-                m,
-                "block",
-                row.compactly_m_sensitive,
-                block.aggregate,
-                _grade(row.compactly_m_sensitive, block.aggregate),
-            )
-        )
+        for test, scans, K, B, predicted in (
+            ("sensitivity", sens_scans, budget.K, None, row.m_sensitive),
+            ("block", block_scans, block_scale, budget.B, row.compactly_m_sensitive),
+        ):
+            verdict = sensitivity_report(system, scans, m, K, B, budget).aggregate
+            cells.append(Cell(m, test, predicted, verdict, _grade(predicted, verdict)))
     return VerifyReport(system.name, ranks, profile, tuple(cells))

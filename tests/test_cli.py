@@ -175,3 +175,38 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "thue-morse" in proc.stdout
+
+
+def test_budget_key_m_is_rejected(capsys):
+    # tuple size comes from --m / --m-max; a budget m would only mislabel certificates
+    code, out, err = run_cli(capsys, "sensitivity", "thue-morse", "--m", "2", "--budget", "m=7")
+    assert code == 2
+    assert out == ""
+    assert "unknown budget key 'm'" in err
+
+
+def test_replay_of_missing_file_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "replay", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read certificate")
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"schema": 1}, "missing field 'kind'"),
+        ({"schema": 1, "kind": "m-sensitivity", "m": 2, "K": 2}, "missing field 'cylinders'"),
+        ([1, 2], "not a JSON object"),
+        ("{not json", "malformed certificate"),
+    ],
+    ids=["no-kind", "no-cylinders", "not-an-object", "not-json"],
+)
+def test_replay_of_malformed_certificate_exits_two(capsys, tmp_path, doc, reason):
+    path = tmp_path / "cert.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed certificate")
+    assert reason in err

@@ -89,6 +89,28 @@ def test_one_letter_report_is_periodic_all_ones():
     assert report.flags.get("periodic")
 
 
+def test_exact_regime_is_checked_once_per_substitution(monkeypatch):
+    import shiftrank.substitution as substitution
+
+    calls = []
+    check = substitution.aperiodicity_check
+    monkeypatch.setattr(
+        substitution, "aperiodicity_check", lambda s, *a: calls.append(s) or check(s, *a)
+    )
+    s = Substitution(("01", "10"))  # a fresh object: nothing cached yet
+    report = substitution_rank_report(SubstitutionSystem("thue-morse", s), 3, 16)
+    coincidence_rank(s)
+    minimal_rank(s, 3, 16)
+    assert calls == [s]
+    assert report.to_payload()["flags"] == {
+        "primitive": True,
+        "constant_length": 2,
+        "aperiodic": "witnessed",
+        "height": 1,
+        "exact_regime": True,
+    }
+
+
 def test_rank_chain_on_catalog_reports():
     for s, name in ((TM, "tm"), (PD, "pd"), (TERN, "tern")):
         report = substitution_rank_report(SubstitutionSystem(name, s))
