@@ -140,13 +140,16 @@ def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
 def replay(doc: dict) -> ReplayResult:
     """Re-verify a certificate's inequalities; no search, windows only.
 
-    A document that lacks a field its kind needs raises ValueError.
+    A document that lacks a field its kind needs, or holds a value of the
+    wrong type in one, raises ValueError.
     """
     failures: list[str] = []
     try:
         checks = _replay_kind(doc, failures)
     except KeyError as e:
         raise ValueError(f"malformed certificate: missing field {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed certificate: {e}") from None
     return ReplayResult(not failures, checks, tuple(failures))
 
 

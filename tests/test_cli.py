@@ -197,10 +197,22 @@ def test_replay_of_missing_file_exits_two(capsys, tmp_path):
     [
         ({"schema": 1}, "missing field 'kind'"),
         ({"schema": 1, "kind": "m-sensitivity", "m": 2, "K": 2}, "missing field 'cylinders'"),
+        ({"schema": 1, "kind": "m-sensitivity", "m": 2, "K": 2, "cylinders": 5}, "not iterable"),
+        (
+            {"schema": 1, "kind": "cover-falsified", "m": 2, "K": 2, "stages": [{"windows": [7]}]},
+            "malformed certificate",
+        ),
         ([1, 2], "not a JSON object"),
         ("{not json", "malformed certificate"),
     ],
-    ids=["no-kind", "no-cylinders", "not-an-object", "not-json"],
+    ids=[
+        "no-kind",
+        "no-cylinders",
+        "cylinders-not-a-list",
+        "window-not-a-string",
+        "not-an-object",
+        "not-json",
+    ],
 )
 def test_replay_of_malformed_certificate_exits_two(capsys, tmp_path, doc, reason):
     path = tmp_path / "cert.json"
