@@ -6,17 +6,8 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .substitution import (
-    RegimeError,
-    StabilizationError,
-    Substitution,
-    SubstitutionSystem,
-    aperiodicity_check,
-    height,
-    is_primitive,
-)
+from .substitution import RegimeError, Substitution, SubstitutionSystem
 from .toeplitz import Stage, ToeplitzSkeleton, ToeplitzSystem, doubling_skeleton, rank_family_skeleton
-from .verdicts import VerdictStatus
 
 
 @dataclass(frozen=True)
@@ -165,10 +156,9 @@ def random_exact_substitutions(
 ) -> list[Substitution]:
     """Sample primitive, aperiodic, height-1 constant-length substitutions.
 
-    Candidates are drawn uniformly over rule tables and filtered through the
-    structural predicates; the flatness scan of the aperiodicity check runs
-    to length 48, deep enough to catch every periodic fixed point in this
-    parameter range.  Deterministic for a fixed seed.
+    Candidates are drawn uniformly over rule tables and kept when they are
+    in the exact regime (``Substitution.regime``), which each kept instance
+    carries on into the rank pipelines.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     out: list[Substitution] = []
@@ -178,14 +168,6 @@ def random_exact_substitutions(
         letters = "0123456789"[:size]
         rules = tuple("".join(rng.choice(letters) for _ in range(q)) for _ in range(size))
         s = Substitution(rules)
-        if not is_primitive(s):
-            continue
-        try:
-            if aperiodicity_check(s, n_max=48).status is not VerdictStatus.WITNESSED:
-                continue
-            if height(s) != 1:
-                continue
-        except (StabilizationError, RegimeError):
-            continue
-        out.append(s)
+        if s.regime.exact:
+            out.append(s)
     return out

@@ -53,9 +53,8 @@ def _resolve_system(name: str):
 
 def _budget(args) -> SearchBudget:
     fields = {}
-    spec = getattr(args, "budget", None)
-    if spec:
-        for item in spec.split(","):
+    if args.budget:
+        for item in args.budget.split(","):
             key, eq, value = item.partition("=")
             if not eq:
                 raise UsageError(f"bad budget item {item!r}; use key=value")
@@ -131,7 +130,7 @@ def _verdict_lines(v) -> list[str]:
 
 
 def _maybe_write_cert(verdict, path_arg) -> None:
-    if path_arg and verdict.witnessed and isinstance(verdict.certificate, dict):
+    if path_arg and isinstance(verdict.certificate, dict):
         Path(path_arg).write_text(certificate_json(verdict.certificate))
 
 
@@ -156,15 +155,11 @@ def cmd_seed_point_test(args) -> int:
     """``point`` and ``cover``: a tuple test near a seed point."""
     system = _resolve_system(args.system)
     budget = _budget(args)
-    radius = budget.N + args.scale + max(budget.ladder)
-    if args.command == "cover":
-        radius += budget.B + 1
-        test = cover_m_equicontinuity_test
-    else:
-        test = m_equicontinuity_point_test
-    point = _seed_point(system, args.seed_index, radius)
+    test = cover_m_equicontinuity_test if args.command == "cover" else m_equicontinuity_point_test
+    # both tests read the point only through its central windows on the ladder
+    point = _seed_point(system, args.seed_index, max(budget.ladder))
     verdict = test(system, point, args.m, args.scale, budget)
-    _maybe_write_cert(verdict, getattr(args, "cert", None))
+    _maybe_write_cert(verdict, args.cert)
     doc = {
         "system": system.name,
         "m": args.m,
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         if system:
             p.add_argument("system", help="catalog name or inline rules like '0->01;1->10'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--budget", help="comma list like L=2,N=256,K=2,B=8,ladder=1/2/4/8")
 
     p = sub.add_parser("catalog", help="list the reference systems")
     p.add_argument("--json", action="store_true")
@@ -279,20 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     def tuple_search(name, summary, fn, scale, scale_help):
         p = sub.add_parser(name, help=summary)
         common(p)
+        p.add_argument("--budget", help="comma list like L=2,N=256,K=2,B=8,ladder=1/2/4/8")
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--scale", type=int, default=scale, help=scale_help)
+        p.add_argument("--cert", help="write the verdict's certificate, if any, to this path")
         p.set_defaults(fn=fn)
         return p
 
-    witnessed_cert = "write the witnessed certificate to this path"
-    p = tuple_search(
+    tuple_search(
         "sensitivity",
         "tuple sensitivity search over all cylinders",
         cmd_cylinder_search,
         scale=2,
         scale_help="epsilon exponent K",
     )
-    p.add_argument("--cert", help=witnessed_cert)
 
     p = tuple_search(
         "block",
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         scale_help=None,
     )
     p.add_argument("--block", type=int, default=8, help="block half-length B")
-    p.add_argument("--cert", help=witnessed_cert)
 
     p = tuple_search(
         "cover",
@@ -321,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         scale_help=None,
     )
     p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--cert", help="write the counterexample certificate to this path")
 
     p = sub.add_parser("fiber", help="fiber census over an odometer residue")
     common(p)

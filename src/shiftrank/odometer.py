@@ -101,28 +101,26 @@ def column_number(s: Substitution, k_max: int = 8) -> tuple[int, int, bool]:
     return best, witness, stabilized
 
 
-def _one_level_desubstitutions(
-    s: Substitution, w: CenteredWord
-) -> list[tuple[int, CenteredWord]]:
-    q = s.require_constant_length()
-    table = table_for(s)
-    out: list[tuple[int, CenteredWord]] = []
-    for c in range(q):
-        m_lo = (w.left + c) // q
-        m_hi = (w.right + c) // q
-        length = m_hi - m_lo + 1
-        allowed: list[set[str]] = [set(s.letters) for _ in range(length)]
-        for n in range(w.left, w.right + 1):
-            m = (n + c) // q
-            r = (n + c) % q
-            want = w.at(n)
-            allowed[m - m_lo] &= {a for a in s.letters if s.rules[s.letters.index(a)][r] == want}
-        if any(not a for a in allowed):
-            continue
-        for v in table.words(length):
-            if all(v[i] in allowed[i] for i in range(length)):
-                out.append((c, CenteredWord(v, m_lo)))
-    return out
+def _lift(
+    s: Substitution, q: int, m_lo: int, m_hi: int, digit: int, targets: Mapping[str, object]
+) -> tuple[int, int, dict[str, object]]:
+    """De-substitute blocks m_lo..m_hi one level along ``digit``.
+
+    Returns the span new_lo..new_hi of the level-up blocks and maps every
+    admissible word v over that span whose image, read over m_lo..m_hi, is a
+    key of ``targets`` to that key's value.
+    """
+    new_lo = (m_lo + digit) // q
+    new_hi = (m_hi + digit) // q
+    # block m of the old span is symbol m + digit - q * new_lo of image(v)
+    off = m_lo + digit - q * new_lo
+    end = off + m_hi - m_lo + 1
+    keep = {}
+    for v in table_for(s).words(new_hi - new_lo + 1):
+        value = targets.get(s.image(v)[off:end])
+        if value is not None:
+            keep[v] = value
+    return new_lo, new_hi, keep
 
 
 def desubstitute(s: Substitution, w: CenteredWord, k: int) -> set[tuple[int, CenteredWord]]:
@@ -142,9 +140,11 @@ def desubstitute(s: Substitution, w: CenteredWord, k: int) -> set[tuple[int, Cen
     if k == 0:
         return {(0, w)}
     out: set[tuple[int, CenteredWord]] = set()
-    for c1, v1 in _one_level_desubstitutions(s, w):
-        for c2, v2 in desubstitute(s, v1, k - 1):
-            out.add((c1 + q * c2, v2))
+    for c1 in range(q):
+        m_lo, _, preimages = _lift(s, q, w.left, w.right, c1, {w.symbols: w.symbols})
+        for v1 in preimages:
+            for c2, v2 in desubstitute(s, CenteredWord(v1, m_lo), k - 1):
+                out.add((c1 + q * c2, v2))
     return out
 
 
@@ -192,18 +192,7 @@ def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> Pa
     q = s.require_constant_length()
     if not 0 <= digit < q:
         raise ValueError(f"digit {digit} out of range for base {q}")
-    table = table_for(s)
-    new_lo = (state.m_lo + digit) // q
-    new_hi = (state.m_hi + digit) // q
-    # block m of the parent span is symbol m + digit - q * new_lo of image(cand)
-    off = state.m_lo + digit - q * new_lo
-    end = off + state.m_hi - state.m_lo + 1
-    parents = state.survivors
-    keep = {}
-    for cand in table.words(new_hi - new_lo + 1):
-        window = parents.get(s.image(cand)[off:end])
-        if window is not None:
-            keep[cand] = window
+    new_lo, new_hi, keep = _lift(s, q, state.m_lo, state.m_hi, digit, state.survivors)
     if not keep:
         raise FiberInvariantError(
             f"no survivors at depth {state.depth + 1}; the odometer map is onto, "
@@ -218,12 +207,8 @@ def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> Pa
     )
 
 
-def base_windows(s: Substitution, state: PathState, radius: int) -> frozenset[str]:
-    """Distinct radius-``radius`` central windows realizable by the survivors.
-
-    ``radius`` must be the one the path started from; the windows are the
-    ones the state carries.
-    """
+def base_windows(state: PathState) -> frozenset[str]:
+    """Distinct central windows realizable by the survivors, at the path's radius."""
     return frozenset(state.survivors.values())
 
 
@@ -259,7 +244,7 @@ def follow_path(
     accumulate), which is why a plateau is taken as stabilization.  An empty
     pattern stops after the prefix, unstabilized.
     """
-    windows = base_windows(s, state, radius)
+    windows = base_windows(state)
     counts = [len(windows)]
     path: list[int] = []
 
@@ -269,7 +254,7 @@ def follow_path(
     def step(d: int) -> None:
         nonlocal state, windows
         state = lift_state(s, state, d, radius)
-        windows = base_windows(s, state, radius)
+        windows = base_windows(state)
         path.append(d)
         counts.append(len(windows))
 

@@ -149,7 +149,7 @@ def _tree_extreme(
     def walk(state: PathState, prefix: tuple[int, ...]) -> None:
         nonlocal best
         if policy == "max" and best is not None:
-            if len(base_windows(s, state, radius)) <= best:
+            if len(base_windows(state)) <= best:
                 return
         if policy == "min" and best == 1:
             return

@@ -57,7 +57,7 @@ class Substitution:
     def letters(self) -> str:
         return ALPHABET_CHARS[: len(self.rules)]
 
-    @property
+    @cached_property
     def constant_length(self) -> int | None:
         q = len(self.rules[0])
         return q if all(len(r) == q for r in self.rules) else None
@@ -256,8 +256,9 @@ def expand(s: Substitution, w: CenteredWord, k: int, cut: int) -> CenteredWord:
         raise ValueError(f"cut {cut} out of range [0, {block})")
     if k == 0:
         return w
-    images = letter_images(s, k)
-    symbols = "".join(images[s.letters.index(c)] for c in w.symbols)
+    symbols = w.symbols
+    for _ in range(k):
+        symbols = s.image(symbols)
     return CenteredWord(symbols, w.left * block - cut)
 
 
@@ -317,10 +318,7 @@ def seed_window(s: Substitution, seed: SeedPair, radius: int, shift: int = 0) ->
     k = seed.power
     while q**k <= radius + abs(shift):
         k += seed.power
-    images = letter_images(s, k)
-    left_block = images[s.letters.index(seed.b)]
-    right_block = images[s.letters.index(seed.a)]
-    full = CenteredWord(left_block + right_block, -(q**k))
+    full = expand(s, CenteredWord(seed.b + seed.a, -1), k, 0)
     window = full.restrict(shift - radius, shift + radius)
     return shift_window(window, shift)
 
@@ -357,11 +355,11 @@ def height(s: Substitution, prefix_power: int = 8) -> int:
     prefix = a
     values = []
     while len(prefix) < target * q:
-        prefix = "".join(s.rules[s.letters.index(c)] for c in prefix)
+        prefix = s.image(prefix)
         if len(prefix) < q:  # degenerate non-expanding rule
             break
         for _ in range(p - 1):
-            prefix = "".join(s.rules[s.letters.index(c)] for c in prefix)
+            prefix = s.image(prefix)
         values.append(height_of_prefix(prefix[: target * q]))
         if len(values) >= 2 and values[-1] is not None and values[-1] == values[-2]:
             return values[-1]
@@ -378,13 +376,16 @@ def height(s: Substitution, prefix_power: int = 8) -> int:
     )
 
 
-def aperiodicity_check(s: Substitution, n_max: int = 32) -> Verdict:
+def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
     """Morse-Hedlund style periodicity scan.
 
     A flat step p(n) = p(n+1) certifies a periodic (finite) subshift, so the
     flatness scan runs first at every length; only a complexity profile that
     keeps strictly growing through n_max is reported as witnessed aperiodic,
-    with the least n where p(n) > n as the witness.
+    with the least n where p(n) > n as the witness.  The default n_max is
+    deep enough to catch every periodic fixed point in the range that
+    ``catalog.random_exact_substitutions`` samples by default (at most three
+    letters, length at most four).
     """
     if not is_primitive(s):
         raise RegimeError("aperiodicity check requires a primitive substitution")

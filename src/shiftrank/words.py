@@ -25,14 +25,6 @@ def sym_char(i: int) -> str:
     return ALPHABET_CHARS[i]
 
 
-def sym_id(c: str) -> int:
-    """Symbol id for character ``c``."""
-    i = ALPHABET_CHARS.find(c)
-    if i < 0:
-        raise ValueError(f"not a symbol character: {c!r}")
-    return i
-
-
 @dataclass(frozen=True)
 class CenteredWord:
     """A finite window of a bi-infinite sequence, must contain coordinate 0.

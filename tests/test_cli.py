@@ -185,6 +185,24 @@ def test_budget_key_m_is_rejected(capsys):
     assert "unknown budget key 'm'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ranks", "period-doubling"],
+        ["profile", "period-doubling"],
+        ["fiber", "period-doubling", "--depth", "1", "--value", "0"],
+        ["language", "period-doubling", "--length", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_is_rejected_outside_the_searches(capsys, argv):
+    # only the tuple searches and verify read a budget; elsewhere it was ignored
+    code, out, err = run_cli(capsys, *argv, "--budget", "bogus=1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
 def test_replay_of_missing_file_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "replay", str(tmp_path / "absent.json"))
     assert code == 2

@@ -11,7 +11,10 @@ import hashlib
 
 import pytest
 
+from shiftrank import catalog
+from shiftrank.certificates import certificate_json, load_certificate, replay
 from shiftrank.cli import build_parser, main
+from shiftrank.oracles import SearchBudget, cover_m_equicontinuity_test
 
 CASES = {
     "sensitivity-witnessed": ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32,K=5"],
@@ -62,11 +65,11 @@ CERT_SHA256 = {
 PARSER_SNAPSHOT = {
     "catalog": {"-h/--help": argparse.SUPPRESS, "--json": False},
     "ranks": {
-        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
+        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False,
         "--depth": 4, "--radius": 64,
     },
     "profile": {
-        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
+        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False,
         "--m-max": 5, "--depth": 4, "--radius": 64,
     },
     "sensitivity": {
@@ -79,18 +82,18 @@ PARSER_SNAPSHOT = {
     },
     "cover": {
         "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
-        "--m": None, "--scale": 2, "--seed-index": 0,
+        "--m": None, "--scale": 2, "--seed-index": 0, "--cert": None,
     },
     "point": {
         "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
         "--m": None, "--scale": 2, "--seed-index": 0, "--cert": None,
     },
     "fiber": {
-        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
+        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False,
         "--depth": None, "--value": None, "--radius": 64,
     },
     "language": {
-        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False, "--budget": None,
+        "-h/--help": argparse.SUPPRESS, "system": None, "--json": False,
         "--length": None,
     },
     "verify": {
@@ -123,6 +126,23 @@ def test_written_certificate_is_frozen(capsys, tmp_path, case):
     assert main(CASES[case] + ["--cert", str(cert)]) == 0
     capsys.readouterr()
     assert _sha256(cert.read_bytes()) == CERT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", ["cover-witnessed", "cover-refuted"])
+def test_cover_writes_the_library_certificate(capsys, tmp_path, case):
+    # both cover verdicts carry a certificate; the CLI writes it unchanged
+    cert = tmp_path / "cert.json"
+    assert main(CASES[case] + ["--cert", str(cert)]) == 0
+    capsys.readouterr()
+    system = catalog.system_for(CASES[case][1])
+    budget = SearchBudget(N=32, B=4)
+    point = system.point_window(system.seed_points()[0], max(budget.ladder))
+    verdict = cover_m_equicontinuity_test(system, point, 2, 2, budget)
+    assert cert.read_text() == certificate_json(verdict.certificate)
+    result = replay(load_certificate(cert.read_text()))
+    assert result.ok
+    if case == "cover-refuted":
+        assert result.checks > 1
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:

@@ -90,11 +90,16 @@ def test_period_doubling_double_zero_both_cuts():
     assert (1, CenteredWord("10", 0)) in oracle
 
 
-@given(st.sampled_from(language(TM, 9)), st.integers(-4, 0))
+@pytest.mark.parametrize(
+    "name", ["thue-morse", "period-doubling", "ternary-morse", "keane-morse-011"]
+)
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_desubstitute_matches_brute_force_on_thue_morse(word, left):
-    w = CenteredWord(word, left)
-    assert desubstitute(TM, w, 1) == _brute_force_one_level(TM, w)
+def test_desubstitute_matches_brute_force(name, data):
+    s = catalog.system_for(name).substitution
+    word = data.draw(st.sampled_from(language(s, 9)))
+    w = CenteredWord(word, data.draw(st.integers(-8, 0)))
+    assert desubstitute(s, w, 1) == _brute_force_one_level(s, w)
 
 
 def test_inadmissible_window_gives_empty_results():
@@ -223,10 +228,10 @@ def test_children_cover_parent_survivor_windows(digits):
     state = initial_state(TM, radius)
     for d in digits:
         state = lift_state(TM, state, d, radius)
-    parent = base_windows(TM, state, radius)
+    parent = base_windows(state)
     children = set()
     for d in range(2):
-        children |= base_windows(TM, lift_state(TM, state, d, radius), radius)
+        children |= base_windows(lift_state(TM, state, d, radius))
     assert parent == children
 
 

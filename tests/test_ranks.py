@@ -111,6 +111,22 @@ def test_exact_regime_is_checked_once_per_substitution(monkeypatch):
     }
 
 
+def test_sampled_substitutions_carry_their_regime(monkeypatch):
+    # the sampler keeps a candidate by its cached regime, so the rank
+    # pipeline has nothing left to check
+    import shiftrank.substitution as substitution
+
+    sample = random_exact_substitutions(3, seed=11)
+    calls = []
+    check = substitution.aperiodicity_check
+    monkeypatch.setattr(
+        substitution, "aperiodicity_check", lambda s, *a: calls.append(s) or check(s, *a)
+    )
+    for s in sample:
+        coincidence_rank(s)
+    assert calls == []
+
+
 def test_rank_chain_on_catalog_reports():
     for s, name in ((TM, "tm"), (PD, "pd"), (TERN, "tern")):
         report = substitution_rank_report(SubstitutionSystem(name, s))

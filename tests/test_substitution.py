@@ -145,13 +145,17 @@ def test_seed_windows_are_nested():
         assert big.restrict(-10, 10) == small
 
 
-def test_seed_window_agrees_with_fixed_point_iteration():
-    seed = next(p for p in seed_pairs(TM) if (p.b, p.a) == ("0", "1"))
-    w = seed_window(TM, seed, 12)
-    left = iterate(TM, "0", 4)  # theta^4(b), its suffix sits at -1 backwards
-    right = iterate(TM, "1", 4)
-    assert w.segment(0, 12) == right[:13]
-    assert w.segment(-12, -1) == left[-12:]
+@pytest.mark.parametrize("s", [TM, TERN], ids=["thue-morse", "ternary-morse"])
+def test_seed_window_agrees_with_fixed_point_iteration(s):
+    radius = 12
+    for seed in seed_pairs(s):
+        # theta^k(b).theta^k(a) is a window of the fixed point for every multiple k
+        k = seed.power
+        while s.constant_length**k <= radius:
+            k += seed.power
+        w = seed_window(s, seed, radius)
+        assert w.segment(0, radius) == iterate(s, seed.a, k)[: radius + 1]
+        assert w.segment(-radius, -1) == iterate(s, seed.b, k)[-radius:]
 
 
 # -- expand -----------------------------------------------------------------
