@@ -4,6 +4,7 @@ import hashlib
 
 from shiftrank import catalog
 from shiftrank.certificates import certificate_json
+from shiftrank.oracles import SearchBudget
 from shiftrank.verdicts import exhausted, witnessed
 from shiftrank.verify import CONSISTENT, INCONCLUSIVE, INCONSISTENT, _grade, verify_system
 
@@ -36,6 +37,46 @@ VERIFY_CERTIFICATE_SHA256 = {
     "trivial-1": [],
 }
 
+# the same at the verify-wide horizon, m_max 5 and N=512, which the default
+# budget never reaches
+VERIFY_WIDE_CERTIFICATE_SHA256 = {
+    "thue-morse": [
+        "1571372ea11e58ca1ccbf54d0fe21ca2534537eb923e7cf0110a2bf7f0656652",
+        "73fbe306cd2f4b2da6fcd2c21077363a3656029ace3b532368bd873151d6ae01",
+        "50fc2722af9f57f0fac65ec47b67974314b48c892e1d54287809b4055bb0770f",
+        "968b54727eacfd4232bfff61baca28d8c32e01060b8cac792e148555931b06d0",
+    ],
+    "period-doubling": ["6e1718649fef2578812789bb564cec7e9d9a882a3c3938c2779af12a68d18881"],
+    "ternary-morse": [
+        "af9cb628c7a8106f756a52efee1065083645e890a0ecd82b267fef8154dc1dd8",
+        "c52cf0bd2204305fd594d8ac47ab82efb6a61303bc3040cd9cb37a7794ed76d9",
+        "f0c1322bba484a57d43837a0fc0501b843cadbafb1227be00308de38aad28be8",
+        "2f0742fd469a177f9ef12386e2ddaf8803ab3f79af8391436bc4bc26b92e36c9",
+        "32875fbe50dc4b7e6204f129425427633c3abcb5ef93916f5bf41fc3377dc9c4",
+        "2829f4aab91a197e64ca04c14b1f85c4644b3406ad45dd8e3bdc7007f479577d",
+    ],
+    "keane-morse-011": [
+        "a2658f97484c102aa533f882ab9ecfd0de494c0dbaf47c1f2731d581ab7e5692",
+        "06e2d5c1779897b000d3e9532983ab24b03930ee83d67b275f0af78c90d5772a",
+        "15f2fb5eefae2f896bd156cc060cf34e68364417cbc0b30e643b5542eabec11b",
+        "543878b9b226b83d784265b563ed1dcced744ce94c2cff5209b43d55a32fd564",
+    ],
+    "toeplitz-doubling": ["985e15f887c219bf97d8a9e1f7420d5854837536b6c71e590cdab16d5d35d2a3"],
+    "trivial-1": [],
+}
+
+
+def _witnessed_certificate_hashes(**kwargs) -> dict[str, list[str]]:
+    got = {}
+    for name in catalog.names():
+        if catalog.get(name).verify:
+            report = verify_system(catalog.system_for(name), **kwargs)
+            got[name] = [
+                hashlib.sha256(certificate_json(c).encode()).hexdigest()
+                for c in report.witnessed_certificates()
+            ]
+    return got
+
 
 def test_witness_where_predicted_is_consistent():
     assert _grade(True, witnessed("claim", {})) == CONSISTENT
@@ -54,13 +95,12 @@ def test_exhausted_where_predicted_negative_is_consistent():
 
 
 def test_verify_certificates_are_frozen():
-    got = {}
-    for name in catalog.names():
-        if catalog.get(name).verify:
-            report = verify_system(catalog.system_for(name))
-            got[name] = [
-                hashlib.sha256(certificate_json(c).encode()).hexdigest()
-                for c in report.witnessed_certificates()
-            ]
+    got = _witnessed_certificate_hashes()
     assert got == VERIFY_CERTIFICATE_SHA256
+    assert sum(map(len, got.values())) == 16
+
+
+def test_verify_wide_certificates_are_frozen():
+    got = _witnessed_certificate_hashes(m_max=5, budget=SearchBudget(N=512))
+    assert got == VERIFY_WIDE_CERTIFICATE_SHA256
     assert sum(map(len, got.values())) == 16
