@@ -130,8 +130,22 @@ def _verdict_lines(v) -> list[str]:
 
 
 def _maybe_write_cert(verdict, path_arg) -> None:
-    if path_arg and isinstance(verdict.certificate, dict):
-        Path(path_arg).write_text(certificate_json(verdict.certificate))
+    """Write the verdict's certificate to ``--cert``, or say on stderr why not.
+
+    A verdict without a certificate removes an older file at the path, so the
+    file never belongs to a different run.
+    """
+    if not path_arg:
+        return
+    path = Path(path_arg)
+    if isinstance(verdict.certificate, dict):
+        path.write_text(certificate_json(verdict.certificate))
+        return
+    note = f"note: the verdict carries no certificate; nothing written to {path_arg}"
+    if path.exists():
+        path.unlink()
+        note += ", older file removed"
+    print(note, file=sys.stderr)
 
 
 def cmd_cylinder_search(args) -> int:

@@ -204,17 +204,22 @@ class ToeplitzSystem:
                 out.add(p[pos - radius : pos + radius + 1])
         return frozenset(out)
 
-    def _census_extreme(self, policy: str, radius: int, min_samples: int = 4) -> tuple[int, bool]:
-        """Extreme stabilized window count over residue paths down the tower."""
+    def _census_extremes(
+        self, radius: int, min_samples: int = 4
+    ) -> tuple[tuple[int, bool], tuple[int, bool]]:
+        """Least and greatest stabilized window counts over residue paths down the tower.
+
+        Each extreme comes with whether some path ending at it stabilized.
+        One walk serves both: which nodes it visits never depends on the
+        extreme.
+        """
         periods = self.skeleton.periods
-        best: int | None = None
-        stable_flag = False
+        leaves: list[tuple[int, bool]] = []  # (count, stabilized) per path end
 
         def occurrences(period: int, residue: int) -> int:
             return max(0, (self.prefix_length - residue) // period)
 
         def walk(level: int, residue: int, history: tuple[int, ...]) -> None:
-            nonlocal best, stable_flag
             period = periods[level]
             windows = self._windows_for_residue(period, residue, radius)
             count = len(windows)
@@ -226,11 +231,7 @@ class ToeplitzSystem:
             stabilized = len(history) >= 3 and len(set(history[-3:])) == 1
             if stabilized or not deeper_ok:
                 if count > 0:
-                    if best is None or (count > best if policy == "max" else count < best):
-                        best = count
-                        stable_flag = stabilized
-                    elif count == best:
-                        stable_flag = stable_flag or stabilized
+                    leaves.append((count, stabilized))
                 return
             nxt = periods[level + 1]
             for lift in range(residue, nxt, period):
@@ -239,9 +240,14 @@ class ToeplitzSystem:
 
         for r in range(periods[0]):
             walk(0, r, ())
-        if best is None:
+        if not leaves:
             raise RuntimeError("census found no occupied residue; prefix too short")
-        return best, stable_flag
+
+        def extreme(pick) -> tuple[int, bool]:
+            value = pick(count for count, _ in leaves)
+            return value, any(st for count, st in leaves if count == value)
+
+        return extreme(min), extreme(max)
 
     def rank_report(self, depth_max: int = 4, radius_max: int = 64):
         from .ranks import Estimate, EstimateKind, RankReport
@@ -254,10 +260,8 @@ class ToeplitzSystem:
         if self.skeleton.periodic:
             one = Estimate(1, EstimateKind.EXACT, {"method": "periodic-orbit"})
             return RankReport(self.name, one, one, one, flags)
-        lo_v, lo_st = self._census_extreme("min", radius_max)
-        hi_v, hi_st = self._census_extreme("max", radius_max)
-        lo_small, _ = self._census_extreme("min", max(4, radius_max // 2))
-        hi_small, _ = self._census_extreme("max", max(4, radius_max // 2))
+        (lo_v, lo_st), (hi_v, hi_st) = self._census_extremes(radius_max)
+        (lo_small, _), (hi_small, _) = self._census_extremes(max(4, radius_max // 2))
         ev = {"method": "fiber-census", "radius": radius_max, "prefix": self.prefix_length}
         r_m = Estimate(
             lo_v,

@@ -240,3 +240,18 @@ def test_replay_of_malformed_certificate_exits_two(capsys, tmp_path, doc, reason
     assert out == ""
     assert err.startswith("error: malformed certificate")
     assert reason in err
+
+
+def test_exhausted_search_removes_an_older_certificate(capsys, tmp_path):
+    # the file at --cert must belong to the run that was asked to write it
+    cert = tmp_path / "s.json"
+    witnessed = ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32,K=5"]
+    code, _, err = run_cli(capsys, *witnessed, "--cert", str(cert))
+    assert code == 0 and err == "" and cert.exists()
+    exhausted = ["sensitivity", "period-doubling", "--m", "3", "--budget", "N=32"]
+    _, plain_out, _ = run_cli(capsys, *exhausted)
+    code, out, err = run_cli(capsys, *exhausted, "--cert", str(cert))
+    assert code == 0
+    assert out == plain_out
+    assert not cert.exists()
+    assert err.count("\n") == 1 and "no certificate" in err and "removed" in err

@@ -7,9 +7,13 @@ from shiftrank.catalog import system_for
 from shiftrank.odometer import OdometerResidue, fiber_census
 from shiftrank.oracles import (
     DEFAULT_BUDGET,
+    SEGMENT,
     PairClass,
     SearchBudget,
+    _first_indices,
+    _residue_mismatch_note,
     _RunCliqueFinder,
+    _SegmentBlocks,
     _pair_separated_over_run,
     _run_scan,
     _separation_scan,
@@ -24,7 +28,7 @@ from shiftrank.oracles import (
     return_set,
 )
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
-from shiftrank.verdicts import VerdictStatus
+from shiftrank.verdicts import VerdictStatus, exhausted, witnessed
 from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
@@ -419,10 +423,12 @@ def _dict_run_scan(exts, radius, K, centers, starts, m_cap):
     return best, witnesses
 
 
-@pytest.mark.parametrize("name", ["thue-morse", "keane-morse-011"])
+@pytest.mark.parametrize("name", ["thue-morse", "keane-morse-011", "ternary-morse"])
 def test_scans_match_per_extension_loops(name):
+    # N = 80 puts string offsets 0..2N+2L+2B across several segments on
+    # both sides of shift 0
     system = system_for(name)
-    L, N, K, B, m_cap = 2, 24, 1, 2, 5
+    L, N, K, B, m_cap = 2, 80, 1, 2, 5
     sep_radius = L + N + K
     run_radius = L + N + B + K
     centers = 2 * B + 1
@@ -436,3 +442,73 @@ def test_scans_match_per_extension_loops(name):
         starts = [h - B for h in shifts(N)]
         got = _run_scan(exts, run_radius, K, centers, starts, m_cap, finder)
         assert got == _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
+
+
+equal_length_sets = st.tuples(st.integers(1, 40), st.integers(0, 120)).flatmap(
+    lambda wx: st.tuples(
+        st.just(wx[0]),
+        st.lists(
+            st.text(alphabet="012", min_size=wx[0] + wx[1], max_size=wx[0] + wx[1]),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(equal_length_sets, st.randoms(use_true_random=False))
+def test_segment_blocks_match_every_extension(case, rng):
+    width, exts = case
+    last = len(exts[0]) - width
+    los = {b + d for b in range(0, last + SEGMENT, SEGMENT) for d in (-1, 0, 1)} | {last}
+    los = sorted(lo for lo in los if 0 <= lo <= last)
+    rng.shuffle(los)  # segments are built on first use, in any order
+    blocks = _SegmentBlocks(exts, width)
+    for lo in los:
+        assert blocks.at(lo) == {e[lo : lo + width] for e in exts}, lo
+
+
+def _per_shift_regional_search(system, points, budget):
+    """Reference: a first-index map over every extension of every point per shift."""
+    K, N = budget.K, budget.N
+    radius = N + K
+    claim = f"{len(points)}-regional proximality at scale 2^-{K} on {system.name}"
+    ext_lists = [extensions(system, x.central(K), radius) for x in points]
+    width = 2 * K + 1
+    for g in shifts(N):
+        start = radius + g - K
+        maps = [_first_indices(e[start : start + width] for e in ext) for ext in ext_lists]
+        common = set(maps[0]).intersection(*maps[1:])
+        if common:
+            block = sorted(common)[0]
+            perturbed = [CenteredWord(ext[bm[block]], -radius) for ext, bm in zip(ext_lists, maps)]
+            payload = {
+                "kind": "regional-proximal",
+                "originals": [x.serialize() for x in points],
+                "perturbed": [w.serialize() for w in perturbed],
+                "g": g,
+                "K": K,
+            }
+            return witnessed(claim, payload)
+    return exhausted(
+        claim, budget=budget.as_dict(), **_residue_mismatch_note(system.substitution, points)
+    )
+
+
+@pytest.mark.parametrize("system", [TM_SYS, PD_SYS], ids=lambda system: system.name)
+def test_regional_search_matches_per_shift_loop(system):
+    budget = SearchBudget(N=80, K=3)
+    radius = budget.N + budget.K
+    points = [
+        seed_point(system, i, radius, shift=g)
+        for i in range(len(system.seed_points()))
+        for g in (-37, -5, 0, 1, 2, 33)
+    ]
+    tuples = [points[i : i + size] for size in (2, 3) for i in range(0, len(points) - size, 5)]
+    statuses = set()
+    for tup in tuples:
+        got = regional_proximal_search(system, tup, budget)
+        want = _per_shift_regional_search(system, tup, budget)
+        assert got == want
+        statuses.add(got.status)
+    assert statuses == {VerdictStatus.WITNESSED, VerdictStatus.EXHAUSTED}

@@ -99,3 +99,53 @@ def test_toeplitz_from_skeleton_rejects_conflicts():
 
     with pytest.raises(ValueError):
         toeplitz_from_skeleton([2, 4], {2: [(0, "0")], 4: [(2, "1")]}, prefix_length=16)
+
+
+def _per_policy_census(system, policy, radius, min_samples=4):
+    """Reference: the walk once per extreme, as ``rank_report`` made it twice."""
+    periods = system.skeleton.periods
+    best, stable_flag = None, False
+
+    def occurrences(period, residue):
+        return max(0, (system.prefix_length - residue) // period)
+
+    def walk(level, residue, history):
+        nonlocal best, stable_flag
+        period = periods[level]
+        count = len(system._windows_for_residue(period, residue, radius))
+        history = history + (count,)
+        deeper_ok = (
+            level + 1 < len(periods) and occurrences(periods[level + 1], residue) >= min_samples
+        )
+        stabilized = len(history) >= 3 and len(set(history[-3:])) == 1
+        if stabilized or not deeper_ok:
+            if count > 0:
+                if best is None or (count > best if policy == "max" else count < best):
+                    best, stable_flag = count, stabilized
+                elif count == best:
+                    stable_flag = stable_flag or stabilized
+            return
+        nxt = periods[level + 1]
+        for lift in range(residue, nxt, period):
+            if occurrences(nxt, lift) >= 1:
+                walk(level + 1, lift, history)
+
+    for r in range(periods[0]):
+        walk(0, r, ())
+    return best, stable_flag
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=1 << 13),
+        ToeplitzSystem("toeplitz-rank-3", rank_family_skeleton(3, depth=8), prefix_length=1 << 12),
+    ],
+    ids=lambda system: system.name,
+)
+@pytest.mark.parametrize("radius", [1, 4, 16, 32, 64])
+def test_one_walk_gives_both_extremes(system, radius):
+    assert system._census_extremes(radius) == (
+        _per_policy_census(system, "min", radius),
+        _per_policy_census(system, "max", radius),
+    )
