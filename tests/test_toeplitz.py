@@ -102,7 +102,7 @@ def test_toeplitz_from_skeleton_rejects_conflicts():
 
 
 def _per_policy_census(system, policy, radius, min_samples=4):
-    """Reference: the walk once per extreme, as ``rank_report`` made it twice."""
+    """Reference: the walk for one extreme at a time, ``policy`` "min" or "max"."""
     periods = system.skeleton.periods
     best, stable_flag = None, False
 
