@@ -4,6 +4,10 @@ The hashes were taken from the commit before the tuple searches shared one
 scan-to-verdict path; a refactor that changes what shiftrank prints or
 writes fails here.  Each search command has a witnessed case and an
 exhausted (for ``cover``: refuted) case on Thue-Morse or period-doubling.
+The ``ranks`` cases (every runnable catalog system, at the default depth
+and radius and at depth 3 / radius 16) and the ``fiber`` cases (every
+depth-2 residue of the aperiodic catalog substitutions) pin the digit-path
+census.
 """
 
 import argparse
@@ -15,6 +19,12 @@ from shiftrank import catalog
 from shiftrank.certificates import certificate_json, load_certificate, replay
 from shiftrank.cli import build_parser, main
 from shiftrank.oracles import SearchBudget, cover_m_equicontinuity_test
+
+RANK_SYSTEMS = (
+    "thue-morse", "period-doubling", "ternary-morse", "keane-morse-011",
+    "trivial-1", "toeplitz-doubling", "toeplitz-rank-2", "toeplitz-rank-3",
+)
+FIBER_SYSTEMS = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
 
 CASES = {
     "sensitivity-witnessed": ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32,K=5"],
@@ -30,6 +40,11 @@ CASES = {
     "verify-all": [
         "verify", "--all", "--m-max", "3", "--depth", "3", "--radius", "16", "--budget", "N=32"
     ],
+    **{f"ranks-{name}": ["ranks", name] for name in RANK_SYSTEMS},
+    **{
+        f"ranks-{name}-d3r16": ["ranks", name, "--depth", "3", "--radius", "16"]
+        for name in RANK_SYSTEMS
+    },
 }
 
 # (case, --json) -> sha256 of stdout; every case exits 0
@@ -52,6 +67,51 @@ STDOUT_SHA256 = {
     ("cover-refuted", True): "b910342d94d883212022eb6ce9c255924f58955b0001492bcc4cd3d0d8f2158c",
     ("verify-all", False): "ee7fead72737c3e5b93fb9a1f530f4f65942b221a186ebb1a571b35026a9bc55",
     ("verify-all", True): "ab0e3f4a5a50f667f39fd5a826cbc7de6965ac78bdb677871e319dc4b99f2fcd",
+    ("ranks-thue-morse", False): "1ece548e0ad5dc38079d2cd647649f38412d413889c0616235a610a9d5b6f6e2",
+    ("ranks-thue-morse", True): "c4ca83ebd4d284149f73376b1df53638e3728ccf14b73826c8f36ec953a65fc1",
+    ("ranks-thue-morse-d3r16", False): "7df554ba7be9bb4d8b1378c3f8acb0c77c15c8052a90d9fec68c691a1e4328d5",
+    ("ranks-thue-morse-d3r16", True): "e90cf16ef45ac6abc1eabb81da08e4ab99ff74e6cdd935dc48e16cee9bb69f88",
+    ("ranks-period-doubling", False): "b27797433e7c28863db3e69cdf4d70159bb0db044c3804ff98f8eb54006afbd0",
+    ("ranks-period-doubling", True): "dbbe90f0a6addedb8879e3197919566ddbf2fbce5888f2a97d8ea751b1913ef8",
+    ("ranks-period-doubling-d3r16", False): "5670a053b87a99d1cfd7fb6ab4bbaee3fb44f44a4c7f1b5188549af62802187f",
+    ("ranks-period-doubling-d3r16", True): "5903554e6bfdfd1663f967a8dc55882c8eb4f47768a81d79a649d82b500e7b05",
+    ("ranks-ternary-morse", False): "72d3690ce61d4ced23043263e5aefb2f79fe5a44d830bc482504deefd976e241",
+    ("ranks-ternary-morse", True): "7ab6dc4fdb6bdde5bf743f7254d24ce39919c4af67a946308541e3a87193ec54",
+    ("ranks-ternary-morse-d3r16", False): "c84f0e6b0874152bafd93403f2ab520d91dd8000ba5e0d2b4664e62c41884280",
+    ("ranks-ternary-morse-d3r16", True): "b6d463e37daba5091a36f81e389f1054183b0cbc340d222fc78fa4a21be01948",
+    ("ranks-keane-morse-011", False): "f1658b0b54bedb7509b6113b107cf9277ce09b836edbfc9ed30dfb2beb4b7188",
+    ("ranks-keane-morse-011", True): "3c8dc9b333cd1e7042d508534e0dca93e1de9f871f68a1c50976e40dff6b8a83",
+    ("ranks-keane-morse-011-d3r16", False): "87307ce79fe5c93810d8334b4d58995a33c272eb3a1ce31641ec7aea5602a097",
+    ("ranks-keane-morse-011-d3r16", True): "a83c9682eecd0eb947689390ad048107c53f81609ad613a1690c1bc61570de4f",
+    ("ranks-trivial-1", False): "0e994850ea8adf3409522b3f6abaebdb61b936797f705cc66fb6d1c129a80786",
+    ("ranks-trivial-1", True): "ebf28352c0b1b3ffbf532c4de9534490be746f8a5e4cdf014e02f3c76c56c08f",
+    ("ranks-trivial-1-d3r16", False): "0e994850ea8adf3409522b3f6abaebdb61b936797f705cc66fb6d1c129a80786",
+    ("ranks-trivial-1-d3r16", True): "ebf28352c0b1b3ffbf532c4de9534490be746f8a5e4cdf014e02f3c76c56c08f",
+    ("ranks-toeplitz-doubling", False): "4be71494a3a70b199f89028d1ab79718672b822f48dc489147f9bc1d47d97af5",
+    ("ranks-toeplitz-doubling", True): "124cbf9b33d69a0e58ed2ee6ef6b4280b214c109341df75bf3e32e8ac13024af",
+    ("ranks-toeplitz-doubling-d3r16", False): "a34144b33a4b83de7dcfcd6fb99fe94313cfe0f1176ffa5190791d1d7489f864",
+    ("ranks-toeplitz-doubling-d3r16", True): "78b4380a4233a6b55fe2c782b78535836ae653e551bc69800f88a09d967d90bb",
+    ("ranks-toeplitz-rank-2", False): "baa064a480b7cec559c5f68916dedb2768c8f7141e0f64c2d517ecc4f2353a4d",
+    ("ranks-toeplitz-rank-2", True): "40228459db01958aa542c70d121b0f94d03a78d690a374b562381039af1f6bbd",
+    ("ranks-toeplitz-rank-2-d3r16", False): "3e264f98934667a123d491d56db34cbbb10c85e3d13a6d4cc09910560db32d72",
+    ("ranks-toeplitz-rank-2-d3r16", True): "a5267b983b74f9172d322095dbfccbe0bcfba75c0fed1f92a184d8c1631e907e",
+    ("ranks-toeplitz-rank-3", False): "a1ceb321e388adc945cde641a4a78c0ac7d1ef1225046a51325988dfba6bc298",
+    ("ranks-toeplitz-rank-3", True): "31ba182bce3db0d0010c77ea603d04e1ce30164721bc36701857a8dcd56e14ac",
+    ("ranks-toeplitz-rank-3-d3r16", False): "03c919a6edc0b68b1c0c97ca3f5cda014a374594c83ef6831c85e6c869d4a457",
+    ("ranks-toeplitz-rank-3-d3r16", True): "75cc7847ed3422e3a5b755bd721fe9f65b6b84bf6c70ce3822dfdfb8faadb12d",
+}
+
+# (system, --json) -> sha256 of the concatenated stdout of
+# ``fiber SYSTEM --depth 2 --value v`` over every residue v mod q^2
+FIBER_SHA256 = {
+    ("thue-morse", False): "e0fe332df994801886c309ced5e462d070d5ef5a4e66d33de4ad58420def15eb",
+    ("thue-morse", True): "41fef5277d622813f5fe3095ddfa36dcdea8844f9e29cc83eead5f388c2af533",
+    ("period-doubling", False): "6efd77c699e7937d6686116a177bc5521e12570e08b8233175c201cd6b920153",
+    ("period-doubling", True): "18161c8e5607515260761d3230a0b585bb087bbf5e8e3cdd5645e17b5b30291d",
+    ("ternary-morse", False): "8cddb99d30fa4a4b1dd8f84d6962450024642627ab496edae33d963efb232290",
+    ("ternary-morse", True): "537f3587f6f4dfb288952dc887382c0972136ff0ada1125c9ab01e6c3eada754",
+    ("keane-morse-011", False): "0e770dbff709de7f7729689f895ef748527564ff0e0f0d5990cf952e398d6b8a",
+    ("keane-morse-011", True): "c3c00a458413a4621bac110d271aa4849fed95727d6fc46d122341b6aab94cb3",
 }
 
 # case -> sha256 of the file that --cert writes
@@ -118,6 +178,26 @@ def test_stdout_is_frozen(capsys, case, as_json):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode()) == STDOUT_SHA256[case, as_json]
+
+
+def test_rank_cases_cover_the_runnable_catalog():
+    runnable = {n for n in catalog.names() if catalog.get(n).kind != "documentation"}
+    assert set(RANK_SYSTEMS) == runnable
+
+
+@pytest.mark.parametrize(
+    "system, as_json",
+    sorted(FIBER_SHA256),
+    ids=[f"{s}-{'json' if j else 'text'}" for s, j in sorted(FIBER_SHA256)],
+)
+def test_fiber_output_is_frozen(capsys, system, as_json):
+    q = catalog.system_for(system).substitution.constant_length
+    out = ""
+    for value in range(q * q):
+        argv = ["fiber", system, "--depth", "2", "--value", str(value)]
+        assert main(argv + (["--json"] if as_json else [])) == 0
+        out += capsys.readouterr().out
+    assert _sha256(out.encode()) == FIBER_SHA256[system, as_json]
 
 
 @pytest.mark.parametrize("case", sorted(CERT_SHA256))
