@@ -45,9 +45,7 @@ def _resolve_system(name: str):
         return catalog.custom_substitution(name, name="inline")
     try:
         return catalog.system_for(name)
-    except KeyError as e:
-        raise UsageError(str(e)) from None
-    except RegimeError as e:
+    except (KeyError, RegimeError) as e:
         raise UsageError(str(e)) from None
 
 
@@ -262,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
-        if system:
-            p.add_argument("system", help="catalog name or inline rules like '0->01;1->10'")
+    def common(p):
+        p.add_argument("system", help="catalog name or inline rules like '0->01;1->10'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("catalog", help="list the reference systems")
@@ -366,10 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (RegimeError, ValueError) as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

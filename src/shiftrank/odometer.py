@@ -7,6 +7,10 @@ point in the q-adic odometer.  Everything here is finite and exact: windows
 de-substitute to windows, and fibers of the odometer map are approximated by
 following a digit path downward while counting the distinct central windows
 that stay realizable.
+
+This module owns the census policy: which digit paths are followed, how deep,
+and when a count counts as stabilized.  ``census_extreme`` is the one entry
+point the rank estimates read, and ``fiber_census`` follows a single residue.
 """
 
 from __future__ import annotations
@@ -216,15 +220,16 @@ def base_windows(state: PathState) -> frozenset[str]:
 class PathCensus:
     """Counts of realizable central windows along a digit path."""
 
-    digits: tuple[int, ...]
-    radius: int
     counts: tuple[int, ...]
-    windows: tuple[str, ...]
+    windows: frozenset[str]
     stabilized: bool
 
     @property
     def count(self) -> int:
         return self.counts[-1]
+
+
+PLATEAU = 3  # a path is stabilized once its last PLATEAU + 1 counts are equal
 
 
 def follow_path(
@@ -233,12 +238,11 @@ def follow_path(
     radius: int,
     prefix: tuple[int, ...],
     pattern: tuple[int, ...],
-    plateau: int,
     extra_depth: int,
 ) -> PathCensus:
     """Lift ``state`` along ``prefix``, then along ``pattern`` repeated.
 
-    The pattern is followed until the last ``plateau`` + 1 window counts are
+    The pattern is followed until the last ``PLATEAU`` + 1 window counts are
     equal (stabilization) or ``extra_depth`` levels past the prefix are
     reached.  Counts are nonincreasing in depth (constraints only
     accumulate), which is why a plateau is taken as stabilization.  An empty
@@ -246,16 +250,14 @@ def follow_path(
     """
     windows = base_windows(state)
     counts = [len(windows)]
-    path: list[int] = []
 
     def plateaued() -> bool:
-        return len(counts) > plateau and len(set(counts[-plateau - 1 :])) == 1
+        return len(counts) > PLATEAU and len(set(counts[-PLATEAU - 1 :])) == 1
 
     def step(d: int) -> None:
         nonlocal state, windows
         state = lift_state(s, state, d, radius)
         windows = base_windows(state)
-        path.append(d)
         counts.append(len(windows))
 
     for d in prefix:
@@ -267,30 +269,71 @@ def follow_path(
             step(pattern[i % len(pattern)])
             i += 1
     stabilized = bool(pattern) and plateaued()
-    return PathCensus(tuple(path), radius, tuple(counts), tuple(sorted(windows)), stabilized)
+    return PathCensus(tuple(counts), windows, stabilized)
 
 
-def census_along_path(
-    s: Substitution,
-    digits: tuple[int, ...],
-    radius: int,
-    extend_periodically: bool = True,
-    plateau: int = 3,
-    extra_depth: int = 16,
-) -> PathCensus:
-    """Follow a digit path downward, counting surviving central windows.
+def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[int, ...]]:
+    pats: list[tuple[int, ...]] = []
+    if policy == "max":
+        pats.append((0,))
+        pats.append((q - 1,))
+    else:
+        pats.append((1 % q, 0))
+    if prefix and len(set(prefix)) > 1:
+        pats.append(prefix)
+    out = []
+    for p in pats:
+        if p not in out:
+            out.append(p)
+    return out
 
-    The census stops on a plateau of window counts, as in ``follow_path``.
-    With ``extend_periodically`` the finite digit string is repeated to its
-    canonical eventually-periodic continuation; all-zero digits thus denote
-    the forward orbit of zero, where the largest fibers live, and mixed
-    digits denote a generic q-adic point.
+
+def census_extreme(
+    s: Substitution, policy: str, branch_depth: int, radius: int
+) -> tuple[int, bool]:
+    """Extreme stabilized window count over digit paths, ``policy`` "min" or "max".
+
+    Branches over all digits to ``branch_depth`` (sampling every residue of
+    that depth), then follows canonical continuations: constant digits reach
+    the integer points where boundary fibers live, mixed periodic patterns
+    reach generic points.  Counts only decrease along a path, so for the
+    maximum a subtree whose current count cannot beat the best is pruned.
+    Returns the extreme count and whether some path reaching it stabilized.
     """
-    s.require_constant_length()
-    pattern = (tuple(digits) or (0,)) if extend_periodically else ()
-    return follow_path(
-        s, initial_state(s, radius), radius, tuple(digits), pattern, plateau, extra_depth
-    )
+    q = s.require_constant_length()
+    best: int | None = None
+    all_stable = True
+
+    def consider(census: PathCensus) -> None:
+        nonlocal best, all_stable
+        if best is None:
+            best = census.count
+            all_stable = census.stabilized
+        else:
+            better = census.count > best if policy == "max" else census.count < best
+            if better:
+                best = census.count
+                all_stable = census.stabilized
+            elif census.count == best:
+                all_stable = all_stable or census.stabilized
+
+    def walk(state: PathState, prefix: tuple[int, ...]) -> None:
+        nonlocal best
+        if policy == "max" and best is not None:
+            if len(base_windows(state)) <= best:
+                return
+        if policy == "min" and best == 1:
+            return
+        if state.depth >= branch_depth:
+            for pattern in _continuations(q, prefix, policy):
+                consider(follow_path(s, state, radius, (), pattern, 18))
+            return
+        for d in range(q):
+            walk(lift_state(s, state, d, radius), prefix + (d,))
+
+    walk(initial_state(s, radius), ())
+    assert best is not None
+    return best, all_stable
 
 
 @dataclass(frozen=True)
@@ -322,13 +365,15 @@ def fiber_census(s: Substitution, r: OdometerResidue, radius: int) -> FiberCensu
     The residue's digits are continued periodically, which selects the
     canonical q-adic point with those leading digits: all-zero residues give
     integer points (boundary fibers), mixed residues give generic points.
-    The census deepens until the window count stabilizes.
+    The census deepens until the window count stabilizes, at most 16 levels
+    past the residue.
     """
     q = s.require_constant_length()
     if r.q != q:
         raise ValueError(f"residue base {r.q} does not match substitution length {q}")
     if radius < q**r.depth:
         raise ValueError(f"radius {radius} too small for depth {r.depth}: need at least q^depth")
-    census = census_along_path(s, r.digits(), radius)
-    reps = tuple(CenteredWord(w, -radius) for w in census.windows)
+    digits = r.digits()
+    census = follow_path(s, initial_state(s, radius), radius, digits, digits or (0,), 16)
+    reps = tuple(CenteredWord(w, -radius) for w in sorted(census.windows))
     return FiberCensus(r, radius, census.count, reps, census.counts, census.stabilized)

@@ -141,6 +141,22 @@ def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...
     return tuple(w for w in system.language(2 * radius + 1) if w[lo:hi] == central)
 
 
+def _cylinder_extensions(
+    system: ShiftSystem, L: int, radius: int
+) -> list[tuple[str, tuple[str, ...]]]:
+    """Every radius-``L`` cylinder word with its ``extensions`` at ``radius``.
+
+    One pass groups the length-(2 radius + 1) table by central word, keeping
+    language order, instead of filtering the whole table once per cylinder.
+    """
+    cylinders = system.language(2 * L + 1)
+    lo, hi = radius - L, radius + L + 1
+    groups: dict[str, list[str]] = {}
+    for w in system.language(2 * radius + 1):
+        groups.setdefault(w[lo:hi], []).append(w)
+    return [(u, tuple(groups.get(u, ()))) for u in cylinders]
+
+
 @dataclass(frozen=True)
 class SensitivityWitness:
     """m windows sharing a cylinder, pairwise separated at one shift or block."""
@@ -277,8 +293,7 @@ def sensitivity_scan(
     """Per-cylinder separation scan shared by the sensitivity tests."""
     radius = budget.L + budget.N + K
     scans = []
-    for u in system.language(2 * budget.L + 1):
-        exts = extensions(system, u, radius)
+    for u, exts in _cylinder_extensions(system, budget.L, radius):
         best, raw = _separation_scan(exts, radius, K, budget.N, m_cap)
         witnesses = {
             m: _make_witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()
@@ -580,8 +595,7 @@ def block_sensitivity_scan(
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)
     scans = []
-    for u in system.language(2 * budget.L + 1):
-        exts = extensions(system, u, radius)
+    for u, exts in _cylinder_extensions(system, budget.L, radius):
         starts = (h - B for h in shifts(budget.N))
         best, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
         witnesses = {

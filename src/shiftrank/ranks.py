@@ -4,8 +4,8 @@ The three ranks measure fiber sizes of the odometer factor map: the smallest
 fiber, the largest fiber, and the largest pairwise non-proximal subset of a
 fiber.  In the exact regime (constant length, primitive, aperiodic, height
 one) the coincidence rank has a closed form through the pair graph, while
-minimal and maximal rank come from digit-path censuses stabilized over depth
-and radius.
+minimal and maximal rank come from digit-path censuses
+(``odometer.census_extreme``) stabilized over depth and radius.
 """
 
 from __future__ import annotations
@@ -15,16 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .odometer import (
-    PathCensus,
-    PathState,
-    base_windows,
-    column_number,
-    column_sets,
-    follow_path,
-    initial_state,
-    lift_state,
-)
+from .odometer import census_extreme, column_number, column_sets
 from .oracles import PairClass, proximal_pair_exact
 from .substitution import RegimeError, Substitution, SubstitutionSystem
 
@@ -93,78 +84,6 @@ class RankReport:
         }
 
 
-# --------------------------------------------------------------------------
-# Digit-tree census scans
-
-
-def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[int, ...]]:
-    pats: list[tuple[int, ...]] = []
-    if policy == "max":
-        pats.append((0,))
-        pats.append((q - 1,))
-    else:
-        pats.append((1 % q, 0))
-    if prefix and len(set(prefix)) > 1:
-        pats.append(prefix)
-    out = []
-    for p in pats:
-        if p not in out:
-            out.append(p)
-    return out
-
-
-def _tree_extreme(
-    s: Substitution,
-    policy: str,
-    branch_depth: int,
-    radius: int,
-    plateau: int = 3,
-    extra_depth: int = 18,
-) -> tuple[int, bool]:
-    """Extreme stabilized window count over digit paths.
-
-    Branches over all digits to ``branch_depth`` (sampling every residue of
-    that depth), then follows canonical continuations: constant digits reach
-    the integer points where boundary fibers live, mixed periodic patterns
-    reach generic points.  Counts only decrease along a path, so for the
-    maximum a subtree whose current count cannot beat the best is pruned.
-    """
-    q = s.require_constant_length()
-    best: int | None = None
-    all_stable = True
-
-    def consider(census: PathCensus) -> None:
-        nonlocal best, all_stable
-        if best is None:
-            best = census.count
-            all_stable = census.stabilized
-        else:
-            better = census.count > best if policy == "max" else census.count < best
-            if better:
-                best = census.count
-                all_stable = census.stabilized
-            elif census.count == best:
-                all_stable = all_stable or census.stabilized
-
-    def walk(state: PathState, prefix: tuple[int, ...]) -> None:
-        nonlocal best
-        if policy == "max" and best is not None:
-            if len(base_windows(state)) <= best:
-                return
-        if policy == "min" and best == 1:
-            return
-        if state.depth >= branch_depth:
-            for pattern in _continuations(q, prefix, policy):
-                consider(follow_path(s, state, radius, (), pattern, plateau, extra_depth))
-            return
-        for d in range(q):
-            walk(lift_state(s, state, d, radius), prefix + (d,))
-
-    walk(initial_state(s, radius), ())
-    assert best is not None
-    return best, all_stable
-
-
 def coincidence_rank(s: Substitution) -> Estimate:
     """Largest pairwise-distal subset of a minimal column, via the pair graph."""
     if not s.regime.exact:
@@ -211,8 +130,8 @@ def _census_rank(
     if not s.regime.exact:
         raise RegimeError("census ranks require the exact regime")
     small_depth, small_radius = max(1, depth_max - 1), max(q, radius_max // 2)
-    small_v, small_st = _tree_extreme(s, policy, small_depth, small_radius)
-    big_v, big_st = _tree_extreme(s, policy, depth_max, radius_max)
+    small_v, small_st = census_extreme(s, policy, small_depth, small_radius)
+    big_v, big_st = census_extreme(s, policy, depth_max, radius_max)
     kind = (
         EstimateKind.STABILIZED
         if small_v == big_v and small_st and big_st

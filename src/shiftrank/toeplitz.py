@@ -154,6 +154,9 @@ def toeplitz_property(seq: str, periods: Iterable[int], positions: int) -> bool:
     return True
 
 
+_MIN_SAMPLES = 4
+
+
 class ToeplitzSystem:
     """A Toeplitz subshift presented by a skeleton and a generated prefix.
 
@@ -204,14 +207,13 @@ class ToeplitzSystem:
                 out.add(p[pos - radius : pos + radius + 1])
         return frozenset(out)
 
-    def _census_extremes(
-        self, radius: int, min_samples: int = 4
-    ) -> tuple[tuple[int, bool], tuple[int, bool]]:
+    def _census_extremes(self, radius: int) -> tuple[tuple[int, bool], tuple[int, bool]]:
         """Least and greatest stabilized window counts over residue paths down the tower.
 
         Each extreme comes with whether some path ending at it stabilized.
         One walk serves both: which nodes it visits never depends on the
-        extreme.
+        extreme.  A path goes one period deeper only while the prefix holds
+        at least ``_MIN_SAMPLES`` occurrences of the deeper residue class.
         """
         periods = self.skeleton.periods
         leaves: list[tuple[int, bool]] = []  # (count, stabilized) per path end
@@ -226,7 +228,7 @@ class ToeplitzSystem:
             history = history + (count,)
             deeper_ok = (
                 level + 1 < len(periods)
-                and occurrences(periods[level + 1], residue) >= min_samples
+                and occurrences(periods[level + 1], residue) >= _MIN_SAMPLES
             )
             stabilized = len(history) >= 3 and len(set(history[-3:])) == 1
             if stabilized or not deeper_ok:

@@ -19,6 +19,7 @@ from .verdicts import Verdict
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
 INCONCLUSIVE = "INCONCLUSIVE"
+BLOCK_SCALE = 1  # the scale exponent K of every block cell; see verify_system
 
 
 @dataclass(frozen=True)
@@ -79,27 +80,26 @@ def verify_system(
     budget: SearchBudget | None = None,
     depth_max: int = 4,
     radius_max: int = 64,
-    block_scale: int = 1,
 ) -> VerifyReport:
     """Grade sensitivity and block-sensitivity cells against the rank predictions.
 
     Sensitivity cells run at the budget's scale.  Block cells run at the
-    finest scale (``block_scale`` = 1 by default): block separation at a
-    scale comparable to the cylinder radius admits spurious desk witnesses
-    that the coincidence rank only rules out in the limit, while at scale
-    one the searches track the rank on every reference system.
+    finest scale, ``BLOCK_SCALE`` = 1: block separation at a scale
+    comparable to the cylinder radius admits spurious desk witnesses that the
+    coincidence rank only rules out in the limit, while at scale one the
+    searches track the rank on every reference system.
     """
     budget = budget or SearchBudget()
     ranks = rank_report(system, depth_max, radius_max)
     profile = predict_profile(ranks, m_max)
     sens_scans = sensitivity_scan(system, m_max, budget.K, budget)
-    block_scans = block_sensitivity_scan(system, m_max, block_scale, budget.B, budget)
+    block_scans = block_sensitivity_scan(system, m_max, BLOCK_SCALE, budget.B, budget)
     cells = []
     for m in range(2, m_max + 1):
         row = profile.row(m)
         for test, scans, K, B, predicted in (
             ("sensitivity", sens_scans, budget.K, None, row.m_sensitive),
-            ("block", block_scans, block_scale, budget.B, row.compactly_m_sensitive),
+            ("block", block_scans, BLOCK_SCALE, budget.B, row.compactly_m_sensitive),
         ):
             verdict = sensitivity_report(system, scans, m, K, B, budget).aggregate
             cells.append(Cell(m, test, predicted, verdict, _grade(predicted, verdict)))

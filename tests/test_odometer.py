@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shiftrank import catalog
 from shiftrank.odometer import (
     OdometerResidue,
-    census_along_path,
+    base_windows,
     column_number,
     column_sets,
     desubstitute,
@@ -195,8 +195,12 @@ def test_census_representatives_share_residue():
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=4))
 @settings(max_examples=24, deadline=None)
 def test_counts_nonincreasing_along_paths(digits):
-    census = census_along_path(TM, tuple(digits), 16, extend_periodically=False)
-    counts = census.counts
+    radius = 16
+    state = initial_state(TM, radius)
+    counts = [len(base_windows(state))]
+    for d in digits:
+        state = lift_state(TM, state, d, radius)
+        counts.append(len(base_windows(state)))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -222,8 +226,6 @@ def test_carried_windows_match_expansion(s):
 def test_children_cover_parent_survivor_windows(digits):
     # every window alive on a path stays alive along at least one next digit,
     # so the children's window sets cover the parent's
-    from shiftrank.odometer import base_windows
-
     radius = 16
     state = initial_state(TM, radius)
     for d in digits:
@@ -238,9 +240,15 @@ def test_children_cover_parent_survivor_windows(digits):
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=4), st.integers(4, 12))
 @settings(max_examples=24, deadline=None)
 def test_radius_refines_classes(digits, radius):
-    small = census_along_path(TM, tuple(digits), radius, extend_periodically=False)
-    big = census_along_path(TM, tuple(digits), radius + 1, extend_periodically=False)
-    assert big.counts[-1] >= small.counts[-1]
+    def windows_along(r):
+        state = initial_state(TM, r)
+        for d in digits:
+            state = lift_state(TM, state, d, r)
+        return base_windows(state)
+
+    small = windows_along(radius)
+    big = windows_along(radius + 1)
+    assert len(big) >= len(small)
     # each wide window restricts onto a surviving narrow window
-    narrowed = {w[1:-1] for w in big.windows}
-    assert narrowed <= set(small.windows)
+    narrowed = {w[1:-1] for w in big}
+    assert narrowed <= set(small)

@@ -14,6 +14,7 @@ from shiftrank.oracles import (
     _residue_mismatch_note,
     _RunCliqueFinder,
     _SegmentBlocks,
+    _cylinder_extensions,
     _pair_separated_over_run,
     _run_scan,
     _separation_scan,
@@ -27,7 +28,9 @@ from shiftrank.oracles import (
     regional_proximal_search,
     return_set,
 )
+from shiftrank.ranks import sliding_block_factor
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
+from shiftrank.toeplitz import ToeplitzSystem, doubling_skeleton
 from shiftrank.verdicts import VerdictStatus, exhausted, witnessed
 from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
@@ -442,6 +445,37 @@ def test_scans_match_per_extension_loops(name):
         starts = [h - B for h in shifts(N)]
         got = _run_scan(exts, run_radius, K, centers, starts, m_cap, finder)
         assert got == _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
+
+
+class _FiniteWordSystem:
+    """Language of one finite string: cylinders near its ends have no extension."""
+
+    name = "finite-word"
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def language(self, n: int) -> tuple[str, ...]:
+        return tuple(sorted({self.text[i : i + n] for i in range(len(self.text) - n + 1)}))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        system_for("thue-morse"),
+        system_for("ternary-morse"),
+        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+        sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)}),
+        _FiniteWordSystem("0001000110"),
+    ],
+    ids=lambda system: system.name,
+)
+@pytest.mark.parametrize("L, radius", [(0, 3), (1, 4), (2, 20), (2, 67)])
+def test_grouped_extensions_match_per_cylinder_filter(system, L, radius):
+    grouped = _cylinder_extensions(system, L, radius)
+    assert [u for u, _ in grouped] == list(system.language(2 * L + 1))
+    for u, exts in grouped:
+        assert exts == extensions(system, u, radius), u
 
 
 equal_length_sets = st.tuples(st.integers(1, 40), st.integers(0, 120)).flatmap(
