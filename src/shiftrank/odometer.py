@@ -9,7 +9,7 @@ following a digit path downward while counting the distinct central windows
 that stay realizable.
 
 This module owns the census policy: which digit paths are followed, how deep,
-and when a count counts as stabilized.  ``census_extreme`` is the one entry
+and when a path's window count is taken as stabilized.  ``census_extreme`` is the one entry
 point the rank estimates read, and ``fiber_census`` follows a single residue.
 """
 
