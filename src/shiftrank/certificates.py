@@ -68,16 +68,27 @@ def _check_tuple_size(windows: list[CenteredWord], m: int, failures: list[str], 
     return 1
 
 
-def _replay_sensitivity_entry(entry: dict, m: int, K: int, failures: list[str]) -> int:
-    windows = _windows(entry["windows"])
-    cylinder = entry["cylinder"]
+def _check_cylinder(windows: list[CenteredWord], cylinder: str, failures: list[str]) -> int:
     half = len(cylinder) // 2
-    checks = _check_tuple_size(windows, m, failures, f"cylinder {cylinder!r}")
     for idx, w in enumerate(windows):
-        checks += 1
         if w.central(half) != cylinder:
             failures.append(f"window {idx} does not carry the cylinder {cylinder!r}")
+    return len(windows)
+
+
+def _replay_sensitivity_entry(
+    entry: dict, m: int, K: int, failures: list[str], B: int | None = None
+) -> int:
+    """Replay one cylinder entry or stage; ``B`` is the block kind's half-length."""
+    windows = _windows(entry["windows"])
+    cylinder = entry["cylinder"]
+    checks = _check_tuple_size(windows, m, failures, f"cylinder {cylinder!r}")
+    checks += _check_cylinder(windows, cylinder, failures)
     block_half = entry.get("block_half")
+    if B is not None:
+        checks += 1
+        if block_half != B:
+            failures.append(f"cylinder {cylinder!r}: block half-length {block_half!r} != B={B}")
     g = entry["shift"]
     if block_half is None:
         checks += _check_separated_tuple(windows, g, K, failures, f"cylinder {cylinder!r}")
@@ -127,11 +138,16 @@ def _replay_regional(doc: dict, failures: list[str]) -> int:
 
 def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
     checks = 0
-    m, K = doc["m"], doc["K"]
+    m, K, B = doc["m"], doc["K"], doc["B"]
     for stage in doc["stages"]:
         windows = _windows(stage["windows"])
         label = f"gap stage W={stage['delta_radius']}"
         checks += _check_tuple_size(windows, m, failures, label)
+        checks += _check_cylinder(windows, stage["cylinder"], failures)
+        checks += 1
+        gap = stage["gap_end"] - stage["gap_start"] + 1
+        if gap != 2 * B + 2:
+            failures.append(f"{label}: gap length {gap}, not 2B+2 = {2 * B + 2}")
         for t in range(stage["gap_start"], stage["gap_end"] + 1):
             checks += _check_separated_tuple(windows, t, K, failures, label)
     return checks
@@ -160,8 +176,9 @@ def _replay_kind(doc: dict, failures: list[str]) -> int:
     if kind == "regional-proximal":
         return _replay_regional(doc, failures)
     if kind in ("m-sensitivity", "block-m-sensitivity"):
+        B = doc["B"] if kind == "block-m-sensitivity" else None
         return sum(
-            _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures)
+            _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures, B)
             for entry in doc["cylinders"]
         )
     if kind == "eq-point-counterexample":

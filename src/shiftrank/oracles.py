@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .substitution import RegimeError, Substitution, is_primitive
 from .verdicts import Verdict, VerdictStatus, exhausted, witnessed
@@ -130,15 +130,41 @@ def proximal_pair_search(x: CenteredWord, y: CenteredWord, budget: SearchBudget)
     return exhausted(claim, budget=budget.as_dict())
 
 
-def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
-    """Admissible radius-``radius`` windows whose central word is ``central``."""
+def _central_span(central: str, radius: int) -> slice:
+    """Where a radius-``radius`` window carries ``central`` as its central word."""
     if len(central) % 2 == 0:
         raise ValueError("central word must have odd length")
     half = len(central) // 2
     if half > radius:
         raise ValueError("central word wider than the requested window")
-    lo, hi = radius - half, radius + half + 1
-    return tuple(w for w in system.language(2 * radius + 1) if w[lo:hi] == central)
+    return slice(radius - half, radius + half + 1)
+
+
+def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
+    """Admissible radius-``radius`` windows whose central word is ``central``."""
+    span = _central_span(central, radius)
+    return tuple(w for w in system.language(2 * radius + 1) if w[span] == central)
+
+
+def _ladder_extensions(
+    system: ShiftSystem, x: CenteredWord, ladder: Sequence[int], radius: int
+) -> Iterator[tuple[int, str, tuple[str, ...]]]:
+    """Each ladder radius W with x.central(W) and its ``extensions`` at ``radius``.
+
+    The ladder increases, and a window carrying x.central(W) carries the
+    central words of every smaller radius, so each stage after the first
+    filters the previous stage's extensions, in language order, instead of
+    the whole language table.
+    """
+    exts = None
+    for W in ladder:
+        central = x.central(W)
+        if exts is None:
+            exts = extensions(system, central, radius)
+        else:
+            span = _central_span(central, radius)
+            exts = tuple(w for w in exts if w[span] == central)
+        yield W, central, exts
 
 
 def _cylinder_extensions(
@@ -458,8 +484,7 @@ def m_equicontinuity_point_test(
     radius = budget.N + K
     claim = f"failure of {m}-equicontinuity at scale 2^-{K} near the given point"
     stages = []
-    for W in budget.ladder:
-        exts = extensions(system, x.central(W), radius)
+    for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
         best, raw = _separation_scan(exts, radius, K, budget.N, m)
         if best < m:
             return exhausted(
@@ -469,7 +494,7 @@ def m_equicontinuity_point_test(
                 clean_delta_radius=W,
             )
         g, idxs = raw[m]
-        wit = _make_witness(x.central(W), exts, idxs, radius, g, K)
+        wit = _make_witness(central, exts, idxs, radius, g, K)
         stages.append({"delta_radius": W, **wit.to_payload()})
     payload = {
         **_certificate_header("eq-point-counterexample", system, m, K, budget),
@@ -567,13 +592,41 @@ def _run_scan(
     ``starts`` enumerates the first shift of each candidate run of
     ``centers`` consecutive shifts; returns witnesses keyed by tuple size,
     with the run start.
+
+    A clique's members show pairwise distinct radius-K blocks at every
+    center of their run, so its size is at most the number of distinct
+    (2K+1)-blocks at each center.  A start with some center holding at most
+    ``best`` of them cannot yield a clique larger than ``best``, and the scan
+    acts only on a larger one, so skipping that start, without building its
+    run-blocks or solving its clique, changes no result.  The center that
+    ruled out the last skipped start is tried first: in increasing order it
+    stays inside the following runs, and in zigzag order it waits for the
+    next start on its own side.
     """
     best = 0
     witnesses: dict[int, tuple[int, list[int]]] = {}
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
+    center_blocks = _SegmentBlocks(exts, 2 * K + 1)
+    counts: dict[int, int] = {}  # string offset -> distinct (2K+1)-blocks there
+
+    def count_at(p: int) -> int:
+        count = counts.get(p)
+        if count is None:
+            count = counts[p] = len(center_blocks.at(p))
+        return count
+
+    blocker = -1
     for a in starts:
         lo = radius + a - K
+        # center j of the run reads its radius-K blocks at string offset lo + j
+        run = range(lo, lo + centers)
+        if blocker in run:
+            continue  # best never falls, so a center that ruled out a start still does
+        low = next((p for p in reversed(run) if count_at(p) <= best), None)
+        if low is not None:
+            blocker = low
+            continue
         blocks = tuple(sorted(distinct.at(lo)))
         size, members = finder.best(blocks)
         if size > best:
@@ -638,9 +691,8 @@ def cover_m_equicontinuity_test(
         f"cover {m}-equicontinuity at scale 2^-{K} with gap bound {2 * B + 1} near the given point"
     )
     falsifications = []
-    for W in budget.ladder:
-        exts = extensions(system, x.central(W), radius)
-        starts = range(-N, N - centers + 2)
+    starts = range(-N, N - centers + 2)
+    for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
         best, raw = _run_scan(exts, radius, K, centers, starts, m, finder)
         if best < m:
             payload = {
@@ -651,7 +703,7 @@ def cover_m_equicontinuity_test(
             }
             return witnessed(claim, payload, delta_radius=W)
         a, idxs = raw[m]
-        wit = _make_witness(x.central(W), exts, idxs, radius, a, K, block_half=None)
+        wit = _make_witness(central, exts, idxs, radius, a, K, block_half=None)
         falsifications.append(
             {"delta_radius": W, "gap_start": a, "gap_end": a + centers - 1, **wit.to_payload()}
         )

@@ -122,6 +122,48 @@ def test_claimed_tuple_size_is_checked(make):
     assert "windows for a claimed tuple size m=5" in result.failures[0]
 
 
+def _tm_cover_falsified() -> dict:
+    budget = SearchBudget()
+    x = TM_SYS.point_window(TM_SYS.seed_points()[0], max(budget.ladder))
+    return cover_m_equicontinuity_test(TM_SYS, x, 2, budget.K, budget).certificate
+
+
+def _tm_block() -> dict:
+    return block_m_sensitivity_test(TM_SYS, 2, 1, 8, SearchBudget()).aggregate.certificate
+
+
+def _one_shift_gaps(cert: dict) -> None:
+    for stage in cert["stages"]:
+        stage["gap_end"] = stage["gap_start"]
+
+
+def _foreign_cylinder(cert: dict) -> None:
+    cert["stages"][0]["cylinder"] = "000"
+
+
+def _zero_block_halves(cert: dict) -> None:
+    for entry in cert["cylinders"]:
+        entry["block_half"] = 0
+
+
+@pytest.mark.parametrize(
+    "make, forge, reason",
+    [
+        (_tm_cover_falsified, _one_shift_gaps, "gap length 1, not 2B+2 = 18"),
+        (_tm_cover_falsified, _foreign_cylinder, "does not carry the cylinder '000'"),
+        (_tm_block, _zero_block_halves, "block half-length 0 != B=8"),
+    ],
+    ids=["cover-gap-length", "cover-cylinder", "block-half-length"],
+)
+def test_forged_run_lengths_and_cylinders_fail_replay(make, forge, reason):
+    cert = roundtrip(make())
+    assert replay(cert).ok
+    forge(cert)
+    result = replay(cert)
+    assert not result.ok
+    assert any(reason in failure for failure in result.failures), result.failures
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         replay({"kind": "no-such-kind"})

@@ -11,6 +11,7 @@ from shiftrank.oracles import (
     PairClass,
     SearchBudget,
     _first_indices,
+    _ladder_extensions,
     _residue_mismatch_note,
     _RunCliqueFinder,
     _SegmentBlocks,
@@ -19,6 +20,7 @@ from shiftrank.oracles import (
     _run_scan,
     _separation_scan,
     block_m_sensitivity_test,
+    block_sensitivity_scan,
     cover_m_equicontinuity_test,
     extensions,
     m_equicontinuity_point_test,
@@ -436,6 +438,12 @@ def test_scans_match_per_extension_loops(name):
     run_radius = L + N + B + K
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)
+    # the cover test's runs: 2B+2 centers from increasing starts, at K = 2, B = 8
+    cover_K, cover_B = 2, 8
+    cover_radius = N + cover_B + cover_K + 1
+    cover_centers = 2 * cover_B + 2
+    cover_starts = range(-N, N - cover_centers + 2)
+    cover_finder = _RunCliqueFinder(cover_K, m_cap)
     for u in system.language(2 * L + 1):
         exts = extensions(system, u, sep_radius)
         assert _separation_scan(exts, sep_radius, K, N, m_cap) == _dict_separation_scan(
@@ -445,6 +453,95 @@ def test_scans_match_per_extension_loops(name):
         starts = [h - B for h in shifts(N)]
         got = _run_scan(exts, run_radius, K, centers, starts, m_cap, finder)
         assert got == _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
+        exts = extensions(system, u, cover_radius)
+        run = (exts, cover_radius, cover_K, cover_centers, cover_starts, m_cap)
+        assert _run_scan(*run, cover_finder) == _dict_run_scan(*run)
+
+
+def _flipped(base: str, flips: list[int]) -> str:
+    out = list(base)
+    for i in flips:
+        out[i % len(out)] = "1" if out[i % len(out)] == "0" else "0"
+    return "".join(out)
+
+
+# K, B, N and m_cap, then 1 to 3 extension sets, each a constant word with a
+# few flipped symbols per extension: the extensions agree away from the
+# flips, so many centers show few distinct blocks and the bound rules out
+# starts, while the flips still make separated tuples
+run_scan_cases = st.tuples(
+    st.tuples(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 10), st.integers(2, 5)),
+    st.lists(
+        st.tuples(
+            st.sampled_from("01"),
+            st.lists(st.lists(st.integers(0, 200), max_size=12), min_size=1, max_size=9),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@given(run_scan_cases, st.booleans())
+def test_run_scan_matches_reference_with_warm_finder(case, cover_style):
+    (K, B, N, m_cap), sets = case
+    if cover_style:  # increasing starts over runs of 2B+2 centers
+        centers, radius = 2 * B + 2, N + B + K + 1
+        starts = list(range(-N, N - centers + 2))
+    else:  # zigzag starts over runs of 2B+1 centers, as the block scan
+        centers, radius = 2 * B + 1, 1 + N + B + K
+        starts = [h - B for h in shifts(N)]
+    finder = _RunCliqueFinder(K, m_cap)  # shared: later sets meet a warm cache
+    for symbol, flip_lists in sets:
+        exts = [_flipped(symbol * (2 * radius + 1), flips) for flips in flip_lists]
+        got = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
+        assert got == _dict_run_scan(exts, radius, K, centers, starts, m_cap)
+
+
+def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
+    solved = []
+    best = _RunCliqueFinder.best
+
+    def counting_best(self, blocks):
+        solved.append(blocks)
+        return best(self, blocks)
+
+    monkeypatch.setattr(_RunCliqueFinder, "best", counting_best)
+    budget = DEFAULT_BUDGET
+    x = seed_point(TM_SYS, 0, max(budget.ladder))
+    assert cover_m_equicontinuity_test(TM_SYS, x, 3, budget.K, budget).witnessed
+    assert len(solved) < 498 // 10  # one clique solve per start made 498
+    solved.clear()
+    block_sensitivity_scan(system_for("ternary-morse"), 5, 1, budget.B, budget)
+    assert len(solved) < 14061 // 10  # one clique solve per start made 14,061
+
+
+@pytest.mark.parametrize(
+    "system, x",
+    [
+        *[
+            (system, seed_point(system, 0, 40, shift=g))
+            for system in map(
+                system_for, ["thue-morse", "period-doubling", "ternary-morse", "keane-morse-011"]
+            )
+            for g in (0, 13)
+        ],
+        (
+            ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+            CenteredWord(doubling_skeleton(16).prefix(4096)[1000 - 40 : 1000 + 41], -40),
+        ),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_ladder_stages_narrow_to_the_extensions(system, x):
+    radius, ladder = 30, (1, 2, 4, 8, 16)
+    stages = list(_ladder_extensions(system, x, ladder, radius))
+    assert [W for W, _, _ in stages] == list(ladder)
+    for W, central, exts in stages:
+        assert central == x.central(W)
+        assert exts == extensions(system, central, radius), W
+    with pytest.raises(ValueError, match="wider than the requested window"):
+        list(_ladder_extensions(system, x, (1, 2, radius + 1), radius))
 
 
 class _FiniteWordSystem:
