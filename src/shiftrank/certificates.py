@@ -95,17 +95,49 @@ def _replay_sensitivity_entry(
     else:
         for t in range(g - block_half, g + block_half + 1):
             checks += _check_separated_tuple(windows, t, K, failures, f"cylinder {cylinder!r}")
-    matrix = entry.get("scale_matrix")
-    if matrix:
-        shifted = [shift_window(w, g) for w in windows]
-        for i, row in enumerate(matrix):
-            for j, claimed in enumerate(row):
-                if i == j:
-                    continue
-                checks += 1
-                got = scale_of_difference(shifted[i], shifted[j]).first_difference
-                if got != claimed:
-                    failures.append(f"scale matrix mismatch at ({i},{j}): {got} != {claimed}")
+    return checks + _check_scale_matrix(windows, g, entry.get("scale_matrix") or [], failures)
+
+
+def _check_scale_matrix(
+    windows: list[CenteredWord], g: int, matrix: list[list], failures: list[str]
+) -> int:
+    """Each off-diagonal entry is the pair's first difference at shift g."""
+    checks = 0
+    shifted = [shift_window(w, g) for w in windows]
+    for i, row in enumerate(matrix):
+        for j, claimed in enumerate(row):
+            if i == j:
+                continue
+            checks += 1
+            got = scale_of_difference(shifted[i], shifted[j]).first_difference
+            if got != claimed:
+                failures.append(f"scale matrix mismatch at ({i},{j}): {got} != {claimed}")
+    return checks
+
+
+def _check_cylinder_radius(cylinder: str, W: int, failures: list[str], label: str) -> int:
+    if len(cylinder) != 2 * W + 1:
+        failures.append(f"{label}: cylinder length {len(cylinder)}, not 2W+1 = {2 * W + 1}")
+    return 1
+
+
+def _replay_point_counterexample(doc: dict, failures: list[str]) -> int:
+    """Stages at the budget's ladder radii, each on the point's central word there."""
+    point, stages = doc["point"], doc["stages"]
+    radii = [stage["delta_radius"] for stage in stages]
+    ladder = doc["budget"]["ladder"]
+    checks = 1
+    if radii != ladder:
+        failures.append(f"stage radii {radii} are not the budget ladder {ladder}")
+    half = len(point) // 2
+    for stage in stages:
+        W, cylinder = stage["delta_radius"], stage["cylinder"]
+        label = f"stage W={W}"
+        checks += _check_cylinder_radius(cylinder, W, failures, label)
+        checks += 1
+        if W > half or point[half - W : half + W + 1] != cylinder:
+            failures.append(f"{label}: cylinder {cylinder!r} is not the point read at radius {W}")
+        checks += _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
     return checks
 
 
@@ -141,15 +173,20 @@ def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
     m, K, B = doc["m"], doc["K"], doc["B"]
     for stage in doc["stages"]:
         windows = _windows(stage["windows"])
-        label = f"gap stage W={stage['delta_radius']}"
+        W, start = stage["delta_radius"], stage["gap_start"]
+        label = f"gap stage W={W}"
         checks += _check_tuple_size(windows, m, failures, label)
+        checks += _check_cylinder_radius(stage["cylinder"], W, failures, label)
         checks += _check_cylinder(windows, stage["cylinder"], failures)
-        checks += 1
-        gap = stage["gap_end"] - stage["gap_start"] + 1
+        checks += 2
+        gap = stage["gap_end"] - start + 1
         if gap != 2 * B + 2:
             failures.append(f"{label}: gap length {gap}, not 2B+2 = {2 * B + 2}")
-        for t in range(stage["gap_start"], stage["gap_end"] + 1):
+        if stage["shift"] != start:
+            failures.append(f"{label}: shift {stage['shift']} is not the gap start {start}")
+        for t in range(start, stage["gap_end"] + 1):
             checks += _check_separated_tuple(windows, t, K, failures, label)
+        checks += _check_scale_matrix(windows, start, stage["scale_matrix"], failures)
     return checks
 
 
@@ -182,12 +219,7 @@ def _replay_kind(doc: dict, failures: list[str]) -> int:
             for entry in doc["cylinders"]
         )
     if kind == "eq-point-counterexample":
-        # each stage's "cylinder" is the base point's central word at that
-        # delta radius, so the entry replay also pins agreement with the point
-        return sum(
-            _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
-            for stage in doc["stages"]
-        )
+        return _replay_point_counterexample(doc, failures)
     if kind == "cover-falsified":
         return _replay_cover_falsified(doc, failures)
     if kind == "cover-witness":

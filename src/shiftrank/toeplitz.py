@@ -73,7 +73,7 @@ class ToeplitzSkeleton:
                 out.append(r)
         return tuple(out)
 
-    @property
+    @cached_property
     def periodic(self) -> bool:
         """No holes at the deepest stage: the sequence is fully periodic."""
         return not self.hole_residues()
@@ -199,14 +199,6 @@ class ToeplitzSystem:
 
     # -- fiber census over the period tower -------------------------------
 
-    def _windows_for_residue(self, period: int, residue: int, radius: int) -> frozenset[str]:
-        p = self.prefix
-        out = set()
-        for pos in range(residue, len(p) - radius, period):
-            if pos >= radius:
-                out.add(p[pos - radius : pos + radius + 1])
-        return frozenset(out)
-
     def _census_extremes(self, radius: int) -> tuple[tuple[int, bool], tuple[int, bool]]:
         """Least and greatest stabilized window counts over residue paths down the tower.
 
@@ -217,14 +209,20 @@ class ToeplitzSystem:
         """
         periods = self.skeleton.periods
         leaves: list[tuple[int, bool]] = []  # (count, stabilized) per path end
+        # ids[i] numbers the radius-``radius`` window centred at prefix
+        # position radius + i, so equal windows share an id and a residue
+        # class is counted from ints, never re-slicing the prefix
+        p, width = self.prefix, 2 * radius + 1
+        intern: dict[str, int] = {}
+        ids = [intern.setdefault(p[i : i + width], len(intern)) for i in range(len(p) - width + 1)]
 
         def occurrences(period: int, residue: int) -> int:
             return max(0, (self.prefix_length - residue) // period)
 
         def walk(level: int, residue: int, history: tuple[int, ...]) -> None:
             period = periods[level]
-            windows = self._windows_for_residue(period, residue, radius)
-            count = len(windows)
+            # the index in ids of the class's first whole window
+            count = len(set(ids[(residue - radius) % period :: period]))
             history = history + (count,)
             deeper_ok = (
                 level + 1 < len(periods)

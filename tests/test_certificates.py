@@ -128,6 +128,12 @@ def _tm_cover_falsified() -> dict:
     return cover_m_equicontinuity_test(TM_SYS, x, 2, budget.K, budget).certificate
 
 
+def _tm_point_counterexample() -> dict:
+    budget = SearchBudget()
+    x = TM_SYS.point_window(TM_SYS.seed_points()[0], max(budget.ladder))
+    return m_equicontinuity_point_test(TM_SYS, x, 3, budget.K, budget).certificate
+
+
 def _tm_block() -> dict:
     return block_m_sensitivity_test(TM_SYS, 2, 1, 8, SearchBudget()).aggregate.certificate
 
@@ -146,14 +152,68 @@ def _zero_block_halves(cert: dict) -> None:
         entry["block_half"] = 0
 
 
+def _stage_zero_at_every_radius(cert: dict) -> None:
+    # the radius-1 counterexample, passed off as one for every ladder radius
+    for stage in cert["stages"][1:]:
+        stage.update({**cert["stages"][0], "delta_radius": stage["delta_radius"]})
+
+
+def _stage_zero_everywhere(cert: dict) -> None:
+    cert["stages"] = [dict(cert["stages"][0]) for _ in cert["stages"]]
+
+
+def _radius_one_cylinder_at_w2(cert: dict) -> None:
+    # the W=2 stage claims the radius-1 cylinder, which its windows do carry
+    cert["stages"][1]["cylinder"] = cert["stages"][0]["cylinder"]
+
+
+def _later_scale_matrices(cert: dict) -> None:
+    # the genuine matrices are [[None, 0], [0, None]]: a difference at 0
+    for stage in cert["stages"]:
+        stage["scale_matrix"] = [[None, 2], [2, None]]
+
+
+def _moved_shifts(cert: dict) -> None:
+    for stage in cert["stages"]:
+        stage["shift"] += 1
+
+
 @pytest.mark.parametrize(
     "make, forge, reason",
     [
         (_tm_cover_falsified, _one_shift_gaps, "gap length 1, not 2B+2 = 18"),
         (_tm_cover_falsified, _foreign_cylinder, "does not carry the cylinder '000'"),
         (_tm_block, _zero_block_halves, "block half-length 0 != B=8"),
+        (
+            _tm_point_counterexample,
+            _stage_zero_at_every_radius,
+            "stage W=2: cylinder '001' is not the point read at radius 2",
+        ),
+        (
+            _tm_point_counterexample,
+            _stage_zero_at_every_radius,
+            "stage W=8: cylinder length 3, not 2W+1 = 17",
+        ),
+        (
+            _tm_point_counterexample,
+            _stage_zero_everywhere,
+            "stage radii [1, 1, 1, 1] are not the budget ladder [1, 2, 4, 8]",
+        ),
+        (_tm_cover_falsified, _radius_one_cylinder_at_w2, "cylinder length 3, not 2W+1 = 5"),
+        (_tm_cover_falsified, _later_scale_matrices, "scale matrix mismatch at (0,1): 0 != 2"),
+        (_tm_cover_falsified, _moved_shifts, "is not the gap start"),
     ],
-    ids=["cover-gap-length", "cover-cylinder", "block-half-length"],
+    ids=[
+        "cover-gap-length",
+        "cover-cylinder",
+        "block-half-length",
+        "point-stage-on-point",
+        "point-stage-radius",
+        "point-ladder",
+        "cover-stage-radius",
+        "cover-scale-matrix",
+        "cover-shift",
+    ],
 )
 def test_forged_run_lengths_and_cylinders_fail_replay(make, forge, reason):
     cert = roundtrip(make())

@@ -1,7 +1,7 @@
 """Witness searches: examples, certificates, and cross-test invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftrank.catalog import system_for
 from shiftrank.odometer import OdometerResidue, fiber_census
@@ -467,10 +467,11 @@ def _flipped(base: str, flips: list[int]) -> str:
 
 # K, B, N and m_cap, then 1 to 3 extension sets, each a constant word with a
 # few flipped symbols per extension: the extensions agree away from the
-# flips, so many centers show few distinct blocks and the bound rules out
-# starts, while the flips still make separated tuples
+# flips, so many centers show few distinct blocks and the bounds rule out
+# starts, while the flips still make separated tuples.  B runs to 6, so runs
+# of 2B+1 or 2B+2 centers have core steps S = centers // 3 from 1 to 4.
 run_scan_cases = st.tuples(
-    st.tuples(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 10), st.integers(2, 5)),
+    st.tuples(st.sampled_from([1, 2]), st.integers(1, 6), st.integers(0, 10), st.integers(2, 5)),
     st.lists(
         st.tuples(
             st.sampled_from("01"),
@@ -482,20 +483,55 @@ run_scan_cases = st.tuples(
 )
 
 
-@given(run_scan_cases, st.booleans())
-def test_run_scan_matches_reference_with_warm_finder(case, cover_style):
-    (K, B, N, m_cap), sets = case
-    if cover_style:  # increasing starts over runs of 2B+2 centers
-        centers, radius = 2 * B + 2, N + B + K + 1
-        starts = list(range(-N, N - centers + 2))
-    else:  # zigzag starts over runs of 2B+1 centers, as the block scan
-        centers, radius = 2 * B + 1, 1 + N + B + K
-        starts = [h - B for h in shifts(N)]
-    finder = _RunCliqueFinder(K, m_cap)  # shared: later sets meet a warm cache
-    for symbol, flip_lists in sets:
-        exts = [_flipped(symbol * (2 * radius + 1), flips) for flips in flip_lists]
-        got = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
-        assert got == _dict_run_scan(exts, radius, K, centers, starts, m_cap)
+class _FullRunCounter(_RunCliqueFinder):
+    """Counts the clique solves over whole runs of ``centers`` centers.
+
+    A ``blind`` finder answers m_cap for every shorter block set, so no core
+    rules out a start, and its count is that of the per-center bound alone.
+    """
+
+    def __init__(self, K, m_cap, centers, blind=False):
+        super().__init__(K, m_cap)
+        self.width = centers + 2 * K
+        self.blind = blind
+        self.full = 0
+
+    def best(self, blocks):
+        if len(blocks[0]) == self.width:
+            self.full += 1
+        elif self.blind:
+            return self.m_cap, ()
+        return super().best(blocks)
+
+
+def test_run_scan_matches_reference_with_warm_finder():
+    ruled_out = []  # starts the cores ruled out, per example
+
+    # two cases where a core rules out a start that the center counts pass
+    @example(((2, 4, 9, 2), [("0", [[], [45], [42, 59], [50]])]), True)
+    @example(((2, 5, 3, 3), [("0", [[130], [159], [194], [28], []])]), False)
+    @given(run_scan_cases, st.booleans())
+    def check(case, cover_style):
+        (K, B, N, m_cap), sets = case
+        if cover_style:  # increasing starts over runs of 2B+2 centers
+            centers, radius = 2 * B + 2, N + B + K + 1
+            starts = list(range(-N, N - centers + 2))
+        else:  # zigzag starts over runs of 2B+1 centers, as the block scan
+            centers, radius = 2 * B + 1, 1 + N + B + K
+            starts = [h - B for h in shifts(N)]
+        # shared: later sets meet a warm cache
+        finder = _FullRunCounter(K, m_cap, centers)
+        blind = _FullRunCounter(K, m_cap, centers, blind=True)
+        for symbol, flip_lists in sets:
+            exts = [_flipped(symbol * (2 * radius + 1), flips) for flips in flip_lists]
+            want = _dict_run_scan(exts, radius, K, centers, starts, m_cap)
+            assert _run_scan(exts, radius, K, centers, starts, m_cap, finder) == want
+            assert _run_scan(exts, radius, K, centers, starts, m_cap, blind) == want
+        ruled_out.append(blind.full - finder.full)
+
+    check()
+    assert min(ruled_out) >= 0
+    assert max(ruled_out) > 0
 
 
 def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
@@ -514,6 +550,24 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
     solved.clear()
     block_sensitivity_scan(system_for("ternary-morse"), 5, 1, budget.B, budget)
     assert len(solved) < 14061 // 10  # one clique solve per start made 14,061
+
+
+def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
+    budget = DEFAULT_BUDGET
+    width = 2 * budget.B + 2 + 2 * budget.K  # a cover run: 2B+2 centers, K symbols each side
+    solved = []
+    best = _RunCliqueFinder.best
+
+    def counting_best(self, blocks):
+        if len(blocks[0]) == width:
+            solved.append(blocks)
+        return best(self, blocks)
+
+    monkeypatch.setattr(_RunCliqueFinder, "best", counting_best)
+    x = seed_point(TM_SYS, 0, max(budget.ladder))
+    assert cover_m_equicontinuity_test(TM_SYS, x, 5, budget.K, budget).witnessed
+    # the per-center counts alone left 149 starts to solve over the whole run
+    assert len(solved) <= 5
 
 
 @pytest.mark.parametrize(

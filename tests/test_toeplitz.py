@@ -1,7 +1,10 @@
 """Toeplitz skeletons: validation, generated sequences, censuses."""
 
+import functools
+
 import pytest
 
+from shiftrank.catalog import system_for
 from shiftrank.toeplitz import (
     Stage,
     ToeplitzSkeleton,
@@ -101,6 +104,14 @@ def test_toeplitz_from_skeleton_rejects_conflicts():
         toeplitz_from_skeleton([2, 4], {2: [(0, "0")], 4: [(2, "1")]}, prefix_length=16)
 
 
+@functools.cache
+def _residue_window_count(system, period, residue, radius):
+    """Reference: distinct windows of a residue class, sliced off the prefix."""
+    p = system.prefix
+    positions = range(residue, len(p) - radius, period)
+    return len({p[pos - radius : pos + radius + 1] for pos in positions if pos >= radius})
+
+
 def _per_policy_census(system, policy, radius, min_samples=4):
     """Reference: the walk for one extreme at a time, ``policy`` "min" or "max"."""
     periods = system.skeleton.periods
@@ -112,7 +123,7 @@ def _per_policy_census(system, policy, radius, min_samples=4):
     def walk(level, residue, history):
         nonlocal best, stable_flag
         period = periods[level]
-        count = len(system._windows_for_residue(period, residue, radius))
+        count = _residue_window_count(system, period, residue, radius)
         history = history + (count,)
         deeper_ok = (
             level + 1 < len(periods) and occurrences(periods[level + 1], residue) >= min_samples
@@ -149,3 +160,17 @@ def test_one_walk_gives_both_extremes(system, radius):
         _per_policy_census(system, "min", radius),
         _per_policy_census(system, "max", radius),
     )
+
+
+@pytest.mark.parametrize("name", ["toeplitz-doubling", "toeplitz-rank-2", "toeplitz-rank-3"])
+def test_interned_census_matches_sliced_windows(name):
+    # every radius on a short prefix, where the windows reach both ends of
+    # it, and the catalog's own prefix at the extreme radii
+    system = system_for(name)
+    short = ToeplitzSystem(name, system.skeleton, prefix_length=1 << 12)
+    cases = [(short, r) for r in range(1, 65)] + [(system, r) for r in (1, 2, 63, 64)]
+    for toeplitz, radius in cases:
+        assert toeplitz._census_extremes(radius) == (
+            _per_policy_census(toeplitz, "min", radius),
+            _per_policy_census(toeplitz, "max", radius),
+        ), radius
