@@ -93,6 +93,10 @@ def _replay_sensitivity_entry(
     if block_half is None:
         checks += _check_separated_tuple(windows, g, K, failures, f"cylinder {cylinder!r}")
     else:
+        # a negative half-length leaves no shift to check, which would prove nothing
+        checks += 1
+        if block_half < 0:
+            failures.append(f"cylinder {cylinder!r}: negative block half-length {block_half}")
         for t in range(g - block_half, g + block_half + 1):
             checks += _check_separated_tuple(windows, t, K, failures, f"cylinder {cylinder!r}")
     return checks + _check_scale_matrix(windows, g, entry.get("scale_matrix") or [], failures)
@@ -101,8 +105,20 @@ def _replay_sensitivity_entry(
 def _check_scale_matrix(
     windows: list[CenteredWord], g: int, matrix: list[list], failures: list[str]
 ) -> int:
-    """Each off-diagonal entry is the pair's first difference at shift g."""
-    checks = 0
+    """Each off-diagonal entry is the pair's first difference at shift g.
+
+    The matrix must be m x m, m = len(windows), with a null diagonal; a
+    matrix of another shape fails without its entries being compared.
+    """
+    m = len(windows)
+    shape = [len(row) for row in matrix]
+    if shape != [m] * m:
+        failures.append(f"scale matrix has row lengths {shape}, not {m} x {m}")
+        return 1
+    diagonal = [matrix[i][i] for i in range(m)]
+    if diagonal != [None] * m:
+        failures.append(f"scale matrix diagonal {diagonal} is not null")
+    checks = 2
     shifted = [shift_window(w, g) for w in windows]
     for i, row in enumerate(matrix):
         for j, claimed in enumerate(row):
@@ -169,8 +185,10 @@ def _replay_regional(doc: dict, failures: list[str]) -> int:
 
 
 def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
-    checks = 0
     m, K, B = doc["m"], doc["K"], doc["B"]
+    checks = 1
+    if B < 0:
+        failures.append(f"negative block half-length B={B}")
     for stage in doc["stages"]:
         windows = _windows(stage["windows"])
         W, start = stage["delta_radius"], stage["gap_start"]

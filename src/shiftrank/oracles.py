@@ -598,10 +598,15 @@ def _run_scan(
     (2K+1)-blocks at each center.  A start with some center holding at most
     ``best`` of them cannot yield a clique larger than ``best``, and the scan
     acts only on a larger one, so skipping that start, without building its
-    run-blocks or solving its clique, changes no result.  The center that
-    ruled out the last skipped start is tried first: in increasing order it
-    stays inside the following runs, and in zigzag order it waits for the
-    next start on its own side.
+    run-blocks or solving its clique, changes no result.  Each side of the
+    first start keeps a blocker, the center that ruled out that side's last
+    skipped start, which is tried first.  In the scans' orders, increasing
+    and zigzag (0, 1, -1, 2, ...), starts increase at or above the first
+    start and decrease below it, so a run's centers are searched from its
+    leading end, right to left above and left to right below: the center
+    found stays inside the most of that side's next runs, and one side's
+    blocker never overwrites the other's.  Which center rules a start out
+    changes no skip.
 
     Cutting a clique's run-blocks down to any stretch of its centers leaves
     a clique, so the largest clique over a stretch bounds the run's.  The
@@ -642,16 +647,24 @@ def _run_scan(
             size = core_sizes[k] = finder.best(tuple(sorted(cores.at(k * step))))[0]
         return size
 
-    blocker = -1
+    first = None
+    above = below = -1  # the blockers of the starts at or above the first start, and below it
     for a in starts:
         lo = radius + a - K
         # center j of the run reads its radius-K blocks at string offset lo + j
         run = range(lo, lo + centers)
-        if blocker in run:
+        if above in run or below in run:
             continue  # best never falls, so a center that ruled out a start still does
-        low = next((p for p in reversed(run) if count_at(p) <= best), None)
+        if first is None:
+            first = a
+        is_above = a >= first
+        leading = reversed(run) if is_above else run
+        low = next((p for p in leading if count_at(p) <= best), None)
         if low is not None:
-            blocker = low
+            if is_above:
+                above = low
+            else:
+                below = low
             continue
         if best and core_size(-(-lo // step)) <= best:
             continue
@@ -672,6 +685,8 @@ def block_sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget
 ) -> tuple[CylinderScan, ...]:
     """Per-cylinder scan for tuples separated across whole blocks [h-B, h+B]."""
+    if B < 0:
+        raise ValueError(f"block half-length must be non-negative, got B={B}")
     radius = budget.L + budget.N + B + K
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)

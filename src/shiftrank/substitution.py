@@ -206,14 +206,22 @@ class LanguageTable:
                 letters.update(c for img in s.rules for c in img)
                 found = letters
             else:
-                images = self._images_covering(n)
+                images = dict(zip(s.letters, self._images_covering(n)))
                 seeds = set(self._two_letter_words())
                 if not seeds:  # single-letter alphabet with expanding rule
                     seeds = {2 * s.letters}
+                # A length-n window of a seed's block theta^k(a) theta^k(b)
+                # lies inside one letter's image or crosses the seam, and the
+                # crossing ones are the windows of theta^k(a)[1-n:] +
+                # theta^k(b)[:n-1]: take each letter's inner windows once,
+                # and per seed only the seam's.
                 found = set()
-                for pair in seeds:
-                    block = "".join(images[s.letters.index(c)] for c in pair)
-                    found.update(block[i : i + n] for i in range(len(block) - n + 1))
+                for c in {c for pair in seeds for c in pair}:
+                    img = images[c]
+                    found.update(img[i : i + n] for i in range(len(img) - n + 1))
+                for a, b in seeds:
+                    seam = images[a][1 - n :] + images[b][: n - 1]
+                    found.update(seam[i : i + n] for i in range(n - 1))
             self._sets[n] = frozenset(found)
             self._cache[n] = tuple(sorted(found))
         return self._cache[n]

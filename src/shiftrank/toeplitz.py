@@ -64,14 +64,22 @@ class ToeplitzSkeleton:
                     return sym
         return None
 
+    def _symbols(self, length: int) -> list[str | None]:
+        """``symbol_at(n)`` for every n < ``length``, by one stride assignment per fill.
+
+        Fills are written in reverse order, so where two fills of one stage
+        share a residue the one ``symbol_at`` meets first is written last.
+        """
+        chars: list[str | None] = [None] * length
+        fills = [(st.period, r, sym) for st in self.stages for r, sym in st.fills]
+        for period, r, sym in reversed(fills):
+            chars[r::period] = [sym] * len(range(r, length, period))
+        return chars
+
     def hole_residues(self) -> tuple[int, ...]:
         """Residues mod the deepest period not filled by any stage."""
-        p = self.stages[-1].period
-        out = []
-        for r in range(p):
-            if self.symbol_at(r) is None:
-                out.append(r)
-        return tuple(out)
+        symbols = self._symbols(self.stages[-1].period)
+        return tuple(r for r, sym in enumerate(symbols) if sym is None)
 
     @cached_property
     def periodic(self) -> bool:
@@ -79,15 +87,12 @@ class ToeplitzSkeleton:
         return not self.hole_residues()
 
     def prefix(self, length: int) -> str:
-        chars = []
-        for n in range(length):
-            sym = self.symbol_at(n)
-            if sym is None:
-                raise ValueError(
-                    f"position {n} permanently unfilled by the given stages; "
-                    "extend the skeleton or shorten the prefix"
-                )
-            chars.append(sym)
+        chars = self._symbols(length)
+        if None in chars:
+            raise ValueError(
+                f"position {chars.index(None)} permanently unfilled by the given stages; "
+                "extend the skeleton or shorten the prefix"
+            )
         return "".join(chars)
 
 

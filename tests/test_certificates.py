@@ -178,6 +178,28 @@ def _moved_shifts(cert: dict) -> None:
         stage["shift"] += 1
 
 
+def _negative_block_halves(cert: dict) -> None:
+    # B = -1 spans no shift, so no pair is ever compared
+    cert["B"] = -1
+    for entry in cert["cylinders"]:
+        entry["block_half"] = -1
+
+
+def _empty_gaps(cert: dict) -> None:
+    # B = -1 makes 2B+2 = 0: a gap of no shifts
+    cert["B"] = -1
+    for stage in cert["stages"]:
+        stage["gap_end"] = stage["gap_start"] - 1
+
+
+def _scale_matrices(matrix: list):
+    def forge(cert: dict) -> None:
+        for entry in cert.get("stages") or cert["cylinders"]:
+            entry["scale_matrix"] = matrix
+
+    return forge
+
+
 @pytest.mark.parametrize(
     "make, forge, reason",
     [
@@ -202,6 +224,20 @@ def _moved_shifts(cert: dict) -> None:
         (_tm_cover_falsified, _radius_one_cylinder_at_w2, "cylinder length 3, not 2W+1 = 5"),
         (_tm_cover_falsified, _later_scale_matrices, "scale matrix mismatch at (0,1): 0 != 2"),
         (_tm_cover_falsified, _moved_shifts, "is not the gap start"),
+        (_tm_block, _negative_block_halves, "negative block half-length -1"),
+        (_tm_cover_falsified, _empty_gaps, "negative block half-length B=-1"),
+        (_tm_cover_falsified, _scale_matrices([]), "row lengths [], not 2 x 2"),
+        (_tm_block, _scale_matrices([[None]]), "row lengths [1], not 2 x 2"),
+        (
+            _tm_cover_falsified,
+            _scale_matrices([[None] * 3] * 3),
+            "row lengths [3, 3, 3], not 2 x 2",
+        ),
+        (
+            _tm_cover_falsified,
+            _scale_matrices([[0, 0], [0, None]]),
+            "diagonal [0, None] is not null",
+        ),
     ],
     ids=[
         "cover-gap-length",
@@ -213,6 +249,12 @@ def _moved_shifts(cert: dict) -> None:
         "cover-stage-radius",
         "cover-scale-matrix",
         "cover-shift",
+        "block-negative-half-length",
+        "cover-negative-B",
+        "cover-empty-scale-matrix",
+        "block-1x1-scale-matrix",
+        "cover-3x3-scale-matrix",
+        "cover-scale-matrix-diagonal",
     ],
 )
 def test_forged_run_lengths_and_cylinders_fail_replay(make, forge, reason):

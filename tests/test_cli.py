@@ -62,6 +62,21 @@ def test_negative_budget_rejected(capsys):
     assert code == 2
 
 
+def test_negative_block_half_length_rejected(capsys, tmp_path):
+    # 2B+1 = -1 centers make every run empty, so any pair looked separated
+    cert = tmp_path / "cert.json"
+    code, out, err = run_cli(
+        capsys, "block", "thue-morse", "--m", "2", "--block", "-1", "--cert", str(cert)
+    )
+    assert code == 2
+    assert out == ""
+    assert "block half-length must be non-negative" in err
+    assert not cert.exists()
+    code, out, _ = run_cli(capsys, "block", "thue-morse", "--m", "2", "--block", "0")
+    assert code == 0
+    assert "witnessed" in out
+
+
 def test_inline_rules_accepted(capsys):
     code, out, _ = run_cli(capsys, "language", "0->01;1->10", "--length", "3")
     assert code == 0

@@ -552,6 +552,23 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
     assert len(solved) < 14061 // 10  # one clique solve per start made 14,061
 
 
+def test_zigzag_block_scan_keeps_one_blocker_per_side(monkeypatch):
+    budget = DEFAULT_BUDGET
+    K = 1
+    reads = []
+    at = _SegmentBlocks.at
+
+    def counting_at(self, lo):
+        if self._width == 2 * K + 1:
+            reads.append(lo)
+        return at(self, lo)
+
+    monkeypatch.setattr(_SegmentBlocks, "at", counting_at)
+    block_sensitivity_scan(system_for("ternary-morse"), 5, K, budget.B, budget)
+    # one blocker shared by both sides of the zigzag made 14,022 center reads
+    assert len(reads) <= 3500
+
+
 def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
     budget = DEFAULT_BUDGET
     width = 2 * budget.B + 2 + 2 * budget.K  # a cover run: 2B+2 centers, K symbols each side

@@ -5,7 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from shiftrank import catalog
 from shiftrank.substitution import (
+    LanguageTable,
     RegimeError,
     Substitution,
     SubstitutionSystem,
@@ -114,6 +116,51 @@ def test_language_factor_closed_and_extendable():
 
 def test_one_letter_language():
     assert language(ONE, 4) == ("0000",)
+
+
+def _pairwise_words(table: LanguageTable, n: int) -> tuple[str, ...]:
+    """Reference: every length-n window of each admissible pair's block theta^k(a)theta^k(b)."""
+    s = table.substitution
+    images = list(s.letters)
+    while min(map(len, images)) < n:
+        images = [s.image(img) for img in images]
+    seeds = set(table._two_letter_words()) or {2 * s.letters}
+    found = set()
+    for pair in seeds:
+        block = "".join(images[s.letters.index(c)] for c in pair)
+        found.update(block[i : i + n] for i in range(len(block) - n + 1))
+    return tuple(sorted(found))
+
+
+TABLE_LENGTHS = (*range(1, 40), 64, 129, 517, 535, 1033, 1047)
+CATALOG_RULES = [
+    catalog.get(name).params["rules"]
+    for name in catalog.names()
+    if catalog.get(name).kind == "substitution"
+]
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        *CATALOG_RULES,
+        ["0 -> 01", "1 -> 0"],
+        ["0 -> 0012", "1 -> 12", "2 -> 01"],
+    ],
+    ids=lambda rules: ";".join(rules),
+)
+def test_language_table_matches_pairwise_windows(rules):
+    s = Substitution.from_text("\n".join(rules))
+    table = LanguageTable(s)
+    for n in TABLE_LENGTHS:
+        assert table.words(n) == _pairwise_words(table, n), n
+
+
+def test_language_table_matches_pairwise_windows_on_criterion_5_sample():
+    for s in catalog.random_exact_substitutions(200):
+        table = LanguageTable(s)
+        for n in TABLE_LENGTHS:
+            assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
 
 
 # -- seeds ------------------------------------------------------------------

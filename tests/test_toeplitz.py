@@ -60,6 +60,37 @@ def test_permanently_unfilled_position_rejected():
         sk.prefix(8)
 
 
+def _walk(sk: ToeplitzSkeleton, length: int) -> list[str | None]:
+    """Reference: ``symbol_at`` at each position."""
+    return [sk.symbol_at(n) for n in range(length)]
+
+
+CATALOG_TOEPLITZ = ("toeplitz-doubling", "toeplitz-rank-2", "toeplitz-rank-3")
+
+
+@pytest.mark.parametrize(
+    "sk",
+    [
+        *(system_for(name).skeleton for name in CATALOG_TOEPLITZ),
+        rank_family_skeleton(2, 12),
+        full_fill_skeleton(),
+        # two fills of one stage share residue 0; symbol_at takes the first
+        ToeplitzSkeleton((Stage(2, ((0, "0"), (0, "1"), (1, "1"))),)),
+    ],
+    ids=[*CATALOG_TOEPLITZ, "rank-2-depth-12", "full-fill", "shared-residue"],
+)
+def test_stride_fills_match_per_position_walk(sk):
+    holes = _walk(sk, sk.stages[-1].period)
+    assert sk.hole_residues() == tuple(r for r, sym in enumerate(holes) if sym is None)
+    symbols = _walk(sk, 2**15)
+    if None in symbols:
+        first = symbols.index(None)
+        with pytest.raises(ValueError, match=f"^position {first} permanently unfilled"):
+            sk.prefix(2**15)
+    else:
+        assert sk.prefix(2**15) == "".join(symbols)
+
+
 def test_doubling_census_ranks():
     system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16))
     report = system.rank_report()
