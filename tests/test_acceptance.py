@@ -33,6 +33,7 @@ from shiftrank.verify import INCONSISTENT, verify_system
 DEFAULT = SearchBudget()
 EXACT_NAMES = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
 C5_ROWS_SHA256 = "b6d14cdc7b0732b7cf5466d123b3851e4362483b6fcd594ffd57d22a940d843b"
+C5_PAYLOADS_SHA256 = "34e20bf0712fda0a944a7e71bc851850c75eacf4fba1b6b2a7d0aa729ae952eb"
 
 
 class Collected:
@@ -146,6 +147,7 @@ def test_criterion_5_oracle_equivalence(collected):
     systems = catalog.random_exact_substitutions(200)
     mismatches = []
     rows = []
+    payloads = []
     for s in systems:
         c = column_number(s)[0]
         rc = coincidence_rank(s)
@@ -154,6 +156,7 @@ def test_criterion_5_oracle_equivalence(collected):
         report = RankReport(f"random-{s.rules}", rc, rm, rM, {})
         collected.rank_reports.append(report)
         rows.append((c, rc.value, rm.value, rM.value))
+        payloads.append([rm.to_payload(), rM.to_payload()])
         if not (rc.value == c == rm.value):
             mismatches.append((s.rules, c, rc.value, rm.value))
     elapsed = time.monotonic() - started
@@ -161,6 +164,8 @@ def test_criterion_5_oracle_equivalence(collected):
     assert not mismatches, mismatches[:5]
     # frozen (column number, r_c, r_m, r_M) of all 200 systems
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == C5_ROWS_SHA256
+    # frozen full census estimates (value, kind, confirmation evidence) of r_m and r_M
+    assert hashlib.sha256(json.dumps(payloads).encode()).hexdigest() == C5_PAYLOADS_SHA256
     print(
         f"PASS criterion 5: pair-graph rank = column number = stabilized census "
         f"minimum on 200 random systems, zero mismatches, {elapsed:.1f}s"
