@@ -224,22 +224,31 @@ def replay(doc: dict) -> ReplayResult:
     return ReplayResult(not failures, checks, tuple(failures))
 
 
+def _replay_sensitivity(doc: dict, failures: list[str]) -> int:
+    B = doc["B"] if doc["kind"] == "block-m-sensitivity" else None
+    return sum(
+        _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures, B)
+        for entry in doc["cylinders"]
+    )
+
+
+_REPLAYERS = {
+    "proximal-pair": _replay_proximal,
+    "regional-proximal": _replay_regional,
+    "m-sensitivity": _replay_sensitivity,
+    "block-m-sensitivity": _replay_sensitivity,
+    "eq-point-counterexample": _replay_point_counterexample,
+    "cover-falsified": _replay_cover_falsified,
+    # universal claim: the payload is a summary, nothing to replay
+    "cover-witness": lambda doc, failures: 0,
+}
+
+
 def _replay_kind(doc: dict, failures: list[str]) -> int:
     kind = doc["kind"]
-    if kind == "proximal-pair":
-        return _replay_proximal(doc, failures)
-    if kind == "regional-proximal":
-        return _replay_regional(doc, failures)
-    if kind in ("m-sensitivity", "block-m-sensitivity"):
-        B = doc["B"] if kind == "block-m-sensitivity" else None
-        return sum(
-            _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures, B)
-            for entry in doc["cylinders"]
-        )
-    if kind == "eq-point-counterexample":
-        return _replay_point_counterexample(doc, failures)
-    if kind == "cover-falsified":
-        return _replay_cover_falsified(doc, failures)
-    if kind == "cover-witness":
-        return 1  # universal claim: the payload is a summary, nothing to replay
-    raise ValueError(f"unknown certificate kind: {kind!r}")
+    if kind not in _REPLAYERS:
+        raise ValueError(f"unknown certificate kind: {kind!r}")
+    # a scale 2^-K with K < 0 compares no position, so a claim at it proves nothing
+    if doc["K"] < 0:
+        failures.append(f"negative scale exponent K={doc['K']}")
+    return 1 + _REPLAYERS[kind](doc, failures)

@@ -11,12 +11,25 @@ that stay realizable.
 This module owns the census policy: which digit paths are followed, how deep,
 and when a path's window count is taken as stabilized.  ``census_extreme`` is the one entry
 point the rank estimates read, and ``fiber_census`` follows a single residue.
+
+``census_extreme`` walks a ``CensusGraph``: the digit-path states of one
+substitution at one radius, interned so that each is lifted once, whatever
+the number of paths that reach it.  A state is keyed by its span m_lo..m_hi
+and its survivors, with each survivor's window replaced by the index of that
+window's first occurrence in sorted survivor order.  This merging is exact.
+``_lift`` carries each survivor's value to the words below it without
+reading it, so the survivors below a state, and which of them carry equal
+values, depend on the key alone; a state's count is the number of distinct
+values, which the first-occurrence indices keep.  Two states with one key
+therefore give equal counts along every continuation, so every plateau and
+``stabilized`` flag of the walk is the one the windows themselves give.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Generic, Mapping, TypeVar
 
 from .substitution import (
     RegimeError,
@@ -216,12 +229,15 @@ def base_windows(state: PathState) -> frozenset[str]:
     return frozenset(state.survivors.values())
 
 
+State = TypeVar("State")
+
+
 @dataclass(frozen=True)
-class PathCensus:
-    """Counts of realizable central windows along a digit path."""
+class PathCensus(Generic[State]):
+    """Counts of realizable central windows along a digit path, and its last state."""
 
     counts: tuple[int, ...]
-    windows: frozenset[str]
+    state: State
     stabilized: bool
 
     @property
@@ -233,43 +249,99 @@ PLATEAU = 3  # a path is stabilized once its last PLATEAU + 1 counts are equal
 
 
 def follow_path(
-    s: Substitution,
-    state: PathState,
-    radius: int,
+    step: Callable[[State, int], State],
+    count: Callable[[State], int],
+    state: State,
     prefix: tuple[int, ...],
     pattern: tuple[int, ...],
     extra_depth: int,
-) -> PathCensus:
+) -> PathCensus[State]:
     """Lift ``state`` along ``prefix``, then along ``pattern`` repeated.
 
-    The pattern is followed until the last ``PLATEAU`` + 1 window counts are
-    equal (stabilization) or ``extra_depth`` levels past the prefix are
-    reached.  Counts are nonincreasing in depth (constraints only
-    accumulate), which is why a plateau is taken as stabilization.  An empty
-    pattern stops after the prefix, unstabilized.
+    ``step(state, digit)`` lifts a state one level and ``count(state)`` is
+    its window count.  The pattern is followed until the last ``PLATEAU`` + 1
+    window counts are equal (stabilization) or ``extra_depth`` levels past
+    the prefix are reached.  Counts are nonincreasing in depth (constraints
+    only accumulate), which is why a plateau is taken as stabilization.  An
+    empty pattern stops after the prefix, unstabilized.
     """
-    windows = base_windows(state)
-    counts = [len(windows)]
+    counts = [count(state)]
 
     def plateaued() -> bool:
         return len(counts) > PLATEAU and len(set(counts[-PLATEAU - 1 :])) == 1
 
-    def step(d: int) -> None:
-        nonlocal state, windows
-        state = lift_state(s, state, d, radius)
-        windows = base_windows(state)
-        counts.append(len(windows))
-
     for d in prefix:
-        step(d)
+        state = step(state, d)
+        counts.append(count(state))
     if pattern:
-        cap = state.depth + extra_depth
-        i = 0
-        while state.depth < cap and not plateaued():
-            step(pattern[i % len(pattern)])
-            i += 1
+        for i in range(extra_depth):
+            if plateaued():
+                break
+            state = step(state, pattern[i % len(pattern)])
+            counts.append(count(state))
     stabilized = bool(pattern) and plateaued()
-    return PathCensus(tuple(counts), windows, stabilized)
+    return PathCensus(tuple(counts), state, stabilized)
+
+
+@dataclass(frozen=True)
+class CensusGraph:
+    """The interned digit-path states of one substitution at one radius.
+
+    Node 0 is ``initial_state``; ``successors[n][d]`` is the node that node n
+    lifts to along digit d, and ``counts[n]`` is node n's window count.
+    """
+
+    counts: tuple[int, ...]
+    successors: tuple[tuple[int, ...], ...]
+
+    def step(self, node: int, digit: int) -> int:
+        return self.successors[node][digit]
+
+    def count(self, node: int) -> int:
+        return self.counts[node]
+
+
+@functools.lru_cache(maxsize=2)  # a rank report reads two radii, for both extremes
+def census_graph(s: Substitution, radius: int) -> CensusGraph:
+    """Every state reachable from ``initial_state(s, radius)``, each lifted once per digit.
+
+    States are keyed as the module docstring describes.  Survivors come out
+    of ``_lift`` in the language table's sorted order, so a key needs no
+    sort.  The graph keeps only ints:
+    the keys and survivors are dropped once every state has its successors.
+    """
+    q = s.require_constant_length()
+    ids: dict[tuple, int] = {}
+    states: list[tuple[int, int, dict[str, int]]] = []  # m_lo, m_hi, survivor -> index
+    counts: list[int] = []
+
+    def intern(m_lo: int, m_hi: int, survivors: Mapping[str, object]) -> int:
+        first: dict[object, int] = {}
+        indices = {v: first.setdefault(w, len(first)) for v, w in survivors.items()}
+        key = (m_lo, m_hi, tuple(indices.items()))
+        node = ids.get(key)
+        if node is None:
+            node = ids[key] = len(states)
+            states.append((m_lo, m_hi, indices))
+            counts.append(len(first))
+        return node
+
+    root = initial_state(s, radius)
+    intern(root.m_lo, root.m_hi, root.survivors)
+    successors = []
+    while len(successors) < len(states):  # interning appends the states still to lift
+        m_lo, m_hi, indices = states[len(successors)]
+        row = []
+        for d in range(q):
+            new_lo, new_hi, keep = _lift(s, q, m_lo, m_hi, d, indices)
+            if not keep:
+                raise FiberInvariantError(
+                    f"no survivors along digit {d}; the odometer map is onto, "
+                    "so this indicates a bug"
+                )
+            row.append(intern(new_lo, new_hi, keep))
+        successors.append(tuple(row))
+    return CensusGraph(tuple(counts), tuple(successors))
 
 
 def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[int, ...]]:
@@ -301,6 +373,7 @@ def census_extreme(
     Returns the extreme count and whether some path reaching it stabilized.
     """
     q = s.require_constant_length()
+    graph = census_graph(s, radius)
     best: int | None = None
     all_stable = True
 
@@ -317,21 +390,19 @@ def census_extreme(
             elif census.count == best:
                 all_stable = all_stable or census.stabilized
 
-    def walk(state: PathState, prefix: tuple[int, ...]) -> None:
-        nonlocal best
-        if policy == "max" and best is not None:
-            if len(base_windows(state)) <= best:
-                return
+    def walk(node: int, prefix: tuple[int, ...]) -> None:
+        if policy == "max" and best is not None and graph.count(node) <= best:
+            return
         if policy == "min" and best == 1:
             return
-        if state.depth >= branch_depth:
+        if len(prefix) >= branch_depth:
             for pattern in _continuations(q, prefix, policy):
-                consider(follow_path(s, state, radius, (), pattern, 18))
+                consider(follow_path(graph.step, graph.count, node, (), pattern, 18))
             return
         for d in range(q):
-            walk(lift_state(s, state, d, radius), prefix + (d,))
+            walk(graph.step(node, d), prefix + (d,))
 
-    walk(initial_state(s, radius), ())
+    walk(0, ())
     assert best is not None
     return best, all_stable
 
@@ -374,6 +445,13 @@ def fiber_census(s: Substitution, r: OdometerResidue, radius: int) -> FiberCensu
     if radius < q**r.depth:
         raise ValueError(f"radius {radius} too small for depth {r.depth}: need at least q^depth")
     digits = r.digits()
-    census = follow_path(s, initial_state(s, radius), radius, digits, digits or (0,), 16)
-    reps = tuple(CenteredWord(w, -radius) for w in sorted(census.windows))
+    census = follow_path(
+        lambda state, d: lift_state(s, state, d, radius),
+        lambda state: len(base_windows(state)),
+        initial_state(s, radius),
+        digits,
+        digits or (0,),
+        16,
+    )
+    reps = tuple(CenteredWord(w, -radius) for w in sorted(base_windows(census.state)))
     return FiberCensus(r, radius, census.count, reps, census.counts, census.stabilized)

@@ -313,10 +313,17 @@ class CylinderScan:
     witnesses: dict[int, SensitivityWitness] = field(default_factory=dict)
 
 
+def _require_scale(K: int) -> None:
+    """A scale 2^-K with K < 0 leaves no position to compare, so it would prove nothing."""
+    if K < 0:
+        raise ValueError(f"scale exponent must be non-negative, got K={K}")
+
+
 def sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget
 ) -> tuple[CylinderScan, ...]:
     """Per-cylinder separation scan shared by the sensitivity tests."""
+    _require_scale(K)
     radius = budget.L + budget.N + K
     scans = []
     for u, exts in _cylinder_extensions(system, budget.L, radius):
@@ -481,6 +488,7 @@ def m_equicontinuity_point_test(
     """
     if m < 2:
         raise ValueError("tuple size must be at least 2")
+    _require_scale(K)
     radius = budget.N + K
     claim = f"failure of {m}-equicontinuity at scale 2^-{K} near the given point"
     stages = []
@@ -685,6 +693,7 @@ def block_sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget
 ) -> tuple[CylinderScan, ...]:
     """Per-cylinder scan for tuples separated across whole blocks [h-B, h+B]."""
+    _require_scale(K)
     if B < 0:
         raise ValueError(f"block half-length must be non-negative, got B={B}")
     radius = budget.L + budget.N + B + K
@@ -726,6 +735,7 @@ def cover_m_equicontinuity_test(
     """
     if m < 2:
         raise ValueError("tuple size must be at least 2")
+    _require_scale(K)
     B, N = budget.B, budget.N
     centers = 2 * B + 2
     radius = N + B + K + 1

@@ -103,7 +103,7 @@ def _tm_point():
     return TM_SYS.point_window(TM_SYS.seed_points()[0], 64 + 8 + 2 + 3)
 
 
-@pytest.mark.parametrize(
+TUPLE_CERTIFICATES = pytest.mark.parametrize(
     "make",
     [
         lambda: m_sensitivity_test(TM_SYS, 3, 2, TUPLE_BUDGET).aggregate.certificate,
@@ -113,6 +113,9 @@ def _tm_point():
     ],
     ids=["m-sensitivity", "block-m-sensitivity", "eq-point-counterexample", "cover-falsified"],
 )
+
+
+@TUPLE_CERTIFICATES
 def test_claimed_tuple_size_is_checked(make):
     cert = roundtrip(make())
     assert replay(cert).ok
@@ -120,6 +123,25 @@ def test_claimed_tuple_size_is_checked(make):
     result = replay(cert)
     assert not result.ok
     assert "windows for a claimed tuple size m=5" in result.failures[0]
+
+
+@TUPLE_CERTIFICATES
+def test_negative_scale_exponent_fails_replay(make):
+    # 2^-K with K < 0 compares no position, so a claim at that scale proves nothing
+    cert = roundtrip(make())
+    assert replay(cert).ok
+    cert["K"] = -1
+    result = replay(cert)
+    assert not result.ok
+    assert "negative scale exponent K=-1" in result.failures[0]
+
+
+def test_every_kind_requires_a_non_negative_scale_exponent():
+    for kind in ("proximal-pair", "regional-proximal", "cover-witness"):
+        with pytest.raises(ValueError):
+            replay({"kind": kind})  # K is required
+    result = replay({"kind": "cover-witness", "K": -1})
+    assert result.failures == ("negative scale exponent K=-1",)
 
 
 def _tm_cover_falsified() -> dict:

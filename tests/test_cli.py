@@ -77,6 +77,20 @@ def test_negative_block_half_length_rejected(capsys, tmp_path):
     assert "witnessed" in out
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "block", "point", "cover"])
+def test_negative_scale_rejected(capsys, tmp_path, command):
+    # 2^-K with K < 0 compares no position: every pair would look separated
+    cert = tmp_path / "cert.json"
+    argv = [command, "thue-morse", "--m", "2", "--budget", "N=16", "--cert", str(cert)]
+    code, out, err = run_cli(capsys, *argv, "--scale", "-1")
+    assert code == 2
+    assert out == ""
+    assert "scale exponent must be non-negative, got K=-1" in err
+    assert not cert.exists()
+    code, _, _ = run_cli(capsys, *argv, "--scale", "0")
+    assert code == 0
+
+
 def test_inline_rules_accepted(capsys):
     code, out, _ = run_cli(capsys, "language", "0->01;1->10", "--length", "3")
     assert code == 0

@@ -5,10 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftrank import catalog
+from shiftrank import catalog, odometer, ranks
 from shiftrank.odometer import (
+    PLATEAU,
     OdometerResidue,
+    _continuations,
     base_windows,
+    census_extreme,
+    census_graph,
     column_number,
     column_sets,
     desubstitute,
@@ -252,3 +256,129 @@ def test_radius_refines_classes(digits, radius):
     # each wide window restricts onto a surviving narrow window
     narrowed = {w[1:-1] for w in big}
     assert narrowed <= set(small)
+
+
+# -- census over the interned state graph ---------------------------------------
+
+
+def _per_path_follow(s, state, radius, pattern, extra_depth):
+    """Reference: follow one continuation by lifting full path states."""
+    counts = [len(base_windows(state))]
+
+    def plateaued():
+        return len(counts) > PLATEAU and len(set(counts[-PLATEAU - 1 :])) == 1
+
+    cap = state.depth + extra_depth
+    i = 0
+    while state.depth < cap and not plateaued():
+        state = lift_state(s, state, pattern[i % len(pattern)], radius)
+        counts.append(len(base_windows(state)))
+        i += 1
+    return counts[-1], plateaued()
+
+
+def _per_path_census_extreme(s, policy, branch_depth, radius):
+    """Reference: the census walk that recomputes every path state from its parent."""
+    q = s.constant_length
+    best = None
+    all_stable = True
+
+    def consider(count, stabilized):
+        nonlocal best, all_stable
+        if best is None or (count > best if policy == "max" else count < best):
+            best, all_stable = count, stabilized
+        elif count == best:
+            all_stable = all_stable or stabilized
+
+    def walk(state, prefix):
+        if policy == "max" and best is not None and len(base_windows(state)) <= best:
+            return
+        if policy == "min" and best == 1:
+            return
+        if state.depth >= branch_depth:
+            for pattern in _continuations(q, prefix, policy):
+                consider(*_per_path_follow(s, state, radius, pattern, 18))
+            return
+        for d in range(q):
+            walk(lift_state(s, state, d, radius), prefix + (d,))
+
+    walk(initial_state(s, radius), ())
+    return best, all_stable
+
+
+EXACT_CATALOG = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
+
+
+@pytest.mark.parametrize("depth, radius", [(3, 16), (2, 8)])
+def test_graph_census_matches_per_path_census_on_criterion_5_sample(depth, radius):
+    for s in catalog.random_exact_substitutions(200):
+        for policy in ("min", "max"):
+            assert census_extreme(s, policy, depth, radius) == _per_path_census_extreme(
+                s, policy, depth, radius
+            ), (s.rules, policy)
+
+
+@pytest.mark.parametrize("depth, radius", [(4, 64), (3, 32)])
+@pytest.mark.parametrize("name", EXACT_CATALOG)
+def test_graph_census_matches_per_path_census_on_catalog(name, depth, radius):
+    s = catalog.system_for(name).substitution
+    for policy in ("min", "max"):
+        assert census_extreme(s, policy, depth, radius) == _per_path_census_extreme(
+            s, policy, depth, radius
+        ), policy
+
+
+def _graph_counts_match_paths(s, radius, depth):
+    """Whether every node reached by a digit path of at most ``depth`` digits
+    counts the windows of the path state that ``lift_state`` reaches."""
+    graph = census_graph(s, radius)
+
+    def walk(node, state):
+        if graph.count(node) != len(base_windows(state)):
+            return False
+        return state.depth == depth or all(
+            walk(graph.step(node, d), lift_state(s, state, d, radius))
+            for d in range(s.constant_length)
+        )
+
+    return walk(0, initial_state(s, radius))
+
+
+@pytest.mark.parametrize("radius", [2, 5, 16])
+@pytest.mark.parametrize("name", EXACT_CATALOG)
+def test_census_graph_counts_match_every_short_path(name, radius):
+    assert _graph_counts_match_paths(catalog.system_for(name).substitution, radius, 6)
+
+
+def test_census_graph_counts_match_paths_on_criterion_5_sample():
+    for s in catalog.random_exact_substitutions(200):
+        assert _graph_counts_match_paths(s, 8, 4), s.rules
+
+
+def test_census_graph_lifts_each_state_once(monkeypatch):
+    # the min and max rank reports of the rank-sweep benchmark's 40 systems,
+    # confirmation radius included; lifting every path state per path made
+    # 16,885 calls here, the graph makes 3,295
+    calls = 0
+    lift = odometer._lift
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return lift(*args)
+
+    monkeypatch.setattr(odometer, "_lift", counted)
+    census_graph.cache_clear()
+    for s in catalog.random_exact_substitutions(40):
+        ranks.minimal_rank(s, 3, 16)
+        ranks.maximal_rank(s, 3, 16)
+    assert calls <= 4000
+
+
+def test_census_graph_cache_is_bounded_and_holds_ints():
+    assert census_graph.cache_info().maxsize == 2
+    graph = census_graph(TM, 16)
+    assert len(graph.successors) == len(graph.counts)
+    assert all(type(c) is int for c in graph.counts)
+    nodes = range(len(graph.counts))
+    assert all(type(n) is int and n in nodes for row in graph.successors for n in row)
