@@ -119,6 +119,8 @@ CERT_SHA256 = {
     "sensitivity-witnessed": "9d4ebcbe83bf0606c30060e36af9819a2b4469f0a1e1fbffc636819ef31f2f2b",
     "block-witnessed": "ca611d2dac6ba80c3d4b229bfd389177dc9ce2444df49f7285e2fdc0be29954f",
     "point-witnessed": "2a5f4d747fc45f125a6b4725515d0f341bc3f29b158dc0060aab6581ec66fd70",
+    "cover-witnessed": "ee4c487a9b70487d844010a7237bd01905eba9e5e6c0217f72e21fc8fdbe8767",
+    "cover-refuted": "f6b4cc1ef68a8a51f9ca5223c5b530cd2ee5b41220efb98f8927086d58c905ae",
 }
 
 # subcommand -> option string (or positional dest) -> default

@@ -1,9 +1,13 @@
 """Witness searches: examples, certificates, and cross-test invariants."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from shiftrank.catalog import system_for
+from shiftrank.certificates import certificate_json
 from shiftrank.odometer import OdometerResidue, fiber_census
 from shiftrank.oracles import (
     DEFAULT_BUDGET,
@@ -349,6 +353,32 @@ def test_point_test_verdict_stable_under_seed_shifts():
                 base = v.status
             assert v.status == base, (system.name, g)
 
+
+
+# sha256 of the point and cover outputs below: per job, each test's status,
+# verdict class and canonical certificate JSON
+PROBE_SHA256 = "0b04883577144a056a16459dd8866566527980abfac62c75a0ba3d9ff05ddffd"
+
+
+def test_probe_outputs_are_frozen():
+    # the acceptance-criterion-8 probes of the four exact-regime systems
+    budget = DEFAULT_BUDGET
+    radius = budget.N + budget.K + 4 + max(budget.ladder)
+    rows = []
+    for name in ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011"):
+        system = system_for(name)
+        for m in (2, 3, 4, 5):
+            for g in (-64, 0, 63):
+                x = seed_point(system, 0, radius, shift=g)
+                row = [name, m, g]
+                for v in (
+                    m_equicontinuity_point_test(system, x, m, budget.K, budget),
+                    cover_m_equicontinuity_test(system, x, m, budget.K, budget),
+                ):
+                    cert = v.certificate and certificate_json(v.certificate)
+                    row += [v.status.value, v.annotations.get("verdict_class"), cert]
+                rows.append(row)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PROBE_SHA256
 
 # -- scan kernels against the per-extension loops ----------------------------------
 
