@@ -372,6 +372,8 @@ def census_extreme(
     maximum a subtree whose current count cannot beat the best is pruned.
     Returns the extreme count and whether some path reaching it stabilized.
     """
+    if policy not in ("min", "max"):
+        raise ValueError(f'census policy must be "min" or "max", got {policy!r}')
     q = s.require_constant_length()
     graph = census_graph(s, radius)
     best: int | None = None

@@ -14,6 +14,7 @@ replay its defining inequality with window operations alone.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -140,10 +141,32 @@ def _central_span(central: str, radius: int) -> slice:
     return slice(radius - half, radius + half + 1)
 
 
+def _extension_groups(
+    system: ShiftSystem, radius: int, half: int
+) -> dict[str, tuple[str, ...]]:
+    """The radius-``radius`` windows grouped by their radius-``half`` central word.
+
+    One pass over the length-(2 radius + 1) table; each group keeps
+    language order.
+    """
+    lo, hi = radius - half, radius + half + 1
+    groups: dict[str, list[str]] = {}
+    for w in system.language(2 * radius + 1):
+        groups.setdefault(w[lo:hi], []).append(w)
+    return {u: tuple(ws) for u, ws in groups.items()}
+
+
+# A point or cover test reads one grouping per (system, radius), at the
+# first ladder radius, so the four exact-regime catalog systems at the point
+# and cover radii fill 8 entries.  The bound keeps long tables, which the
+# per-cylinder scans group uncached, from being held past their use.
+_indexed_extension_groups = functools.lru_cache(maxsize=8)(_extension_groups)
+
+
 def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
     """Admissible radius-``radius`` windows whose central word is ``central``."""
-    span = _central_span(central, radius)
-    return tuple(w for w in system.language(2 * radius + 1) if w[span] == central)
+    _central_span(central, radius)  # raises on an even or too wide central word
+    return _indexed_extension_groups(system, radius, len(central) // 2).get(central, ())
 
 
 def _ladder_extensions(
@@ -172,15 +195,10 @@ def _cylinder_extensions(
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Every radius-``L`` cylinder word with its ``extensions`` at ``radius``.
 
-    One pass groups the length-(2 radius + 1) table by central word, keeping
-    language order, instead of filtering the whole table once per cylinder.
+    The grouping is built here and dropped after the scan, not cached.
     """
-    cylinders = system.language(2 * L + 1)
-    lo, hi = radius - L, radius + L + 1
-    groups: dict[str, list[str]] = {}
-    for w in system.language(2 * radius + 1):
-        groups.setdefault(w[lo:hi], []).append(w)
-    return [(u, tuple(groups.get(u, ()))) for u in cylinders]
+    groups = _extension_groups(system, radius, L)
+    return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
 
 
 @dataclass(frozen=True)
@@ -551,16 +569,22 @@ class _RunCliqueFinder:
         return cached
 
     def best(self, blocks: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
+        """The largest set of pairwise separated blocks (size capped), by index.
+
+        Carraghan-Pardalos branch and bound: expand the lowest candidate v,
+        then search the candidates after v that are separated from it.  So
+        every candidate set the search forms holds only blocks after the
+        vertex it expands, and the search never reads the lower half of the
+        adjacency matrix.  Row v is therefore built when v is first
+        expanded, and only against the blocks after v; blocks never expanded
+        get no row and cost no pair check.
+        """
         cached = self._cliques.get(blocks)
         if cached is not None:
             return cached
         n = len(blocks)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._separated(blocks[i], blocks[j]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        separated = self._separated
+        rows: list[int | None] = [None] * n  # bits j > v separated from v
         best_size = 0
         best_members: tuple[int, ...] = ()
 
@@ -576,7 +600,11 @@ class _RunCliqueFinder:
                     return False
                 v = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                if grow(members + [v], cand & adj[v]):
+                row = rows[v]
+                if row is None:
+                    b = blocks[v]
+                    row = rows[v] = sum(1 << j for j in range(v + 1, n) if separated(b, blocks[j]))
+                if grow(members + [v], cand & row):
                     return True
             return False
 
@@ -601,20 +629,22 @@ def _run_scan(
     ``centers`` consecutive shifts; returns witnesses keyed by tuple size,
     with the run start.
 
-    A clique's members show pairwise distinct radius-K blocks at every
-    center of their run, so its size is at most the number of distinct
-    (2K+1)-blocks at each center.  A start with some center holding at most
-    ``best`` of them cannot yield a clique larger than ``best``, and the scan
-    acts only on a larger one, so skipping that start, without building its
-    run-blocks or solving its clique, changes no result.  Each side of the
-    first start keeps a blocker, the center that ruled out that side's last
-    skipped start, which is tried first.  In the scans' orders, increasing
-    and zigzag (0, 1, -1, 2, ...), starts increase at or above the first
-    start and decrease below it, so a run's centers are searched from its
-    leading end, right to left above and left to right below: the center
-    found stays inside the most of that side's next runs, and one side's
-    blocker never overwrites the other's.  Which center rules a start out
-    changes no skip.
+    A clique's members show pairwise distinct radius-K blocks at every center
+    of their run, so its size is at most the number of distinct (2K+1)-blocks
+    at each center.  A start with some center holding at most ``best`` of them
+    cannot yield a clique larger than ``best``, and the scan acts only on a
+    larger one, so skipping that start, without building its run-blocks or
+    solving its clique, changes no result.  An empty extension set has only
+    the empty clique; otherwise every center shows at least one block, so no
+    count rules a start out while ``best`` is 0, and none is read until the
+    first solved start has made ``best`` positive.  Each side of the first
+    start keeps a blocker, the center that ruled out that side's last skipped
+    start, which is tried first.  In the scans' orders, increasing and zigzag
+    (0, 1, -1, 2, ...), starts increase at or above the first start and
+    decrease below it, so a run's centers are searched from its leading end,
+    right to left above and left to right below: the center found stays inside
+    the most of that side's next runs, and one side's blocker never overwrites
+    the other's.  Which center rules a start out changes no skip.
 
     Cutting a clique's run-blocks down to any stretch of its centers leaves
     a clique, so the largest clique over a stretch bounds the run's.  The
@@ -629,6 +659,8 @@ def _run_scan(
     """
     best = 0
     witnesses: dict[int, tuple[int, list[int]]] = {}
+    if not exts:
+        return best, witnesses
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
     center_blocks = _SegmentBlocks(exts, 2 * K + 1)
@@ -665,17 +697,18 @@ def _run_scan(
             continue  # best never falls, so a center that ruled out a start still does
         if first is None:
             first = a
-        is_above = a >= first
-        leading = reversed(run) if is_above else run
-        low = next((p for p in leading if count_at(p) <= best), None)
-        if low is not None:
-            if is_above:
-                above = low
-            else:
-                below = low
-            continue
-        if best and core_size(-(-lo // step)) <= best:
-            continue
+        if best:
+            is_above = a >= first
+            leading = reversed(run) if is_above else run
+            low = next((p for p in leading if count_at(p) <= best), None)
+            if low is not None:
+                if is_above:
+                    above = low
+                else:
+                    below = low
+                continue
+            if core_size(-(-lo // step)) <= best:
+                continue
         blocks = tuple(sorted(distinct.at(lo)))
         size, members = finder.best(blocks)
         if size > best:

@@ -191,19 +191,27 @@ def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
-def test_installed_entry_point_runs():
+def _run_module(*args: str) -> subprocess.CompletedProcess:
     # the child process must find the package this process imported, also
     # when pytest put it on sys.path through its own `pythonpath` setting
     paths = [str(Path(shiftrank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftrank.cli", "catalog"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_installed_entry_point_runs():
+    proc = _run_module("shiftrank.cli", "catalog")
     assert proc.returncode == 0
     assert "thue-morse" in proc.stdout
+
+
+def test_package_runs_as_a_module(capsys):
+    proc = _run_module("shiftrank", "catalog", "--json")
+    assert proc.returncode == 0
+    assert main(["catalog", "--json"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_budget_key_m_is_rejected(capsys):

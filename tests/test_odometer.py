@@ -328,6 +328,12 @@ def test_graph_census_matches_per_path_census_on_catalog(name, depth, radius):
         ), policy
 
 
+@pytest.mark.parametrize("policy", ["Max", "MIN", "", "maximum"])
+def test_census_extreme_rejects_unknown_policies(policy):
+    with pytest.raises(ValueError, match="census policy"):
+        census_extreme(TM, policy, 3, 16)
+
+
 def _graph_counts_match_paths(s, radius, depth):
     """Whether every node reached by a digit path of at most ``depth`` digits
     counts the windows of the path state that ``lift_state`` reaches."""

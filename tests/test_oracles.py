@@ -1,6 +1,7 @@
 """Witness searches: examples, certificates, and cross-test invariants."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from shiftrank.oracles import (
     PairClass,
     SearchBudget,
     _first_indices,
+    _indexed_extension_groups,
     _ladder_extensions,
     _residue_mismatch_note,
     _RunCliqueFinder,
@@ -617,6 +619,93 @@ def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
     assert len(solved) <= 5
 
 
+def _eager_best(K, m_cap, blocks):
+    """Reference: the whole adjacency matrix, both halves, built before the search."""
+    n = len(blocks)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _pair_separated_over_run(blocks[i], blocks[j], K):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    best_size, best_members = 0, ()
+
+    def grow(members, cand):
+        nonlocal best_size, best_members
+        if len(members) > best_size:
+            best_size, best_members = len(members), tuple(members)
+            if best_size >= m_cap:
+                return True
+        while cand:
+            if len(members) + cand.bit_count() <= best_size:
+                return False
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if grow(members + [v], cand & adj[v]):
+                return True
+        return False
+
+    grow([], (1 << n) - 1)
+    return best_size, best_members
+
+
+# K, m_cap and a set of run-blocks of 1 to 6 centers: each block a constant
+# word with a few flipped symbols, so that pairs are separated at some
+# centers and not at others
+clique_cases = st.tuples(
+    st.sampled_from([1, 2]), st.integers(2, 5), st.integers(1, 6), st.sampled_from("01")
+).flatmap(
+    lambda case: st.tuples(
+        *map(st.just, case),
+        st.lists(st.lists(st.integers(0, 15), max_size=6), max_size=12),
+    )
+)
+
+
+@given(clique_cases)
+def test_clique_finder_matches_the_whole_matrix_search(case):
+    K, m_cap, centers, symbol, flip_lists = case
+    base = symbol * (centers + 2 * K)
+    blocks = tuple(sorted({_flipped(base, flips) for flips in flip_lists}))
+    finder = _RunCliqueFinder(K, m_cap)
+    assert finder.best(blocks) == _eager_best(K, m_cap, blocks)
+
+
+@pytest.mark.parametrize("cover_style", [True, False], ids=["increasing", "zigzag"])
+def test_run_scan_matches_reference_on_empty_extension_sets(cover_style):
+    K, B, N, m_cap = 2, 3, 20, 4
+    if cover_style:
+        centers, radius = 2 * B + 2, N + B + K + 1
+        starts = list(range(-N, N - centers + 2))
+    else:
+        centers, radius = 2 * B + 1, 1 + N + B + K
+        starts = [h - B for h in shifts(N)]
+    want = _dict_run_scan((), radius, K, centers, starts, m_cap)
+    assert want == (0, {})
+    finder = _RunCliqueFinder(K, m_cap)
+    assert _run_scan((), radius, K, centers, starts, m_cap, finder) == want
+
+
+def test_clique_rows_check_only_pairs_the_search_reads(monkeypatch):
+    lookups = 0
+    separated = _RunCliqueFinder._separated
+
+    def counting_separated(self, b1, b2):
+        nonlocal lookups
+        lookups += 1
+        return separated(self, b1, b2)
+
+    monkeypatch.setattr(_RunCliqueFinder, "_separated", counting_separated)
+    budget = DEFAULT_BUDGET
+    radius = budget.N + budget.K + 4 + max(budget.ladder)
+    for name in ("thue-morse", "ternary-morse", "keane-morse-011"):
+        system = system_for(name)
+        x = seed_point(system, 0, radius)
+        cover_m_equicontinuity_test(system, x, 3, budget.K, budget)
+    # the whole adjacency matrix of every solved block set made 1,451
+    assert lookups <= 700
+
+
 @pytest.mark.parametrize(
     "system, x",
     [
@@ -657,23 +746,56 @@ class _FiniteWordSystem:
         return tuple(sorted({self.text[i : i + n] for i in range(len(self.text) - n + 1)}))
 
 
-@pytest.mark.parametrize(
-    "system",
-    [
-        system_for("thue-morse"),
-        system_for("ternary-morse"),
-        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
-        sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)}),
-        _FiniteWordSystem("0001000110"),
-    ],
-    ids=lambda system: system.name,
-)
+INDEX_SYSTEMS = [
+    system_for("thue-morse"),
+    system_for("ternary-morse"),
+    ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+    sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)}),
+    _FiniteWordSystem("0001000110"),
+]
+
+
+def _whole_table_extensions(system, central, radius):
+    """Reference: filter the whole length-(2 radius + 1) table by central word."""
+    span = slice(radius - len(central) // 2, radius + len(central) // 2 + 1)
+    return tuple(w for w in system.language(2 * radius + 1) if w[span] == central)
+
+
+@pytest.mark.parametrize("system", INDEX_SYSTEMS, ids=lambda system: system.name)
 @pytest.mark.parametrize("L, radius", [(0, 3), (1, 4), (2, 20), (2, 67)])
 def test_grouped_extensions_match_per_cylinder_filter(system, L, radius):
     grouped = _cylinder_extensions(system, L, radius)
     assert [u for u, _ in grouped] == list(system.language(2 * L + 1))
     for u, exts in grouped:
-        assert exts == extensions(system, u, radius), u
+        assert exts == _whole_table_extensions(system, u, radius), u
+
+
+@pytest.mark.parametrize("system", INDEX_SYSTEMS, ids=lambda system: system.name)
+@pytest.mark.parametrize("half, radius", [(0, 3), (1, 4), (2, 20), (4, 67)])
+def test_extensions_match_whole_table_filter(system, half, radius):
+    words = system.language(2 * half + 1)
+    # every admissible central word, and the first word over 0-3 that is not
+    inadmissible = next(
+        w for w in ("".join(t) for t in itertools.product("0123", repeat=2 * half + 1))
+        if w not in words
+    )
+    for u in (*words, inadmissible):
+        assert extensions(system, u, radius) == _whole_table_extensions(system, u, radius), u
+    assert extensions(system, inadmissible, radius) == ()
+
+
+def test_cylinder_scans_do_not_fill_the_extension_index():
+    # the per-cylinder scans read long tables once; only extensions() caches
+    before = _indexed_extension_groups.cache_info()
+    block_sensitivity_scan(TM_SYS, 3, 1, 2, SearchBudget(N=32))
+    assert _indexed_extension_groups.cache_info() == before
+
+
+def test_extensions_reject_even_and_too_wide_central_words():
+    with pytest.raises(ValueError, match="odd length"):
+        extensions(TM_SYS, "01", 4)
+    with pytest.raises(ValueError, match="wider than the requested window"):
+        extensions(TM_SYS, "0110100", 2)
 
 
 equal_length_sets = st.tuples(st.integers(1, 40), st.integers(0, 120)).flatmap(
