@@ -27,12 +27,10 @@ RANK_SYSTEMS = (
 FIBER_SYSTEMS = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
 
 CASES = {
-    "sensitivity-witnessed": ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32,K=5"],
+    "sensitivity-witnessed": ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32"],
     "sensitivity-exhausted": ["sensitivity", "period-doubling", "--m", "3", "--budget", "N=32"],
     "block-witnessed": ["block", "thue-morse", "--m", "2", "--budget", "N=32"],
-    "block-exhausted": [
-        "block", "period-doubling", "--m", "2", "--block", "4", "--budget", "N=32,B=6"
-    ],
+    "block-exhausted": ["block", "period-doubling", "--m", "2", "--block", "4", "--budget", "N=32"],
     "point-witnessed": ["point", "thue-morse", "--m", "4", "--budget", "N=32,ladder=1/2"],
     "point-exhausted": ["point", "period-doubling", "--m", "3", "--budget", "N=32"],
     "cover-witnessed": ["cover", "period-doubling", "--m", "2", "--budget", "N=32,B=4"],
@@ -116,7 +114,7 @@ FIBER_SHA256 = {
 
 # case -> sha256 of the file that --cert writes
 CERT_SHA256 = {
-    "sensitivity-witnessed": "9d4ebcbe83bf0606c30060e36af9819a2b4469f0a1e1fbffc636819ef31f2f2b",
+    "sensitivity-witnessed": "f07630e6217a5756b7d1fb16845b03884b29161f98a7e7cfd78973cbb8cdffb2",
     "block-witnessed": "ca611d2dac6ba80c3d4b229bfd389177dc9ce2444df49f7285e2fdc0be29954f",
     "point-witnessed": "2a5f4d747fc45f125a6b4725515d0f341bc3f29b158dc0060aab6581ec66fd70",
     "cover-witnessed": "ee4c487a9b70487d844010a7237bd01905eba9e5e6c0217f72e21fc8fdbe8767",

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from shiftrank import catalog
 from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.odometer import OdometerResidue, fiber_census
@@ -381,6 +382,54 @@ def test_probe_outputs_are_frozen():
                     row += [v.status.value, v.annotations.get("verdict_class"), cert]
                 rows.append(row)
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PROBE_SHA256
+
+
+# (system, test) -> sha256 of the sensitivity or block reports at N=64 and
+# m = 2..4: per m, the aggregate status and certificate, then each
+# cylinder's status and certificate, so a changed witness shows even where
+# the aggregate is exhausted and certifies nothing
+PER_CYLINDER_SHA256 = {
+    ("thue-morse", "sensitivity"): "742651cdfea06b020810d6d05a8a38fa288e79bb543f4dd7af62ca573ab3f4c8",
+    ("thue-morse", "block"): "713cacdf16302ae200a4f3c9f7cb9a28b63141ae69c4a642478c9d3755aa5e32",
+    ("period-doubling", "sensitivity"): "5d47953678076e085fa867e9acbcc4bfac3bfb1e98b891f86e98815366a9cc26",
+    ("period-doubling", "block"): "9db90343cee1d3ede02b60e44f61b8a5b78390d7627d7bddbd33c732dcf9b2ef",
+    ("ternary-morse", "sensitivity"): "2043a332238711aa3ec12f56031454f804a9830359528ce0d60e92532295b069",
+    ("ternary-morse", "block"): "9b80bcf6f66303afc1131c92cfc998f9680b0eb6640b5c7e9f87974054c269cf",
+    ("keane-morse-011", "sensitivity"): "a72ac3834396125112aba9589de8c6bc81973c1db9f1ad6f859864edf98dd2e6",
+    ("keane-morse-011", "block"): "171149ec707d09cf61c78d7c89369195f127cab1ab3f7463134c3807b34422a6",
+    ("trivial-1", "sensitivity"): "2e0cfa44d0b0abf611a940cabfa72d35e3d9b6dbef4912bb4663720322df8f9f",
+    ("trivial-1", "block"): "2e0cfa44d0b0abf611a940cabfa72d35e3d9b6dbef4912bb4663720322df8f9f",
+    ("toeplitz-doubling", "sensitivity"): "326ece51153879560082128c1807ee6ead42aa11fa58d295a31bbdf51c4b12f2",
+    ("toeplitz-doubling", "block"): "9db90343cee1d3ede02b60e44f61b8a5b78390d7627d7bddbd33c732dcf9b2ef",
+    ("toeplitz-rank-2", "sensitivity"): "0443401528db751fa7f0c593ac4e5f4e8813dc2deea8ceeeee7ec5b25b627ab8",
+    ("toeplitz-rank-2", "block"): "c651a43758da2c29a2779fd0dad3eadb01f7c3c8ef5a16f59f9e23c922a02af9",
+    ("toeplitz-rank-3", "sensitivity"): "4d169509651224bff7a1296be8d323247d818b413e88deb936f194df7410a15a",
+    ("toeplitz-rank-3", "block"): "a38ed4e8045944dddf6f45ba4630a07dae68ffd67926190c07285bb1903179c6",
+}
+
+
+@pytest.mark.parametrize("name, test", sorted(PER_CYLINDER_SHA256))
+def test_per_cylinder_certificates_are_frozen(name, test):
+    system = system_for(name)
+    budget = SearchBudget(N=64)
+    rows = []
+    for m in (2, 3, 4):
+        if test == "block":
+            report = block_m_sensitivity_test(system, m, 1, budget.B, budget)
+        else:
+            report = m_sensitivity_test(system, m, budget.K, budget)
+        agg = report.aggregate
+        cylinders = [
+            [u, v.status.value, v.certificate and certificate_json(v.certificate)]
+            for u, v in report.per_cylinder.items()
+        ]
+        rows.append([m, agg.status.value, agg.certificate and certificate_json(agg.certificate), cylinders])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PER_CYLINDER_SHA256[name, test]
+
+
+def test_per_cylinder_freeze_covers_the_runnable_catalog():
+    runnable = {n for n in catalog.names() if catalog.get(n).kind != "documentation"}
+    assert {name for name, _ in PER_CYLINDER_SHA256} == runnable
 
 # -- scan kernels against the per-extension loops ----------------------------------
 
