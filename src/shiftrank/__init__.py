@@ -29,7 +29,6 @@ from .oracles import (
     PairClass,
     SearchBudget,
     SensitivityReport,
-    SensitivityWitness,
     block_m_sensitivity_test,
     cover_m_equicontinuity_test,
     m_equicontinuity_point_test,

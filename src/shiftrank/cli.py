@@ -49,7 +49,20 @@ def _resolve_system(name: str):
         raise UsageError(str(e)) from None
 
 
+# The budget keys each command's search reads.  The tuple searches take K
+# from --scale and block takes B from --block; a certificate records the
+# defaults of the keys a command does not read.
+BUDGET_KEYS = {
+    "sensitivity": ("L", "N"),
+    "block": ("L", "N"),
+    "point": ("N", "ladder"),
+    "cover": ("N", "B", "ladder"),
+    "verify": ("L", "N", "K", "B"),
+}
+
+
 def _budget(args) -> SearchBudget:
+    keys = BUDGET_KEYS[args.command]
     fields = {}
     if args.budget:
         for item in args.budget.split(","):
@@ -57,12 +70,14 @@ def _budget(args) -> SearchBudget:
             if not eq:
                 raise UsageError(f"bad budget item {item!r}; use key=value")
             key = key.strip()
+            if key not in keys:
+                raise UsageError(
+                    f"unknown budget key {key!r}; {args.command} reads {', '.join(keys)}"
+                )
             if key == "ladder":
                 fields[key] = tuple(int(x) for x in value.split("/"))
-            elif key in ("L", "N", "K", "B"):
-                fields[key] = int(value)
             else:
-                raise UsageError(f"unknown budget key {key!r}")
+                fields[key] = int(value)
     try:
         return SearchBudget(**fields)
     except ValueError as e:
@@ -284,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     def tuple_search(name, summary, fn, scale, scale_help):
         p = sub.add_parser(name, help=summary)
         common(p)
-        p.add_argument("--budget", help="comma list like L=2,N=256,K=2,B=8,ladder=1/2/4/8")
+        keys = ", ".join(BUDGET_KEYS[name])
+        p.add_argument("--budget", help=f"comma list of key=value; keys {keys}")
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--scale", type=int, default=scale, help=scale_help)
         p.add_argument("--cert", help="write the verdict's certificate, if any, to this path")

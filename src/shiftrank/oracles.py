@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .substitution import RegimeError, Substitution, is_primitive
@@ -201,42 +201,7 @@ def _cylinder_extensions(
     return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
 
 
-@dataclass(frozen=True)
-class SensitivityWitness:
-    """m windows sharing a cylinder, pairwise separated at one shift or block."""
-
-    cylinder: str
-    windows: tuple[CenteredWord, ...]
-    shift: int
-    scale_exp: int
-    block_half: int | None = None
-    scale_matrix: tuple[tuple[int | None, ...], ...] = ()
-
-    def to_payload(self) -> dict:
-        return {
-            "cylinder": self.cylinder,
-            "windows": [w.serialize() for w in self.windows],
-            "shift": self.shift,
-            "K": self.scale_exp,
-            "block_half": self.block_half,
-            "scale_matrix": [list(row) for row in self.scale_matrix],
-        }
-
-
-def _pairwise_scales(
-    windows: Sequence[CenteredWord], g: int
-) -> tuple[tuple[int | None, ...], ...]:
-    shifted = [shift_window(w, g) for w in windows]
-    size = len(windows)
-    rows: list[list[int | None]] = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            # the measure is symmetric: compute the upper triangle, mirror it
-            rows[i][j] = rows[j][i] = scale_of_difference(shifted[i], shifted[j]).first_difference
-    return tuple(tuple(row) for row in rows)
-
-
-def _make_witness(
+def _witness(
     cylinder: str,
     exts: Sequence[str],
     idxs: Sequence[int],
@@ -244,11 +209,24 @@ def _make_witness(
     g: int,
     K: int,
     block_half: int | None = None,
-) -> SensitivityWitness:
-    windows = tuple(CenteredWord(exts[i], -radius) for i in idxs)
-    return SensitivityWitness(
-        cylinder, windows, g, K, block_half, _pairwise_scales(windows, g)
-    )
+) -> dict:
+    """The certificate entry for extensions ``idxs`` of ``cylinder``, separated at shift g."""
+    windows = [CenteredWord(exts[i], -radius) for i in idxs]
+    shifted = [shift_window(w, g) for w in windows]
+    size = len(windows)
+    rows: list[list[int | None]] = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            # the measure is symmetric: compute the upper triangle, mirror it
+            rows[i][j] = rows[j][i] = scale_of_difference(shifted[i], shifted[j]).first_difference
+    return {
+        "cylinder": cylinder,
+        "windows": [w.serialize() for w in windows],
+        "shift": g,
+        "K": K,
+        "block_half": block_half,
+        "scale_matrix": rows,
+    }
 
 
 # Offsets per segment of the distinct-block kernel.  Counted per verify-wide
@@ -324,13 +302,6 @@ def _separation_scan(
     return best, witnesses
 
 
-@dataclass(frozen=True)
-class CylinderScan:
-    cylinder: str
-    max_separated: int
-    witnesses: dict[int, SensitivityWitness] = field(default_factory=dict)
-
-
 def _require_scale(K: int) -> None:
     """A scale 2^-K with K < 0 leaves no position to compare, so it would prove nothing."""
     if K < 0:
@@ -339,18 +310,15 @@ def _require_scale(K: int) -> None:
 
 def sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget
-) -> tuple[CylinderScan, ...]:
-    """Per-cylinder separation scan shared by the sensitivity tests."""
+) -> dict[str, dict[int, dict]]:
+    """Each cylinder's witness entries, by tuple size, from the separation scan."""
     _require_scale(K)
     radius = budget.L + budget.N + K
-    scans = []
+    scans = {}
     for u, exts in _cylinder_extensions(system, budget.L, radius):
-        best, raw = _separation_scan(exts, radius, K, budget.N, m_cap)
-        witnesses = {
-            m: _make_witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()
-        }
-        scans.append(CylinderScan(u, best, witnesses))
-    return tuple(scans)
+        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap)
+        scans[u] = {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
+    return scans
 
 
 @dataclass(frozen=True)
@@ -379,7 +347,7 @@ def _certificate_header(
 
 def sensitivity_report(
     system: ShiftSystem,
-    scans: Sequence[CylinderScan],
+    scans: dict[str, dict[int, dict]],
     m: int,
     K: int,
     B: int | None,
@@ -400,14 +368,14 @@ def sensitivity_report(
     per: dict[str, Verdict] = {}
     bundle = []
     missing = []
-    for scan in scans:
-        if m in scan.witnesses:
-            payload = scan.witnesses[m].to_payload()
-            per[scan.cylinder] = witnessed(claim, payload)
-            bundle.append(payload)
+    for u, witnesses in scans.items():
+        entry = witnesses.get(m)
+        if entry is None:
+            per[u] = exhausted(claim, budget=budget.as_dict())
+            missing.append(u)
         else:
-            per[scan.cylinder] = exhausted(claim, budget=budget.as_dict())
-            missing.append(scan.cylinder)
+            per[u] = witnessed(claim, entry)
+            bundle.append(entry)
     if missing:
         aggregate = exhausted(
             claim, budget=budget.as_dict(), witness_free_cylinders=tuple(missing)
@@ -520,8 +488,7 @@ def m_equicontinuity_point_test(
                 clean_delta_radius=W,
             )
         g, idxs = raw[m]
-        wit = _make_witness(central, exts, idxs, radius, g, K)
-        stages.append({"delta_radius": W, **wit.to_payload()})
+        stages.append({"delta_radius": W, **_witness(central, exts, idxs, radius, g, K)})
     payload = {
         **_certificate_header("eq-point-counterexample", system, m, K, budget),
         "point": x.central(max(budget.ladder)),
@@ -724,24 +691,23 @@ def _run_scan(
 
 def block_sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget
-) -> tuple[CylinderScan, ...]:
-    """Per-cylinder scan for tuples separated across whole blocks [h-B, h+B]."""
+) -> dict[str, dict[int, dict]]:
+    """Each cylinder's witness entries, by tuple size, separated across blocks [h-B, h+B]."""
     _require_scale(K)
     if B < 0:
         raise ValueError(f"block half-length must be non-negative, got B={B}")
     radius = budget.L + budget.N + B + K
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)
-    scans = []
+    scans = {}
     for u, exts in _cylinder_extensions(system, budget.L, radius):
         starts = (h - B for h in shifts(budget.N))
-        best, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
-        witnesses = {
-            m: _make_witness(u, exts, idxs, radius, a + B, K, block_half=B)
+        _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
+        scans[u] = {
+            m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
         }
-        scans.append(CylinderScan(u, best, witnesses))
-    return tuple(scans)
+    return scans
 
 
 def block_m_sensitivity_test(
@@ -789,10 +755,8 @@ def cover_m_equicontinuity_test(
             }
             return witnessed(claim, payload, delta_radius=W)
         a, idxs = raw[m]
-        wit = _make_witness(central, exts, idxs, radius, a, K, block_half=None)
-        falsifications.append(
-            {"delta_radius": W, "gap_start": a, "gap_end": a + centers - 1, **wit.to_payload()}
-        )
+        gap = {"delta_radius": W, "gap_start": a, "gap_end": a + centers - 1}
+        falsifications.append({**gap, **_witness(central, exts, idxs, radius, a, K)})
     payload = {
         **_certificate_header("cover-falsified", system, m, K, budget),
         "B": B,

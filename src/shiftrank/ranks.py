@@ -191,6 +191,9 @@ def equicontinuous_rank_report(name: str) -> RankReport:
 
 def rank_report(system, depth_max: int = 4, radius_max: int = 64) -> RankReport:
     """Dispatch to the right rank pipeline for the system's construction."""
+    for label, value in (("depth", depth_max), ("radius", radius_max)):
+        if value < 0:
+            raise ValueError(f"census {label} must be non-negative, got {label}={value}")
     if isinstance(system, SubstitutionSystem):
         return substitution_rank_report(system, depth_max, radius_max)
     reporter: Callable | None = getattr(system, "rank_report", None)

@@ -8,6 +8,7 @@ and the predicates here certify membership in it.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -143,7 +144,7 @@ def letter_images(s: Substitution, k: int) -> tuple[str, ...]:
 
 
 class LanguageTable:
-    """Memoized sets of admissible words of each length.
+    """Memoized admissible words of each length, one sorted tuple per length.
 
     Exactness argument: once the image of every letter under the k-th power
     has length >= n, any admissible length-n word sits inside the image of an
@@ -157,7 +158,6 @@ class LanguageTable:
             raise RegimeError("language generation requires a primitive substitution")
         self.substitution = s
         self._cache: dict[int, tuple[str, ...]] = {}
-        self._sets: dict[int, frozenset[str]] = {}
         self._pairs: frozenset[str] | None = None
         self._lock = threading.Lock()
 
@@ -222,16 +222,13 @@ class LanguageTable:
                 for a, b in seeds:
                     seam = images[a][1 - n :] + images[b][: n - 1]
                     found.update(seam[i : i + n] for i in range(n - 1))
-            self._sets[n] = frozenset(found)
             self._cache[n] = tuple(sorted(found))
         return self._cache[n]
 
-    def word_set(self, n: int) -> frozenset[str]:
-        self.words(n)
-        return self._sets[n]
-
     def admits(self, word: str) -> bool:
-        return word in self.word_set(len(word))
+        words = self.words(len(word))
+        i = bisect.bisect_left(words, word)
+        return i < len(words) and words[i] == word
 
     def complexity(self, n: int) -> int:
         return len(self.words(n))
@@ -308,14 +305,11 @@ def seed_pairs(s: Substitution) -> tuple[SeedPair, ...]:
     last = {c: s.rules[s.letters.index(c)][-1] for c in s.letters}
     first_cycles = _cycle_lengths(first)
     last_cycles = _cycle_lengths(last)
-    if s.alphabet_size == 1:
-        pairs_lang = frozenset({2 * s.letters})
-    else:
-        pairs_lang = table_for(s).word_set(2)
     found = []
     for b, cb in sorted(last_cycles.items()):
         for a, ca in sorted(first_cycles.items()):
-            if b + a in pairs_lang:
+            # a one-letter alphabet admits its only pair without a table
+            if s.alphabet_size == 1 or table_for(s).admits(b + a):
                 found.append(SeedPair(b, a, math.lcm(cb, ca)))
     return tuple(found)
 

@@ -197,6 +197,8 @@ class ToeplitzSystem:
         return hashlib.sha256(self.spec_text.encode()).hexdigest()[:16]
 
     def language(self, n: int) -> tuple[str, ...]:
+        if n < 1:
+            raise ValueError("length must be positive")
         if n not in self._language_cache:
             p = self.prefix
             self._language_cache[n] = tuple(sorted({p[i : i + n] for i in range(len(p) - n + 1)}))

@@ -91,6 +91,32 @@ def test_negative_scale_rejected(capsys, tmp_path, command):
     assert code == 0
 
 
+@pytest.mark.parametrize("length", ["-3", "0"])
+def test_toeplitz_language_rejects_lengths_below_one(capsys, length):
+    code, out, err = run_cli(capsys, "language", "toeplitz-doubling", "--length", length)
+    assert code == 2
+    assert out == ""
+    assert "length must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ranks", "toeplitz-doubling", "--radius", "-5"], "radius=-5"),
+        (["ranks", "period-doubling", "--depth", "-3"], "depth=-3"),
+        (["ranks", "thue-morse", "--radius", "-5"], "radius=-5"),
+        (["profile", "thue-morse", "--depth", "-1"], "depth=-1"),
+        (["verify", "thue-morse", "--radius", "-1"], "radius=-1"),
+    ],
+    ids=["ranks-toeplitz-radius", "ranks-depth", "ranks-radius", "profile-depth", "verify-radius"],
+)
+def test_negative_census_settings_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be non-negative" in err and message in err
+
+
 def test_inline_rules_accepted(capsys):
     code, out, _ = run_cli(capsys, "language", "0->01;1->10", "--length", "3")
     assert code == 0
@@ -220,6 +246,56 @@ def test_budget_key_m_is_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "unknown budget key 'm'" in err
+
+
+# the budget keys each command's search reads; K comes from --scale and
+# block's B from --block
+BUDGET_READS = {
+    "sensitivity": {"L", "N"},
+    "block": {"L", "N"},
+    "point": {"N", "ladder"},
+    "cover": {"N", "B", "ladder"},
+    "verify": {"L", "N", "K", "B"},
+}
+BUDGET_ITEMS = {"L": "L=1", "N": "N=8", "K": "K=1", "B": "B=1", "m": "m=2", "ladder": "ladder=1/2"}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c in BUDGET_READS for k in BUDGET_ITEMS],
+    ids=lambda v: v,
+)
+def test_each_command_accepts_exactly_the_budget_keys_it_reads(capsys, command, key):
+    if command == "verify":
+        argv = ["verify", "thue-morse", "--m-max", "2", "--depth", "2", "--radius", "8"]
+    else:
+        argv = [command, "thue-morse", "--m", "2"]
+    code, out, err = run_cli(capsys, *argv, "--budget", BUDGET_ITEMS[key])
+    if key in BUDGET_READS[command]:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert f"unknown budget key {key!r}; {command} reads " in err
+        assert set(err.rsplit(" reads ", 1)[1].strip().split(", ")) == BUDGET_READS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # searched at K=2 (--scale) while the certificate recorded budget.K = 5
+        ["sensitivity", "thue-morse", "--m", "3", "--budget", "N=32,K=5"],
+        # searched at B=4 (--block) while the certificate recorded budget.B = 6
+        ["block", "period-doubling", "--m", "2", "--block", "4", "--budget", "N=32,B=6"],
+    ],
+    ids=["sensitivity-K", "block-B"],
+)
+def test_budget_keys_the_search_never_read_are_refused(capsys, tmp_path, argv):
+    cert = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, *argv, "--cert", str(cert))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown budget key")
+    assert not cert.exists()
 
 
 @pytest.mark.parametrize(

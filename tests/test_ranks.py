@@ -2,7 +2,7 @@
 
 import pytest
 
-from shiftrank.catalog import random_exact_substitutions
+from shiftrank.catalog import random_exact_substitutions, system_for
 from shiftrank.odometer import column_number
 from shiftrank.ranks import (
     Estimate,
@@ -290,3 +290,20 @@ def test_almost_automorphic_flag_tracks_minimal_rank():
     assert rank_report(system_for("period-doubling")).almost_automorphic
     assert rank_report(system_for("toeplitz-doubling")).almost_automorphic
     assert not rank_report(system_for("thue-morse")).almost_automorphic
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "period-doubling", "toeplitz-doubling"])
+@pytest.mark.parametrize(
+    "depth, radius, message",
+    [(-3, 16, "census depth must be non-negative, got depth=-3"),
+     (3, -5, "census radius must be non-negative, got radius=-5")],
+    ids=["depth", "radius"],
+)
+def test_rank_report_rejects_negative_census_settings(name, depth, radius, message):
+    # a negative radius graded Toeplitz ranks "stabilized", and a negative
+    # depth went into the substitution evidence as branch_depth
+    system = system_for(name)
+    with pytest.raises(ValueError, match=message):
+        rank_report(system, depth, radius)
+    report = rank_report(system, 0, 0)
+    assert report.r_m.value >= 1

@@ -205,3 +205,12 @@ def test_interned_census_matches_sliced_windows(name):
             _per_policy_census(toeplitz, "min", radius),
             _per_policy_census(toeplitz, "max", radius),
         ), radius
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_language_rejects_lengths_below_one(n):
+    # a negative length used to slice the prefix from its end, and 0 gave one empty word
+    system = system_for("toeplitz-doubling")
+    with pytest.raises(ValueError, match="length must be positive"):
+        system.language(n)
+    assert system.language(1) == ("0", "1")
