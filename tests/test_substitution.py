@@ -1,6 +1,8 @@
 """Substitutions: primitivity, language generation, seeds, expansion, height."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -161,6 +163,21 @@ def test_language_table_matches_pairwise_windows_on_criterion_5_sample():
         table = LanguageTable(s)
         for n in TABLE_LENGTHS:
             assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
+
+
+# sha256 over, per catalog substitution and then per criterion-5 system, the
+# rules, the regime flags and the complexities p(1..49) of the shared table
+REGIME_SHA256 = "2c9eb7b94b46cf7915669ff693f374441ab025c5fefd9183f3578c38ba000123"
+
+
+def test_sample_and_regime_evidence_are_frozen():
+    systems = [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
+    systems += catalog.random_exact_substitutions(200)
+    rows = [
+        [s.rules, dict(s.regime.flags), [table_for(s).complexity(n) for n in range(1, 50)]]
+        for s in systems
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REGIME_SHA256
 
 
 # -- seeds ------------------------------------------------------------------
