@@ -309,15 +309,19 @@ def _require_scale(K: int) -> None:
 
 
 def sensitivity_scan(
-    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget
+    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
 ) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries, by tuple size, from the separation scan."""
+    """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan."""
     _require_scale(K)
     radius = budget.L + budget.N + K
     scans = {}
     for u, exts in _cylinder_extensions(system, budget.L, radius):
         _, raw = _separation_scan(exts, radius, K, budget.N, m_cap)
-        scans[u] = {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
+        scans[u] = {
+            m: _witness(u, exts, idxs, radius, g, K)
+            for m, (g, idxs) in raw.items()
+            if m >= m_min
+        }
     return scans
 
 
@@ -394,7 +398,7 @@ def m_sensitivity_test(
     """Search every cylinder for m extensions pairwise 2^-K-separated at one time."""
     if m < 2:
         raise ValueError("tuple size must be at least 2")
-    scans = sensitivity_scan(system, m, K, budget)
+    scans = sensitivity_scan(system, m, K, budget, m_min=m)
     return sensitivity_report(system, scans, m, K, None, budget)
 
 
@@ -690,9 +694,9 @@ def _run_scan(
 
 
 def block_sensitivity_scan(
-    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget
+    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
 ) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries, by tuple size, separated across blocks [h-B, h+B]."""
+    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B]."""
     _require_scale(K)
     if B < 0:
         raise ValueError(f"block half-length must be non-negative, got B={B}")
@@ -706,6 +710,7 @@ def block_sensitivity_scan(
         scans[u] = {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
+            if m >= m_min
         }
     return scans
 
@@ -716,7 +721,7 @@ def block_m_sensitivity_test(
     """Search every cylinder for m extensions separated throughout a block of shifts."""
     if m < 2:
         raise ValueError("tuple size must be at least 2")
-    scans = block_sensitivity_scan(system, m, K, B, budget)
+    scans = block_sensitivity_scan(system, m, K, B, budget, m_min=m)
     return sensitivity_report(system, scans, m, K, B, budget)
 
 

@@ -12,7 +12,7 @@ import bisect
 import hashlib
 import itertools
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -151,6 +151,13 @@ class LanguageTable:
     admissible two-letter word, and conversely every factor of such an image
     is admissible.  The two-letter words are computed by a monotone closure,
     so no stabilization heuristic is involved.
+
+    A length shorter than one already held is derived, not built: the table
+    is exactly the language of the subshift, which is factorial and
+    right-extendable, so the length-n words are exactly the length-n
+    prefixes of the length-m words for any m > n.  Truncation keeps
+    lexicographic order, so equal prefixes are adjacent and the distinct
+    prefixes, in order, are already sorted.
     """
 
     def __init__(self, s: Substitution):
@@ -159,7 +166,6 @@ class LanguageTable:
         self.substitution = s
         self._cache: dict[int, tuple[str, ...]] = {}
         self._pairs: frozenset[str] | None = None
-        self._lock = threading.Lock()
 
     def _two_letter_words(self) -> frozenset[str]:
         if self._pairs is None:
@@ -197,32 +203,33 @@ class LanguageTable:
             raise ValueError("length must be positive")
         if n in self._cache:
             return self._cache[n]
-        with self._lock:
-            if n in self._cache:
-                return self._cache[n]
-            s = self.substitution
-            if n == 1:
-                letters = {c for p in self._two_letter_words() for c in p}
-                letters.update(c for img in s.rules for c in img)
-                found = letters
-            else:
-                images = dict(zip(s.letters, self._images_covering(n)))
-                seeds = set(self._two_letter_words())
-                if not seeds:  # single-letter alphabet with expanding rule
-                    seeds = {2 * s.letters}
-                # A length-n window of a seed's block theta^k(a) theta^k(b)
-                # lies inside one letter's image or crosses the seam, and the
-                # crossing ones are the windows of theta^k(a)[1-n:] +
-                # theta^k(b)[:n-1]: take each letter's inner windows once,
-                # and per seed only the seam's.
-                found = set()
-                for c in {c for pair in seeds for c in pair}:
-                    img = images[c]
-                    found.update(img[i : i + n] for i in range(len(img) - n + 1))
-                for a, b in seeds:
-                    seam = images[a][1 - n :] + images[b][: n - 1]
-                    found.update(seam[i : i + n] for i in range(n - 1))
-            self._cache[n] = tuple(sorted(found))
+        longer = min((m for m in self._cache if m > n), default=None)
+        if longer is not None:
+            prefixes = map(operator.itemgetter(slice(n)), self._cache[longer])
+            self._cache[n] = tuple(dict.fromkeys(prefixes))
+            return self._cache[n]
+        s = self.substitution
+        if n == 1:
+            found = {c for p in self._two_letter_words() for c in p}
+            found.update(c for img in s.rules for c in img)
+        else:
+            images = dict(zip(s.letters, self._images_covering(n)))
+            seeds = set(self._two_letter_words())
+            if not seeds:  # single-letter alphabet with expanding rule
+                seeds = {2 * s.letters}
+            # A length-n window of a seed's block theta^k(a) theta^k(b)
+            # lies inside one letter's image or crosses the seam, and the
+            # crossing ones are the windows of theta^k(a)[1-n:] +
+            # theta^k(b)[:n-1]: take each letter's inner windows once,
+            # and per seed only the seam's.
+            found = set()
+            for c in {c for pair in seeds for c in pair}:
+                img = images[c]
+                found.update(img[i : i + n] for i in range(len(img) - n + 1))
+            for a, b in seeds:
+                seam = images[a][1 - n :] + images[b][: n - 1]
+                found.update(seam[i : i + n] for i in range(n - 1))
+        self._cache[n] = tuple(sorted(found))
         return self._cache[n]
 
     def admits(self, word: str) -> bool:
@@ -388,10 +395,16 @@ def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
     deep enough to catch every periodic fixed point in the range that
     ``catalog.random_exact_substitutions`` samples by default (at most three
     letters, length at most four).
+
+    The table is filled from length n_max + 1 down to 1 before the scan, so
+    only the longest is built from letter images and each shorter one is
+    derived from the one just above it (see ``LanguageTable``).
     """
     if not is_primitive(s):
         raise RegimeError("aperiodicity check requires a primitive substitution")
     table = table_for(s)
+    for n in range(n_max + 1, 0, -1):
+        table.words(n)
     claim = "aperiodicity"
     witness_n: int | None = None
     prev = table.complexity(1)

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from shiftrank import catalog
+from shiftrank import catalog, oracles
 from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.odometer import OdometerResidue, fiber_census
@@ -425,6 +425,28 @@ def test_per_cylinder_certificates_are_frozen(name, test):
         ]
         rows.append([m, agg.status.value, agg.certificate and certificate_json(agg.certificate), cylinders])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PER_CYLINDER_SHA256[name, test]
+
+
+@pytest.mark.parametrize(
+    "name, test, witnesses",
+    [("thue-morse", "sensitivity", 12), ("ternary-morse", "sensitivity", 30), ("thue-morse", "block", 0)],
+)
+def test_single_m_tests_build_witnesses_only_for_m(monkeypatch, name, test, witnesses):
+    # the scans built one entry per tuple size from 1: 48, 120 and 24 here
+    built = []
+    witness = oracles._witness
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return witness(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_witness", counting)
+    budget = DEFAULT_BUDGET
+    if test == "block":
+        block_m_sensitivity_test(system_for(name), 3, 1, 8, budget)
+    else:
+        m_sensitivity_test(system_for(name), 4, budget.K, budget)
+    assert len(built) == witnesses
 
 
 def test_per_cylinder_freeze_covers_the_runnable_catalog():

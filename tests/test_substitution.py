@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftrank import catalog
+from shiftrank import catalog, substitution
 from shiftrank.substitution import (
     LanguageTable,
     RegimeError,
@@ -163,6 +163,49 @@ def test_language_table_matches_pairwise_windows_on_criterion_5_sample():
         table = LanguageTable(s)
         for n in TABLE_LENGTHS:
             assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        *CATALOG_RULES,
+        ["0 -> 01", "1 -> 0"],
+        ["0 -> 0012", "1 -> 12", "2 -> 01"],
+        ["0 -> 01", "1 -> 01"],
+    ],
+    ids=lambda rules: ";".join(rules),
+)
+def test_derived_tables_match_pairwise_windows(rules):
+    # longest first, so every other length is derived from a longer table;
+    # the catalog's trivial-1 is the one-letter 0 -> 00
+    s = Substitution.from_text("\n".join(rules))
+    table = LanguageTable(s)
+    for n in sorted(TABLE_LENGTHS, reverse=True):
+        assert table.words(n) == _pairwise_words(table, n), n
+
+
+def test_derived_tables_match_pairwise_windows_on_criterion_5_sample():
+    for s in catalog.random_exact_substitutions(200):
+        table = LanguageTable(s)
+        for n in range(49, 0, -1):
+            assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
+
+
+def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
+    built = []
+    images_covering = LanguageTable._images_covering
+
+    def counting(self, n):
+        built.append(n)
+        return images_covering(self, n)
+
+    monkeypatch.setattr(substitution, "_TABLES", {})
+    monkeypatch.setattr(LanguageTable, "_images_covering", counting)
+    for s in (TM, TERN):
+        built.clear()
+        assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
+        # one build at length 49; lengths 1-48 are its prefixes
+        assert built == [49]
 
 
 # sha256 over, per catalog substitution and then per criterion-5 system, the
