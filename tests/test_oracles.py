@@ -427,12 +427,17 @@ def test_per_cylinder_certificates_are_frozen(name, test):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PER_CYLINDER_SHA256[name, test]
 
 
+def test_per_cylinder_freeze_covers_the_runnable_catalog():
+    runnable = {n for n in catalog.names() if catalog.get(n).kind != "documentation"}
+    assert {name for name, _ in PER_CYLINDER_SHA256} == runnable
+
+
 @pytest.mark.parametrize(
     "name, test, witnesses",
     [("thue-morse", "sensitivity", 12), ("ternary-morse", "sensitivity", 30), ("thue-morse", "block", 0)],
 )
 def test_single_m_tests_build_witnesses_only_for_m(monkeypatch, name, test, witnesses):
-    # the scans built one entry per tuple size from 1: 48, 120 and 24 here
+    # one entry per cylinder that has a size-m witness, none for the sizes below m
     built = []
     witness = oracles._witness
 
@@ -448,10 +453,6 @@ def test_single_m_tests_build_witnesses_only_for_m(monkeypatch, name, test, witn
         m_sensitivity_test(system_for(name), 4, budget.K, budget)
     assert len(built) == witnesses
 
-
-def test_per_cylinder_freeze_covers_the_runnable_catalog():
-    runnable = {n for n in catalog.names() if catalog.get(n).kind != "documentation"}
-    assert {name for name, _ in PER_CYLINDER_SHA256} == runnable
 
 # -- scan kernels against the per-extension loops ----------------------------------
 

@@ -140,16 +140,11 @@ CATALOG_RULES = [
     for name in catalog.names()
     if catalog.get(name).kind == "substitution"
 ]
+NON_CONSTANT_RULES = [["0 -> 01", "1 -> 0"], ["0 -> 0012", "1 -> 12", "2 -> 01"]]
 
 
 @pytest.mark.parametrize(
-    "rules",
-    [
-        *CATALOG_RULES,
-        ["0 -> 01", "1 -> 0"],
-        ["0 -> 0012", "1 -> 12", "2 -> 01"],
-    ],
-    ids=lambda rules: ";".join(rules),
+    "rules", [*CATALOG_RULES, *NON_CONSTANT_RULES], ids=lambda rules: ";".join(rules)
 )
 def test_language_table_matches_pairwise_windows(rules):
     s = Substitution.from_text("\n".join(rules))
@@ -167,12 +162,7 @@ def test_language_table_matches_pairwise_windows_on_criterion_5_sample():
 
 @pytest.mark.parametrize(
     "rules",
-    [
-        *CATALOG_RULES,
-        ["0 -> 01", "1 -> 0"],
-        ["0 -> 0012", "1 -> 12", "2 -> 01"],
-        ["0 -> 01", "1 -> 01"],
-    ],
+    [*CATALOG_RULES, *NON_CONSTANT_RULES, ["0 -> 01", "1 -> 01"]],
     ids=lambda rules: ";".join(rules),
 )
 def test_derived_tables_match_pairwise_windows(rules):
