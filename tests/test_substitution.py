@@ -213,6 +213,16 @@ def test_sample_and_regime_evidence_are_frozen():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REGIME_SHA256
 
 
+# sha256 over the rules and regime flags of the first 40 criterion-5 systems,
+# the rank-sweep benchmark's inputs
+RANK_SWEEP_REGIME_SHA256 = "502a0229e77071adb20dd4fdbabbedf2669929b57441e8305cfc4532aa2e2fd1"
+
+
+def test_rank_sweep_inputs_and_regime_are_frozen():
+    rows = [[s.rules, dict(s.regime.flags)] for s in catalog.random_exact_substitutions(40)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == RANK_SWEEP_REGIME_SHA256
+
+
 # -- seeds ------------------------------------------------------------------
 
 
