@@ -148,23 +148,23 @@ def toeplitz_from_skeleton(
     return ToeplitzSystem(name, ToeplitzSkeleton(stages), prefix_length)
 
 
-def random_exact_substitutions(
-    count: int,
-    seed: int = 20260811,
-    alphabet_max: int = 3,
-    q_max: int = 4,
-) -> list[Substitution]:
+ALPHABET_MAX = 3
+Q_MAX = 4
+
+
+def random_exact_substitutions(count: int, seed: int = 20260811) -> list[Substitution]:
     """Sample primitive, aperiodic, height-1 constant-length substitutions.
 
-    Candidates are drawn uniformly over rule tables and kept when they are
-    in the exact regime (``Substitution.regime``), which each kept instance
-    carries on into the rank pipelines.  Deterministic for a fixed seed.
+    Candidates are drawn uniformly over rule tables of 2 to ``ALPHABET_MAX``
+    letters and length 2 to ``Q_MAX``, and kept when they are in the exact
+    regime (``Substitution.regime``), which each kept instance carries on
+    into the rank pipelines.  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     out: list[Substitution] = []
     while len(out) < count:
-        size = rng.randint(2, alphabet_max)
-        q = rng.randint(2, q_max)
+        size = rng.randint(2, ALPHABET_MAX)
+        q = rng.randint(2, Q_MAX)
         letters = "0123456789"[:size]
         rules = tuple("".join(rng.choice(letters) for _ in range(q)) for _ in range(size))
         s = Substitution(rules)

@@ -26,14 +26,6 @@ class RegimeError(ValueError):
     """An operation was applied outside its validity regime."""
 
 
-class StabilizationError(RuntimeError):
-    """A stabilization-certified computation failed to stabilize; carries the verdict."""
-
-    def __init__(self, verdict: Verdict):
-        super().__init__(verdict.summary())
-        self.verdict = verdict
-
-
 @dataclass(frozen=True)
 class Substitution:
     """Per-symbol rewriting rules; ``rules[i]`` is the image of symbol i."""
@@ -332,57 +324,38 @@ def seed_window(s: Substitution, seed: SeedPair, radius: int, shift: int = 0) ->
     return shift_window(window, shift)
 
 
-def height(s: Substitution, prefix_power: int = 8) -> int:
+def height(s: Substitution) -> int:
     """Largest divisor, coprime to q, of the gcd of return times of the first letter.
 
-    Computed from one-sided fixed-point prefixes of increasing depth; the
-    value must agree on two consecutive depths, otherwise stabilization
-    failure is raised (carrying an exhausted verdict).
+    Dekking (1978, "The spectrum of dynamical systems arising from
+    substitutions of constant length") defines the height from the positions
+    of u_0 = a in a fixed point u, where a is the least letter on a cycle of
+    the first-letter map.  The gcd of those positions is the gcd of the
+    return times of a: the lengths r = |a w| of the return words a w a of u,
+    with no a in w.
+
+    It is decided exactly from the language table.  For a primitive
+    substitution every admissible word occurs in u, and ``LanguageTable`` is
+    exactly the language, so a return of time r is an admissible word of
+    length r + 1 that starts and ends with a and has no a inside.  Lengths
+    are read up to the least n at which every admissible word contains a:
+    w is admissible and has no a, so |w| < n, and no return time exceeds n.
     """
     q = s.require_constant_length()
     if not is_primitive(s):
         raise RegimeError("height requires a primitive substitution")
     first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
-    cycles = _cycle_lengths(first)
-    a, p = sorted(cycles.items())[0]
-    target = q**prefix_power
-
-    def height_of_prefix(prefix: str) -> int | None:
-        g = 0
-        for n in range(1, len(prefix)):
-            if prefix[n] == prefix[0]:
-                g = math.gcd(g, n)
-                if g == 1:
-                    break
-        if g == 0:
-            return None
-        h = g
-        while (d := math.gcd(h, q)) > 1:
-            h //= d
-        return h
-
-    prefix = a
-    values = []
-    while len(prefix) < target * q:
-        prefix = s.image(prefix)
-        if len(prefix) < q:  # degenerate non-expanding rule
+    a = min(_cycle_lengths(first))
+    table = table_for(s)
+    g = 0
+    for n in itertools.count(1):
+        if any(w[0] == a == w[-1] and a not in w[1:-1] for w in table.words(n + 1)):
+            g = math.gcd(g, n)
+        if all(a in w for w in table.words(n)):
             break
-        for _ in range(p - 1):
-            prefix = s.image(prefix)
-        values.append(height_of_prefix(prefix[: target * q]))
-        if len(values) >= 2 and values[-1] is not None and values[-1] == values[-2]:
-            return values[-1]
-        if len(prefix) >= target:
-            break
-    if len(values) >= 2 and values[-1] is not None and values[-1] == values[-2]:
-        return values[-1]
-    raise StabilizationError(
-        exhausted(
-            "height stabilization",
-            budget={"prefix_power": prefix_power},
-            values=tuple(values),
-        )
-    )
+    while (d := math.gcd(g, q)) > 1:
+        g //= d
+    return g
 
 
 def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
@@ -393,8 +366,9 @@ def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
     keeps strictly growing through n_max is reported as witnessed aperiodic,
     with the least n where p(n) > n as the witness.  The default n_max is
     deep enough to catch every periodic fixed point in the range that
-    ``catalog.random_exact_substitutions`` samples by default (at most three
-    letters, length at most four).
+    ``catalog.random_exact_substitutions`` samples (at most
+    ``catalog.ALPHABET_MAX`` = 3 letters, length at most ``catalog.Q_MAX`` =
+    4).
 
     The table is filled from length n_max + 1 down to 1 before the scan, so
     only the longest is built from letter images and each shorter one is
@@ -459,12 +433,8 @@ def _exact_regime_flags(s: Substitution) -> dict:
         flags["exact_regime"] = False
         flags["periodic"] = True
         return flags
-    try:
-        h = height(s)
-    except (StabilizationError, RegimeError):
-        h = None
-    flags["height"] = h
-    flags["exact_regime"] = aper.status is VerdictStatus.WITNESSED and h == 1
+    flags["height"] = height(s)
+    flags["exact_regime"] = aper.status is VerdictStatus.WITNESSED and flags["height"] == 1
     return flags
 
 

@@ -32,8 +32,8 @@ from shiftrank.verify import INCONSISTENT, verify_system
 
 DEFAULT = SearchBudget()
 EXACT_NAMES = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
-C5_ROWS_SHA256 = "b6d14cdc7b0732b7cf5466d123b3851e4362483b6fcd594ffd57d22a940d843b"
-C5_PAYLOADS_SHA256 = "34e20bf0712fda0a944a7e71bc851850c75eacf4fba1b6b2a7d0aa729ae952eb"
+C5_ROWS_SHA256 = "9c1a2cb71688b7618bad4772d04aa0cfb522149dab49839cb4959b251a48ef98"
+C5_PAYLOADS_SHA256 = "f9dcddfc294720af5e82ce0f5fb1491bbc1590eef97ca9a1537e2b9fb2954c1a"
 
 
 class Collected:

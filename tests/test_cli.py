@@ -40,6 +40,13 @@ def test_ranks_json_deterministic(capsys):
     assert doc["r_M"]["value"] == 4
 
 
+def test_ranks_of_a_height_one_system_whose_first_returns_share_a_factor(capsys):
+    # 0 recurs at 3 and 6 before it recurs at 11: height 1, so the exact regime
+    code, out, err = run_cli(capsys, "ranks", "0->02;1->12;2->10")
+    assert code == 0, err
+    assert "r_c = 1" in out and "r_m = 1" in out and "r_M = 4" in out
+
+
 def test_unknown_system_exits_two(capsys):
     code, _, err = run_cli(capsys, "ranks", "not-a-system")
     assert code == 2

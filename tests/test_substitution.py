@@ -200,7 +200,7 @@ def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
 
 # sha256 over, per catalog substitution and then per criterion-5 system, the
 # rules, the regime flags and the complexities p(1..49) of the shared table
-REGIME_SHA256 = "2c9eb7b94b46cf7915669ff693f374441ab025c5fefd9183f3578c38ba000123"
+REGIME_SHA256 = "a56f36746b674192eebae21ee379f383e260e7252c8cb9c2bc6dfb0a57c92a31"
 
 
 def test_sample_and_regime_evidence_are_frozen():
@@ -320,28 +320,58 @@ def test_height_against_direct_prefix_oracle():
     assert h == height(TM) == 1
 
 
+def _primitive_aperiodic(letters: str, q: int) -> list[Substitution]:
+    """The primitive length-q substitutions over the letters with a witnessed aperiodicity scan."""
+    images = ["".join(w) for w in itertools.product(letters, repeat=q)]
+    systems = [Substitution(rules) for rules in itertools.product(images, repeat=len(letters))]
+    return [
+        s
+        for s in systems
+        if is_primitive(s) and aperiodicity_check(s).status is VerdictStatus.WITNESSED
+    ]
+
+
 def test_height_agrees_with_prefix_oracle_and_divides_returns():
     import math
 
-    from shiftrank.catalog import random_exact_substitutions
-    from shiftrank.substitution import StabilizationError
-
-    candidates = [TM, PD, TERN] + random_exact_substitutions(8, seed=7)
+    candidates = [TM, PD, TERN] + _primitive_aperiodic("012", 2)
+    assert len(candidates) == 3 + 270
     for s in candidates:
-        try:
-            h = height(s)
-        except StabilizationError:
-            continue
+        h = height(s)
         q = s.constant_length
-        seed = next(p for p in seed_pairs(s))
-        prefix = iterate(s, seed.a, 6 * seed.power, cap=4096)
-        returns = [n for n in range(1, len(prefix)) if prefix[n] == prefix[0]]
+        # the least letter on a cycle of the first-letter map, and its period:
+        # theta^p(a) starts with a, so theta^(pk)(a) is a fixed-point prefix
+        first = {c: s.image(c)[0] for c in s.letters}
+        on_cycles = set(s.letters)
+        for _ in s.letters:
+            on_cycles = {first[c] for c in on_cycles}
+        a = min(on_cycles)
+        c, p = first[a], 1
+        while c != a:
+            c, p = first[c], p + 1
+        prefix = a
+        while len(prefix) < 4096:
+            prefix = iterate(s, prefix, p)
+        returns = [n for n in range(1, len(prefix)) if prefix[n] == a]
         assert returns, "primitive fixed point must revisit its first letter"
         g = 0
         for n in returns:
             g = math.gcd(g, n)
         assert g % h == 0
         assert math.gcd(h, q) == 1
+        while (d := math.gcd(g, q)) > 1:
+            g //= d
+        assert h == g, s.rules
+
+
+@pytest.mark.parametrize(
+    "rules", [("02", "12", "10"), ("020", "002", "211"), ("101", "200", "202")]
+)
+def test_height_one_when_short_prefixes_suggest_more(rules):
+    # 0 recurs at 3 and 6 in the fixed point of 0->02;1->12;2->10, and at 11
+    s = Substitution(rules)
+    assert height(s) == 1
+    assert s.regime.exact
 
 
 # -- aperiodicity -----------------------------------------------------------
