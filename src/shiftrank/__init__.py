@@ -15,11 +15,9 @@ from .substitution import (
     seed_pairs,
 )
 from .odometer import (
-    ColumnStructure,
     FiberCensus,
     OdometerResidue,
     column_number,
-    column_sets,
     desubstitute,
     fiber_census,
     odometer_successor,

@@ -35,7 +35,6 @@ from .substitution import (
     RegimeError,
     Substitution,
     is_primitive,
-    letter_images,
     table_for,
 )
 from .words import CenteredWord
@@ -74,48 +73,49 @@ def odometer_successor(r: OdometerResidue) -> OdometerResidue:
     return OdometerResidue(r.q, r.depth, (r.value + 1) % (r.q**r.depth))
 
 
-@dataclass(frozen=True)
-class ColumnStructure:
-    """Column i of the k-th power: the symbols appearing at position i across all images."""
+def column_number(s: Substitution) -> tuple[int, int, int, str]:
+    """Dekking's column number c, decided exactly from the column maps.
 
-    depth: int
-    columns: tuple[frozenset[str], ...]
+    f_j(a) is letter j of σ(a).  Column i of σ^k, the letters at position i
+    of the images σ^k(a), has base-q digits i_1…i_k, most significant first,
+    and equals f_{i_k}∘…∘f_{i_1} applied to the alphabet: letter i of
+    σ^k(a) is letter i_k of the image of letter ⌊i/q⌋ of σ^(k-1)(a).  So c,
+    the least column size over all powers (Dekking 1978), is the least size
+    of any subset reachable from the alphabet under the f_j, and there are
+    at most 2^d such subsets.  Each power's columns are the f_j-images of
+    the previous power's, so once a power has no column unseen at a lower
+    power, no later power has one, and the search stops there, or at the
+    first column of one letter, since no column is smaller.
 
+    The depth is the least power k >= 1 at which a column of size c appears.
+    Each power keeps the least index per column, as ``index*q + j`` from the
+    previous power's least index: words of one length compare as the
+    integers they spell.  No fixed depth suffices: the column maps of
+    0->11;1->21;2->32;3->03 form Černý's automaton (Černý 1964), whose
+    shortest reset word has length (4-1)^2 = 9, so there c = 1 first appears
+    at depth 9.
 
-def column_sets(s: Substitution, k: int) -> ColumnStructure:
-    s.require_constant_length()
-    if k < 1:
-        raise ValueError("column depth must be at least 1")
-    images = letter_images(s, k)
-    return ColumnStructure(k, tuple(frozenset(col) for col in zip(*images)))
-
-
-def column_number(s: Substitution, k_max: int = 8) -> tuple[int, int, bool]:
-    """Minimum column cardinality over powers up to k_max.
-
-    Returns (c, depth_witness, stabilized); stabilized means the minimum was
-    unchanged over the last two consecutive powers.  The sequence of minima
-    is nonincreasing because columns of higher powers are compositions.
+    Returns (c, depth, index, column), with the column's letters in order.
     """
-    s.require_constant_length()
-    best = s.alphabet_size
-    witness = 0
-    prev = None
-    stabilized = False
-    images = tuple(s.letters)
-    for k in range(1, k_max + 1):
-        images = tuple(map(s.image, images))
-        m = min(len(set(col)) for col in zip(*images))
-        if m < best:
-            best = m
-            witness = k
-        elif witness == 0:
-            witness = k
-        stabilized = prev == best
-        prev = best
-        if stabilized and best == 1:
+    q = s.require_constant_length()
+    maps = [str.maketrans(s.letters, "".join(image[j] for image in s.rules)) for j in range(q)]
+    level = {s.letters: 0}
+    seen: set[str] = set()
+    least = []  # (size, power, index, letters) of each power's least column
+    while not level.keys() <= seen:
+        seen |= level.keys()
+        deeper: dict[str, int] = {}
+        # level holds its columns in increasing index order, so each first
+        # insertion into deeper carries that column's least index
+        for column, index in level.items():
+            for j, f in enumerate(maps):
+                deeper.setdefault("".join(sorted(set(column.translate(f)))), index * q + j)
+        level = deeper
+        column, index = min(level.items(), key=lambda item: len(item[0]))
+        least.append((len(column), len(least) + 1, index, column))
+        if len(column) == 1:
             break
-    return best, witness, stabilized
+    return min(least)
 
 
 def _lift(

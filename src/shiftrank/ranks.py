@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .odometer import census_extreme, column_number, column_sets
+from .odometer import census_extreme, column_number
 from .oracles import PairClass, proximal_pair_exact
 from .substitution import RegimeError, Substitution, SubstitutionSystem
 
@@ -92,16 +92,11 @@ def coincidence_rank(s: Substitution) -> Estimate:
             EstimateKind.LOWER_BOUND,
             {"method": "pair-graph", "note": "outside the exact regime; trivial bound"},
         )
-    c, depth_witness, _ = column_number(s)
-    structure = column_sets(s, depth_witness)
-    col_index, column = min(
-        enumerate(structure.columns), key=lambda pair: (len(pair[1]), pair[0])
-    )
-    symbols = sorted(column)
+    _, depth, index, column = column_number(s)
     value = 1
-    for size in range(len(symbols), 0, -1):
+    for size in range(len(column), 0, -1):
         found = False
-        for subset in itertools.combinations(symbols, size):
+        for subset in itertools.combinations(column, size):
             if all(
                 proximal_pair_exact(s, a, b) is PairClass.DISTAL
                 for a, b in itertools.combinations(subset, 2)
@@ -116,9 +111,9 @@ def coincidence_rank(s: Substitution) -> Estimate:
         EstimateKind.EXACT,
         {
             "method": "pair-graph",
-            "column_depth": depth_witness,
-            "column_index": col_index,
-            "column": "".join(symbols),
+            "column_depth": depth,
+            "column_index": index,
+            "column": column,
         },
     )
 

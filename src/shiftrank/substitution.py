@@ -121,20 +121,6 @@ def is_primitive(s: Substitution) -> bool:
     return all(all(row) for row in power)
 
 
-def letter_images(s: Substitution, k: int) -> tuple[str, ...]:
-    """Images of all letters under the k-th power of the substitution.
-
-    Built afresh on each call: the images are q^k symbols long, so a cache
-    of them would hold that memory for the life of the process.
-    """
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    images = tuple(s.letters)
-    for _ in range(k):
-        images = tuple(map(s.image, images))
-    return images
-
-
 class LanguageTable:
     """Memoized admissible words of each length, one sorted tuple per length.
 

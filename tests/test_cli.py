@@ -47,6 +47,14 @@ def test_ranks_of_a_height_one_system_whose_first_returns_share_a_factor(capsys)
     assert "r_c = 1" in out and "r_m = 1" in out and "r_M = 4" in out
 
 
+def test_ranks_column_of_a_system_whose_column_maps_reset_at_depth_nine(capsys):
+    # the column maps form Černý's automaton: a one-letter column first at σ^9
+    code, out, err = run_cli(capsys, "ranks", "0->11;1->21;2->32;3->03")
+    assert code == 0, err
+    r_c = next(line for line in out.splitlines() if "r_c =" in line)
+    assert "column_depth=9, column_index=273, column=1" in r_c
+
+
 def test_unknown_system_exits_two(capsys):
     code, _, err = run_cli(capsys, "ranks", "not-a-system")
     assert code == 2

@@ -14,7 +14,6 @@ from shiftrank.odometer import (
     census_extreme,
     census_graph,
     column_number,
-    column_sets,
     desubstitute,
     fiber_census,
     initial_state,
@@ -22,7 +21,14 @@ from shiftrank.odometer import (
     odometer_successor,
     residue_of_window,
 )
-from shiftrank.substitution import Substitution, expand, language, seed_pairs, seed_window
+from shiftrank.substitution import (
+    Substitution,
+    expand,
+    is_primitive,
+    language,
+    seed_pairs,
+    seed_window,
+)
 from shiftrank.words import CenteredWord, shift_window
 
 TM = Substitution(("01", "10"))
@@ -33,25 +39,52 @@ ONE = Substitution(("00",))
 # -- columns ------------------------------------------------------------------
 
 
-def test_thue_morse_columns_depth_one():
-    cols = column_sets(TM, 1).columns
-    assert cols == (frozenset("01"), frozenset("01"))
+# (c, depth, index, column); the last four have column maps whose shortest
+# word to a one-letter column has length 9, the first of them Černý's automaton
+DEPTH_NINE = {
+    Substitution(("11", "21", "32", "03")): (1, 9, 273, "1"),
+    Substitution(("01", "12", "23", "00")): (1, 9, 238, "0"),
+    Substitution(("01", "20", "32", "10")): (1, 9, 297, "0"),
+    Substitution(("01", "23", "32", "20")): (1, 9, 214, "2"),
+}
+COLUMNS = {TM: (2, 1, 0, "01"), PD: (1, 1, 0, "0"), ONE: (1, 1, 0, "0"), **DEPTH_NINE}
 
 
-def test_period_doubling_columns_depth_one():
-    cols = column_sets(PD, 1).columns
-    assert cols == (frozenset("0"), frozenset("01"))
+@pytest.mark.parametrize("s", COLUMNS, ids=lambda s: "-".join(s.rules))
+def test_column_number_values(s):
+    assert column_number(s) == COLUMNS[s]
 
 
-def test_one_letter_columns():
-    assert all(c == frozenset("0") for c in column_sets(ONE, 3).columns)
+def _reference_column(s, k_max):
+    """(size, power, index, letters) of the least column of σ^1..σ^k_max, read off the images."""
+    images, best = tuple(s.letters), []
+    for k in range(1, k_max + 1):
+        images = tuple(map(s.image, images))
+        columns = list(zip(*images))
+        least = min(dict.fromkeys(columns), key=lambda col: len(set(col)))
+        best.append((len(set(least)), k, columns.index(least), "".join(sorted(set(least)))))
+        if best[-1][0] == 1:
+            break
+    return min(best)
 
 
-def test_column_number_values():
-    assert column_number(TM, 6)[0] == 2 and column_number(TM, 6)[2]
-    c, witness, stab = column_number(PD, 6)
-    assert (c, witness, stab) == (1, 1, True)
-    assert column_number(ONE, 3)[0] == 1
+def test_column_number_matches_image_columns_on_small_space():
+    spaces = [("01", 2), ("01", 3), ("01", 4), ("012", 2)]
+    systems = [
+        Substitution(rules)
+        for letters, q in spaces
+        for rules in itertools.product(
+            ["".join(w) for w in itertools.product(letters, repeat=q)], repeat=len(letters)
+        )
+    ]
+    primitive = [s for s in systems if is_primitive(s)]
+    assert len(primitive) == 568
+    for s in primitive:
+        expected = column_number(s)
+        assert _reference_column(s, max(8, expected[1])) == expected, s.rules
+    for s, expected in DEPTH_NINE.items():
+        assert _reference_column(s, 8)[0] == 2
+        assert _reference_column(s, 9) == expected
 
 
 # -- de-substitution ----------------------------------------------------------
