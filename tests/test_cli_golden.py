@@ -112,6 +112,11 @@ FIBER_SHA256 = {
     ("keane-morse-011", True): "c3c00a458413a4621bac110d271aa4849fed95727d6fc46d122341b6aab94cb3",
 }
 
+# sha256 of the whole stdout of ``verify --all --json`` at the default budget
+# and at N=1024: the cell labels do not change with N, so both runs print the
+# same bytes (the certificates behind them are frozen in test_verify.py)
+VERIFY_ALL_JSON_SHA256 = "ee01b0b5a7c422e6d161e4865e8a19e89a70593b190cc02a8cdfb43fbefcb484"
+
 # case -> sha256 of the file that --cert writes
 CERT_SHA256 = {
     "sensitivity-witnessed": "f07630e6217a5756b7d1fb16845b03884b29161f98a7e7cfd78973cbb8cdffb2",
@@ -178,6 +183,12 @@ def test_stdout_is_frozen(capsys, case, as_json):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out.encode()) == STDOUT_SHA256[case, as_json]
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "N=1024"]], ids=["default", "N=1024"])
+def test_verify_all_json_is_frozen(capsys, budget):
+    assert main(["verify", "--all", "--json", *budget]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == VERIFY_ALL_JSON_SHA256
 
 
 def test_rank_cases_cover_the_runnable_catalog():
