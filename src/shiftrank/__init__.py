@@ -34,7 +34,6 @@ from .oracles import (
     proximal_pair_exact,
     proximal_pair_search,
     regional_proximal_search,
-    return_set,
 )
 from .ranks import (
     Estimate,

@@ -25,7 +25,13 @@ from .words import CenteredWord, scale_of_difference, shift_window, shifts
 
 
 class ShiftSystem(Protocol):
-    """Anything with a name, an alphabet, and an enumerable language."""
+    """Anything with a name, an alphabet, and an enumerable language.
+
+    ``language(n)`` returns the sorted length-n words and keeps no copy, so
+    a scan-length table lives as long as the grouping built from it: one
+    ``_cylinder_extensions`` call, or an entry of the bounded
+    ``_indexed_extension_groups``.
+    """
 
     name: str
 
@@ -158,8 +164,10 @@ def _extension_groups(
 
 # A point or cover test reads one grouping per (system, radius), at the
 # first ladder radius, so the four exact-regime catalog systems at the point
-# and cover radii fill 8 entries.  The bound keeps long tables, which the
-# per-cylinder scans group uncached, from being held past their use.
+# and cover radii fill 8 entries.  A grouping holds every word of its
+# length-(2 radius + 1) table, and no system keeps the table itself, so the
+# bound also bounds the long tables the probes hold; the per-cylinder scans
+# group uncached, and their tables go with the scan.
 _indexed_extension_groups = functools.lru_cache(maxsize=8)(_extension_groups)
 
 
@@ -774,33 +782,3 @@ def cover_m_equicontinuity_test(
         reason=f"every ladder radius admits a tuple separated for {centers} consecutive shifts",
         annotations={"verdict_class": "falsified-up-to"},
     )
-
-
-def return_set(system: ShiftSystem, u: str, v: str, horizon: int) -> tuple[int, ...]:
-    """Shifts g with |g| <= horizon such that some point carries u at 0 and v at g.
-
-    Joint admissibility is decided against the language: the two anchored
-    words extend to a common admissible word exactly when some word of the
-    spanning length matches both.
-    """
-    table_len = horizon + len(u) + len(v)
-    words = system.language(table_len)
-    if not any(w.startswith(u) for w in words) or not any(w.startswith(v) for w in words):
-        raise ValueError("inadmissible word passed to return_set")
-    out = set()
-
-    def occurrences(anchor: str, other: str, max_shift: int) -> Iterable[int]:
-        for w in words:
-            if not w.startswith(anchor):
-                continue
-            pos = w.find(other)
-            while pos != -1:
-                if pos <= max_shift:
-                    yield pos
-                pos = w.find(other, pos + 1)
-
-    for g in occurrences(u, v, horizon):
-        out.add(g)
-    for g in occurrences(v, u, horizon):
-        out.add(-g)
-    return tuple(sorted(g for g in out if abs(g) <= horizon))

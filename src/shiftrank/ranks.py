@@ -292,7 +292,6 @@ class FactorLanguage:
         self.source = source
         self.rule = dict(rule)
         self.name = name or f"{source.name}-factor"
-        self._cache: dict[int, tuple[str, ...]] = {}
 
     @property
     def alphabet_size(self) -> int:
@@ -313,10 +312,9 @@ class FactorLanguage:
         return "".join(self.rule[word[i : i + w]] for i in range(len(word) - w + 1))
 
     def language(self, n: int) -> tuple[str, ...]:
-        if n not in self._cache:
-            src = self.source.language(n + self.window - 1)
-            self._cache[n] = tuple(sorted({self.apply(w) for w in src}))
-        return self._cache[n]
+        """The image words of length n, sorted, built per call and not kept."""
+        src = self.source.language(n + self.window - 1)
+        return tuple(sorted({self.apply(w) for w in src}))
 
 
 def sliding_block_factor(source, rule: Mapping[str, str], name: str | None = None) -> FactorLanguage:

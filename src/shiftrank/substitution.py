@@ -122,7 +122,15 @@ def is_primitive(s: Substitution) -> bool:
 
 
 class LanguageTable:
-    """Memoized admissible words of each length, one sorted tuple per length.
+    """Admissible words of each length, one sorted tuple per length.
+
+    ``build(n)`` makes the length-n tuple and keeps nothing; ``words(n)``
+    memoises it.  The memo serves the readers that revisit short lengths
+    for the life of a substitution: the regime gate (``aperiodicity_check``
+    and ``height``), ``seed_pairs`` and the digit-path census.  The
+    protocol read ``SubstitutionSystem.language``, which the oracles and
+    the CLI use for their scan-length tables, goes through ``build``, so
+    such a table lives only as long as the caller holds it.
 
     Exactness argument: once the image of every letter under the k-th power
     has length >= n, any admissible length-n word sits inside the image of an
@@ -130,10 +138,10 @@ class LanguageTable:
     is admissible.  The two-letter words are computed by a monotone closure,
     so no stabilization heuristic is involved.
 
-    A length shorter than one already held is derived, not built: the table
-    is exactly the language of the subshift, which is factorial and
-    right-extendable, so the length-n words are exactly the length-n
-    prefixes of the length-m words for any m > n.  Truncation keeps
+    A length shorter than one already memoised is derived, not built from
+    letter images: the table is exactly the language of the subshift, which
+    is factorial and right-extendable, so the length-n words are exactly the
+    length-n prefixes of the length-m words for any m > n.  Truncation keeps
     lexicographic order, so equal prefixes are adjacent and the distinct
     prefixes, in order, are already sorted.
     """
@@ -175,8 +183,8 @@ class LanguageTable:
             images = tuple(map(s.image, images))
         return images
 
-    def words(self, n: int) -> tuple[str, ...]:
-        """All admissible words of length n, sorted."""
+    def build(self, n: int) -> tuple[str, ...]:
+        """All admissible words of length n, sorted, without memoising them."""
         if n < 1:
             raise ValueError("length must be positive")
         if n in self._cache:
@@ -184,8 +192,7 @@ class LanguageTable:
         longer = min((m for m in self._cache if m > n), default=None)
         if longer is not None:
             prefixes = map(operator.itemgetter(slice(n)), self._cache[longer])
-            self._cache[n] = tuple(dict.fromkeys(prefixes))
-            return self._cache[n]
+            return tuple(dict.fromkeys(prefixes))
         s = self.substitution
         if n == 1:
             found = {c for p in self._two_letter_words() for c in p}
@@ -207,7 +214,12 @@ class LanguageTable:
             for a, b in seeds:
                 seam = images[a][1 - n :] + images[b][: n - 1]
                 found.update(seam[i : i + n] for i in range(n - 1))
-        self._cache[n] = tuple(sorted(found))
+        return tuple(sorted(found))
+
+    def words(self, n: int) -> tuple[str, ...]:
+        """All admissible words of length n, sorted and memoised."""
+        if n not in self._cache:
+            self._cache[n] = self.build(n)
         return self._cache[n]
 
     def admits(self, word: str) -> bool:
@@ -229,8 +241,8 @@ def table_for(s: Substitution) -> LanguageTable:
 
 
 def language(s: Substitution, n: int) -> tuple[str, ...]:
-    """The admissible words of length n of the subshift generated by s."""
-    return table_for(s).words(n)
+    """The admissible words of length n of the subshift generated by s, not memoised."""
+    return table_for(s).build(n)
 
 
 def expand(s: Substitution, w: CenteredWord, k: int, cut: int) -> CenteredWord:
@@ -426,7 +438,7 @@ def _exact_regime_flags(s: Substitution) -> dict:
 
 @dataclass(frozen=True)
 class SubstitutionSystem:
-    """A named substitution subshift with its memoized language."""
+    """A named substitution subshift."""
 
     name: str
     substitution: Substitution
@@ -444,6 +456,7 @@ class SubstitutionSystem:
         return hashlib.sha256(self.spec_text.encode()).hexdigest()[:16]
 
     def language(self, n: int) -> tuple[str, ...]:
+        """The length-n words, built per call and not kept (see ``LanguageTable``)."""
         return language(self.substitution, n)
 
     def admits(self, word: str) -> bool:

@@ -174,7 +174,6 @@ class ToeplitzSystem:
         self.name = name
         self.skeleton = skeleton
         self.prefix_length = prefix_length
-        self._language_cache: dict[int, tuple[str, ...]] = {}
 
     @cached_property
     def prefix(self) -> str:
@@ -197,12 +196,11 @@ class ToeplitzSystem:
         return hashlib.sha256(self.spec_text.encode()).hexdigest()[:16]
 
     def language(self, n: int) -> tuple[str, ...]:
+        """The length-n windows of the prefix, sorted, built per call and not kept."""
         if n < 1:
             raise ValueError("length must be positive")
-        if n not in self._language_cache:
-            p = self.prefix
-            self._language_cache[n] = tuple(sorted({p[i : i + n] for i in range(len(p) - n + 1)}))
-        return self._language_cache[n]
+        p = self.prefix
+        return tuple(sorted({p[i : i + n] for i in range(len(p) - n + 1)}))
 
     # -- fiber census over the period tower -------------------------------
 

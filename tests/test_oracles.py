@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from shiftrank import catalog, oracles
+from shiftrank import catalog, oracles, substitution
 from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.odometer import OdometerResidue, fiber_census
@@ -35,7 +35,7 @@ from shiftrank.oracles import (
     proximal_pair_exact,
     proximal_pair_search,
     regional_proximal_search,
-    return_set,
+    sensitivity_scan,
 )
 from shiftrank.ranks import sliding_block_factor
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
@@ -298,46 +298,6 @@ def test_cover_and_block_verdicts_complement():
     x = seed_point(TM_SYS, 0, budget.N + budget.B + budget.K + 1 + max(budget.ladder))
     assert cover_m_equicontinuity_test(TM_SYS, x, 2, 1, budget).refuted
     assert cover_m_equicontinuity_test(TM_SYS, x, 3, 1, budget).witnessed
-
-
-# -- return sets -------------------------------------------------------------------
-
-
-def _brute_force_return_set(system, u, v, horizon):
-    """Oracle: enumerate admissible words long enough to host both cylinders."""
-    span = horizon + len(u) + len(v)
-    out = set()
-    for w in system.language(span):
-        for i in range(len(w) - len(u) + 1):
-            if w[i : i + len(u)] != u:
-                continue
-            for j in range(len(w) - len(v) + 1):
-                if w[j : j + len(v)] == v and abs(j - i) <= horizon:
-                    out.add(j - i)
-    return tuple(sorted(out))
-
-
-def test_return_set_contains_zero_for_equal_words():
-    assert 0 in return_set(TM_SYS, "01", "01", 8)
-
-
-def test_return_set_matches_brute_force():
-    got = return_set(TM_SYS, "01", "10", 8)
-    assert got == _brute_force_return_set(TM_SYS, "01", "10", 8)
-    assert got  # nonempty
-    got2 = return_set(TM_SYS, "0110", "1001", 6)
-    assert got2 == _brute_force_return_set(TM_SYS, "0110", "1001", 6)
-
-
-def test_return_set_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        return_set(TM_SYS, "000", "01", 4)
-
-
-def test_return_times_syndetic_at_desk_scale():
-    rs = return_set(TM_SYS, "01", "01", 256)
-    gaps = [b - a for a, b in zip(rs, rs[1:])]
-    assert max(gaps) <= 12  # bounded gaps: desk form of minimality
 
 
 # -- shift invariance (metamorphic) ---------------------------------------------------
@@ -856,11 +816,52 @@ def test_extensions_match_whole_table_filter(system, half, radius):
     assert extensions(system, inadmissible, radius) == ()
 
 
-def test_cylinder_scans_do_not_fill_the_extension_index():
-    # the per-cylinder scans read long tables once; only extensions() caches
-    before = _indexed_extension_groups.cache_info()
-    block_sensitivity_scan(TM_SYS, 3, 1, 2, SearchBudget(N=32))
-    assert _indexed_extension_groups.cache_info() == before
+def _held_word_lengths(obj, seen=None) -> set[int]:
+    """Word lengths of the word tuples reachable from obj's attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return set()
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = list(vars(obj).values())
+    else:
+        return set()
+    lengths = {len(w) for w in items if isinstance(w, str)} if isinstance(obj, tuple) else set()
+    for item in items:
+        if not isinstance(item, str):
+            lengths |= _held_word_lengths(item, seen)
+    return lengths
+
+
+TERN = Substitution(("012", "120", "201"))
+SCANNED_SYSTEMS = [
+    TM_SYS,
+    ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+    sliding_block_factor(
+        SubstitutionSystem("ternary-morse", TERN),
+        {w: str((int(w[0]) + int(w[1])) % 3) for w in language(TERN, 2)},
+    ),
+]
+
+
+def test_cylinder_scans_do_not_fill_the_extension_index(monkeypatch):
+    # the per-cylinder scans read long tables once: only extensions() caches
+    # a grouping, and neither the system nor a substitution's language table
+    # keeps a table of the scan lengths, 2 (L + N + K) + 1 and longer; the
+    # tables start empty, so other tests' memoised lengths do not count
+    monkeypatch.setattr(substitution, "_TABLES", {})
+    budget = SearchBudget(N=32)
+    for system in SCANNED_SYSTEMS:
+        before = _indexed_extension_groups.cache_info()
+        sensitivity_scan(system, 3, budget.K, budget)
+        block_sensitivity_scan(system, 3, 1, 2, budget)
+        assert _indexed_extension_groups.cache_info() == before
+        held = _held_word_lengths(system) | _held_word_lengths(substitution._TABLES)
+        assert max(held, default=0) < 2 * (budget.L + budget.N + budget.K) + 1, system.name
 
 
 def test_extensions_reject_even_and_too_wide_central_words():

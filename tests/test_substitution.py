@@ -1,5 +1,6 @@
 """Substitutions: primitivity, language generation, seeds, expansion, height."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -120,17 +121,59 @@ def test_one_letter_language():
     assert language(ONE, 4) == ("0000",)
 
 
-def _pairwise_words(table: LanguageTable, n: int) -> tuple[str, ...]:
-    """Reference: every length-n window of each admissible pair's block theta^k(a)theta^k(b)."""
-    s = table.substitution
+@functools.cache
+def _admissible_pairs(s: Substitution) -> frozenset[str]:
+    """Reference: the two-letter factors of theta^k(c) over every letter c and power k >= 1.
+
+    theta^(k+1)(c) is theta^k(x) over the letters x of theta(c), joined, so
+    its two-letter factors are those of each theta^k(x) and the seams
+    last(theta^k(x)) first(theta^k(y)) of consecutive letters xy.  The
+    per-letter state (factors, first letter, last letter) at power k + 1 is
+    thus a function of the state at power k, and once a state repeats no
+    new factor can appear.  For a primitive substitution these factors are
+    exactly the admissible two-letter words.
+    """
+    state = {
+        c: (frozenset(img[i : i + 2] for i in range(len(img) - 1)), img[0], img[-1])
+        for c, img in zip(s.letters, s.rules)
+    }
+    seen, pairs = set(), set()
+    while (key := tuple(state.items())) not in seen:
+        seen.add(key)
+        for factors, _, _ in state.values():
+            pairs |= factors
+        state = {
+            c: (
+                frozenset().union(
+                    *(state[x][0] for x in img),
+                    (state[x][2] + state[y][1] for x, y in zip(img, img[1:])),
+                ),
+                state[img[0]][1],
+                state[img[-1]][2],
+            )
+            for c, img in zip(s.letters, s.rules)
+        }
+    return frozenset(pairs)
+
+
+def _pairwise_words(s: Substitution, n: int) -> tuple[str, ...]:
+    """Reference: per admissible pair ab, the length-n windows starting in theta^k(a).
+
+    The windows are read from the block theta^k(a)theta^k(b), where k is
+    the least power whose letter images all have length >= n.  A
+    window lying inside theta^k(b) starts in the first image of a pair bc:
+    the language is right-extendable, so every letter b has a right
+    neighbour c, and theta^k(c) is long enough to hold the window's rest.
+    So skipping the windows that start in theta^k(b) loses none.
+    """
     images = list(s.letters)
     while min(map(len, images)) < n:
         images = [s.image(img) for img in images]
-    seeds = set(table._two_letter_words()) or {2 * s.letters}
+    image = dict(zip(s.letters, images))
     found = set()
-    for pair in seeds:
-        block = "".join(images[s.letters.index(c)] for c in pair)
-        found.update(block[i : i + n] for i in range(len(block) - n + 1))
+    for a, b in _admissible_pairs(s):
+        block = image[a] + image[b][: n - 1]
+        found.update(block[i : i + n] for i in range(len(image[a])))
     return tuple(sorted(found))
 
 
@@ -150,14 +193,14 @@ def test_language_table_matches_pairwise_windows(rules):
     s = Substitution.from_text("\n".join(rules))
     table = LanguageTable(s)
     for n in TABLE_LENGTHS:
-        assert table.words(n) == _pairwise_words(table, n), n
+        assert table.words(n) == _pairwise_words(s, n), n
 
 
 def test_language_table_matches_pairwise_windows_on_criterion_5_sample():
     for s in catalog.random_exact_substitutions(200):
         table = LanguageTable(s)
         for n in TABLE_LENGTHS:
-            assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
+            assert table.words(n) == _pairwise_words(s, n), (s.rules, n)
 
 
 @pytest.mark.parametrize(
@@ -171,14 +214,14 @@ def test_derived_tables_match_pairwise_windows(rules):
     s = Substitution.from_text("\n".join(rules))
     table = LanguageTable(s)
     for n in sorted(TABLE_LENGTHS, reverse=True):
-        assert table.words(n) == _pairwise_words(table, n), n
+        assert table.words(n) == _pairwise_words(s, n), n
 
 
 def test_derived_tables_match_pairwise_windows_on_criterion_5_sample():
     for s in catalog.random_exact_substitutions(200):
         table = LanguageTable(s)
         for n in range(49, 0, -1):
-            assert table.words(n) == _pairwise_words(table, n), (s.rules, n)
+            assert table.words(n) == _pairwise_words(s, n), (s.rules, n)
 
 
 def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
