@@ -18,10 +18,7 @@ from .odometer import (
     FiberCensus,
     OdometerResidue,
     column_number,
-    desubstitute,
     fiber_census,
-    odometer_successor,
-    residue_of_window,
 )
 from .oracles import (
     PairClass,
@@ -32,8 +29,6 @@ from .oracles import (
     m_equicontinuity_point_test,
     m_sensitivity_test,
     proximal_pair_exact,
-    proximal_pair_search,
-    regional_proximal_search,
 )
 from .ranks import (
     Estimate,

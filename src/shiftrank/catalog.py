@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .substitution import RegimeError, Substitution, SubstitutionSystem
-from .toeplitz import Stage, ToeplitzSkeleton, ToeplitzSystem, doubling_skeleton, rank_family_skeleton
+from .toeplitz import ToeplitzSystem, doubling_skeleton, rank_family_skeleton
 
 
 @dataclass(frozen=True)
@@ -131,23 +131,6 @@ def custom_substitution(rules_text: str, name: str = "custom") -> SubstitutionSy
     return SubstitutionSystem(name, Substitution.from_text(rules_text))
 
 
-def toeplitz_from_skeleton(
-    periods: list[int],
-    fillers: dict[int, list[tuple[int, str]]],
-    name: str = "custom-toeplitz",
-    prefix_length: int = 1 << 15,
-) -> ToeplitzSystem:
-    """Assemble a Toeplitz system from explicit periods and per-stage fills.
-
-    ``fillers[p]`` lists (residue, symbol) pairs filled at the stage with
-    period ``p``; stages must nest through divisibility, fills must not
-    collide with earlier stages, and every position of the generated prefix
-    must be filled by some stage, all of which the skeleton validates.
-    """
-    stages = tuple(Stage(p, tuple(fillers.get(p, ()))) for p in periods)
-    return ToeplitzSystem(name, ToeplitzSkeleton(stages), prefix_length)
-
-
 ALPHABET_MAX = 3
 Q_MAX = 4
 
@@ -162,12 +145,15 @@ def random_exact_substitutions(count: int, seed: int = 20260811) -> list[Substit
     """
     rng = random.Random(seed)
     out: list[Substitution] = []
+    # a rule table drawn again reuses the kept instance, and with it its language table
+    kept: dict[tuple[str, ...], Substitution] = {}
     while len(out) < count:
         size = rng.randint(2, ALPHABET_MAX)
         q = rng.randint(2, Q_MAX)
         letters = "0123456789"[:size]
         rules = tuple("".join(rng.choice(letters) for _ in range(q)) for _ in range(size))
-        s = Substitution(rules)
+        s = kept.get(rules) or Substitution(rules)
         if s.regime.exact:
+            kept[rules] = s
             out.append(s)
     return out

@@ -157,33 +157,6 @@ def _replay_point_counterexample(doc: dict, failures: list[str]) -> int:
     return checks
 
 
-def _replay_proximal(doc: dict, failures: list[str]) -> int:
-    x = CenteredWord.parse(doc["x"])
-    y = CenteredWord.parse(doc["y"])
-    g, K = doc["g"], doc["K"]
-    if not scale_of_difference(shift_window(x, g), shift_window(y, g)).within(K):
-        failures.append(f"shift {g} does not bring the pair within 2^-{K}")
-    return 1
-
-
-def _replay_regional(doc: dict, failures: list[str]) -> int:
-    originals = _windows(doc["originals"])
-    perturbed = _windows(doc["perturbed"])
-    g, K = doc["g"], doc["K"]
-    checks = 0
-    for i, (x, xp) in enumerate(zip(originals, perturbed)):
-        checks += 1
-        if not scale_of_difference(x, xp).within(K):
-            failures.append(f"perturbed point {i} is not within 2^-{K} of the original")
-    shifted = [shift_window(w, g) for w in perturbed]
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            checks += 1
-            if not scale_of_difference(shifted[i], shifted[j]).within(K):
-                failures.append(f"pair ({i},{j}) not within 2^-{K} at shift {g}")
-    return checks
-
-
 def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
     m, K, B = doc["m"], doc["K"], doc["B"]
     checks = 1
@@ -233,8 +206,6 @@ def _replay_sensitivity(doc: dict, failures: list[str]) -> int:
 
 
 _REPLAYERS = {
-    "proximal-pair": _replay_proximal,
-    "regional-proximal": _replay_regional,
     "m-sensitivity": _replay_sensitivity,
     "block-m-sensitivity": _replay_sensitivity,
     "eq-point-counterexample": _replay_point_counterexample,

@@ -31,12 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Generic, Mapping, TypeVar
 
-from .substitution import (
-    RegimeError,
-    Substitution,
-    is_primitive,
-    table_for,
-)
+from .substitution import Substitution
 from .words import CenteredWord
 
 
@@ -66,11 +61,6 @@ class OdometerResidue:
             out.append(v % self.q)
             v //= self.q
         return tuple(out)
-
-
-def odometer_successor(r: OdometerResidue) -> OdometerResidue:
-    """Adding one in the odometer: increment mod q^depth."""
-    return OdometerResidue(r.q, r.depth, (r.value + 1) % (r.q**r.depth))
 
 
 def column_number(s: Substitution) -> tuple[int, int, int, str]:
@@ -133,44 +123,11 @@ def _lift(
     off = m_lo + digit - q * new_lo
     end = off + m_hi - m_lo + 1
     keep = {}
-    for v in table_for(s).words(new_hi - new_lo + 1):
+    for v in s.table.words(new_hi - new_lo + 1):
         value = targets.get(s.image(v)[off:end])
         if value is not None:
             keep[v] = value
     return new_lo, new_hi, keep
-
-
-def desubstitute(s: Substitution, w: CenteredWord, k: int) -> set[tuple[int, CenteredWord]]:
-    """All (cut, preimage) pairs whose k-fold expansion matches w on its window.
-
-    Preimages are restricted to admissible words, so every returned pair is
-    realized by an actual point of the subshift.  An empty result means the
-    window itself is inadmissible.
-    """
-    if not is_primitive(s):
-        raise RegimeError("de-substitution requires a primitive substitution")
-    q = s.require_constant_length()
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    if not table_for(s).admits(w.symbols):
-        return set()
-    if k == 0:
-        return {(0, w)}
-    out: set[tuple[int, CenteredWord]] = set()
-    for c1 in range(q):
-        m_lo, _, preimages = _lift(s, q, w.left, w.right, c1, {w.symbols: w.symbols})
-        for v1 in preimages:
-            for c2, v2 in desubstitute(s, CenteredWord(v1, m_lo), k - 1):
-                out.add((c1 + q * c2, v2))
-    return out
-
-
-def residue_of_window(s: Substitution, w: CenteredWord, k: int) -> frozenset[OdometerResidue]:
-    """Odometer residues mod q^k compatible with the window; empty iff inadmissible."""
-    q = s.require_constant_length()
-    return frozenset(
-        OdometerResidue(q, k, cut) for cut, _ in desubstitute(s, w, k)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +157,7 @@ class PathState:
 
 
 def initial_state(s: Substitution, radius: int) -> PathState:
-    table = table_for(s)
-    return PathState(0, 0, -radius, radius, {w: w for w in table.words(2 * radius + 1)})
+    return PathState(0, 0, -radius, radius, {w: w for w in s.table.words(2 * radius + 1)})
 
 
 def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> PathState:

@@ -7,8 +7,8 @@ These are exact complements, which keeps the dichotomy-style tests honest.
 
 Every universally quantified negative ("no tuple exists") is reported as an
 exhausted budget, never as a refutation, unless an exact argument (the pair
-graph, a residue mismatch) applies.  Every witness carries enough data to
-replay its defining inequality with window operations alone.
+graph) applies.  Every witness carries enough data to replay its defining
+inequality with window operations alone.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class SearchBudget:
             raise ValueError("budget parameters must be positive")
         if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
             raise ValueError("ladder must be strictly increasing")
+        if self.ladder[0] < 0:
+            raise ValueError(f"ladder radii must be non-negative, got ladder={list(self.ladder)}")
 
     def as_dict(self) -> dict:
         return {
@@ -116,25 +118,6 @@ def proximal_pair_exact(s: Substitution, a: str, b: str) -> PairClass:
                     nxt.add((cx, cy))
         frontier = nxt
     return PairClass.DISTAL
-
-
-def proximal_pair_search(x: CenteredWord, y: CenteredWord, budget: SearchBudget) -> Verdict:
-    """Look for a shift bringing the two windows within 2^-K of each other."""
-    n, k = budget.N, budget.K
-    if min(-x.left, x.right, -y.left, y.right) < n + k:
-        raise ValueError("windows too small for the budget: need radius >= N + K")
-    claim = f"proximal at scale 2^-{budget.K}"
-    for g in shifts(n):
-        if scale_of_difference(shift_window(x, g), shift_window(y, g)).within(k):
-            payload = {
-                "kind": "proximal-pair",
-                "x": x.serialize(),
-                "y": y.serialize(),
-                "g": g,
-                "K": k,
-            }
-            return witnessed(claim, payload)
-    return exhausted(claim, budget=budget.as_dict())
 
 
 def _central_span(central: str, radius: int) -> slice:
@@ -408,69 +391,6 @@ def m_sensitivity_test(
         raise ValueError("tuple size must be at least 2")
     scans = sensitivity_scan(system, m, K, budget, m_min=m)
     return sensitivity_report(system, scans, m, K, None, budget)
-
-
-def regional_proximal_search(
-    system: ShiftSystem, points: Sequence[CenteredWord], budget: SearchBudget
-) -> Verdict:
-    """Perturb each point within 2^-K and look for one shift making all pairs close.
-
-    The perturbed points are admissible windows agreeing with the originals
-    on [-K, K]; all pairs are within 2^-K at shift g exactly when all the
-    perturbed windows share the same radius-K block around g.
-    """
-    K, N = budget.K, budget.N
-    radius = N + K
-    claim = f"{len(points)}-regional proximality at scale 2^-{K} on {system.name}"
-    ext_lists = []
-    for x in points:
-        ext = extensions(system, x.central(K), radius)
-        if not ext:
-            raise ValueError(f"inadmissible central word {x.central(K)!r}")
-        ext_lists.append(ext)
-    width = 2 * K + 1
-    distinct = [_SegmentBlocks(ext, width) for ext in ext_lists]
-    for g in shifts(N):
-        start = radius + g - K
-        common = distinct[0].at(start)
-        for blocks in distinct[1:]:
-            common &= blocks.at(start)
-            if not common:
-                break
-        if common:
-            block = min(common)
-            # each point's first extension carrying the block
-            perturbed = [
-                CenteredWord(next(e for e in ext if e[start : start + width] == block), -radius)
-                for ext in ext_lists
-            ]
-            payload = {
-                "kind": "regional-proximal",
-                "originals": [x.serialize() for x in points],
-                "perturbed": [w.serialize() for w in perturbed],
-                "g": g,
-                "K": K,
-            }
-            return witnessed(claim, payload)
-    annotations: dict = {}
-    sub = getattr(system, "substitution", None)
-    if sub is not None:
-        annotations.update(_residue_mismatch_note(sub, points))
-    return exhausted(claim, budget=budget.as_dict(), **annotations)
-
-
-def _residue_mismatch_note(s: Substitution, points: Sequence[CenteredWord]) -> dict:
-    """Annotate exhaustion with an exact obstruction when residues disagree."""
-    from .odometer import residue_of_window
-
-    try:
-        residues = [residue_of_window(s, x, 2) for x in points]
-    except (RegimeError, ValueError):
-        return {}
-    singletons = [next(iter(r)).value for r in residues if len(r) == 1]
-    if len(singletons) == len(points) and len(set(singletons)) > 1:
-        return {"residue_mismatch": tuple(singletons)}
-    return {}
 
 
 def m_equicontinuity_point_test(
@@ -750,6 +670,11 @@ def cover_m_equicontinuity_test(
     _require_scale(K)
     B, N = budget.B, budget.N
     centers = 2 * B + 2
+    if 2 * N + 1 < centers:
+        # no run fits in the horizon, so the scan would find no tuple and prove nothing
+        raise ValueError(
+            f"horizon N={N} holds {2 * N + 1} shifts, fewer than the 2B+2 = {centers} of one run"
+        )
     radius = N + B + K + 1
     finder = _RunCliqueFinder(K, m)
     claim = (

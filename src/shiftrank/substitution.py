@@ -70,6 +70,11 @@ class Substitution:
         """Membership in the exact regime, checked once per substitution."""
         return ExactRegime(MappingProxyType(_exact_regime_flags(self)))
 
+    @cached_property
+    def table(self) -> LanguageTable:
+        """This substitution's language table, kept exactly as long as the substitution."""
+        return LanguageTable(self)
+
     def image(self, word: str) -> str:
         """One application of the substitution to a word over its alphabet."""
         return word.translate(self._translation)
@@ -124,13 +129,16 @@ def is_primitive(s: Substitution) -> bool:
 class LanguageTable:
     """Admissible words of each length, one sorted tuple per length.
 
-    ``build(n)`` makes the length-n tuple and keeps nothing; ``words(n)``
-    memoises it.  The memo serves the readers that revisit short lengths
-    for the life of a substitution: the regime gate (``aperiodicity_check``
-    and ``height``), ``seed_pairs`` and the digit-path census.  The
-    protocol read ``SubstitutionSystem.language``, which the oracles and
-    the CLI use for their scan-length tables, goes through ``build``, so
-    such a table lives only as long as the caller holds it.
+    The substitution owns its table (``Substitution.table``), so the table
+    and its memo live exactly as long as the substitution does; the table
+    keeps the rules, not the substitution, so dropping a substitution frees
+    its table at once.  ``build(n)`` makes the length-n tuple and keeps
+    nothing; ``words(n)`` memoises it.  The memo serves the readers that
+    revisit short lengths: the regime gate (``aperiodicity_check`` and
+    ``height``), ``seed_pairs`` and the digit-path census.  The protocol
+    read ``SubstitutionSystem.language``, which the oracles and the CLI use
+    for their scan-length tables, goes through ``build``, so such a table
+    lives only as long as the caller holds it.
 
     Exactness argument: once the image of every letter under the k-th power
     has length >= n, any admissible length-n word sits inside the image of an
@@ -149,18 +157,22 @@ class LanguageTable:
     def __init__(self, s: Substitution):
         if not is_primitive(s):
             raise RegimeError("language generation requires a primitive substitution")
-        self.substitution = s
+        self._rules = s.rules
+        self._letters = s.letters
+        self._translation = s._translation
         self._cache: dict[int, tuple[str, ...]] = {}
         self._pairs: frozenset[str] | None = None
 
+    def _image(self, word: str) -> str:
+        return word.translate(self._translation)
+
     def _two_letter_words(self) -> frozenset[str]:
         if self._pairs is None:
-            s = self.substitution
-            pairs = {img[i : i + 2] for img in s.rules for i in range(len(img) - 1)}
+            pairs = {img[i : i + 2] for img in self._rules for i in range(len(img) - 1)}
             while True:
                 grown = set(pairs)
                 for p in pairs:
-                    img = s.image(p)
+                    img = self._image(p)
                     grown.update(img[i : i + 2] for i in range(len(img) - 1))
                 if grown == pairs:
                     break
@@ -170,17 +182,16 @@ class LanguageTable:
 
     def _images_covering(self, n: int) -> tuple[str, ...]:
         """Letter images under the least power whose shortest image has length >= n."""
-        s = self.substitution
-        lengths = [len(r) for r in s.rules]
+        lengths = [len(r) for r in self._rules]
         if min(lengths) < 2 and max(lengths) < 2:
             raise RegimeError("substitution does not expand; language undefined at this length")
-        images = tuple(s.letters)
+        images = tuple(self._letters)
         k = 0
         while min(map(len, images)) < n:
             k += 1
             if k > 64:
                 raise RegimeError("substitution images grow too slowly to cover the request")
-            images = tuple(map(s.image, images))
+            images = tuple(map(self._image, images))
         return images
 
     def build(self, n: int) -> tuple[str, ...]:
@@ -193,15 +204,14 @@ class LanguageTable:
         if longer is not None:
             prefixes = map(operator.itemgetter(slice(n)), self._cache[longer])
             return tuple(dict.fromkeys(prefixes))
-        s = self.substitution
         if n == 1:
             found = {c for p in self._two_letter_words() for c in p}
-            found.update(c for img in s.rules for c in img)
+            found.update(c for img in self._rules for c in img)
         else:
-            images = dict(zip(s.letters, self._images_covering(n)))
+            images = dict(zip(self._letters, self._images_covering(n)))
             seeds = set(self._two_letter_words())
             if not seeds:  # single-letter alphabet with expanding rule
-                seeds = {2 * s.letters}
+                seeds = {2 * self._letters}
             # A length-n window of a seed's block theta^k(a) theta^k(b)
             # lies inside one letter's image or crosses the seam, and the
             # crossing ones are the windows of theta^k(a)[1-n:] +
@@ -231,18 +241,9 @@ class LanguageTable:
         return len(self.words(n))
 
 
-_TABLES: dict[Substitution, LanguageTable] = {}
-
-
-def table_for(s: Substitution) -> LanguageTable:
-    if s not in _TABLES:
-        _TABLES[s] = LanguageTable(s)
-    return _TABLES[s]
-
-
 def language(s: Substitution, n: int) -> tuple[str, ...]:
     """The admissible words of length n of the subshift generated by s, not memoised."""
-    return table_for(s).build(n)
+    return s.table.build(n)
 
 
 def expand(s: Substitution, w: CenteredWord, k: int, cut: int) -> CenteredWord:
@@ -306,7 +307,7 @@ def seed_pairs(s: Substitution) -> tuple[SeedPair, ...]:
     for b, cb in sorted(last_cycles.items()):
         for a, ca in sorted(first_cycles.items()):
             # a one-letter alphabet admits its only pair without a table
-            if s.alphabet_size == 1 or table_for(s).admits(b + a):
+            if s.alphabet_size == 1 or s.table.admits(b + a):
                 found.append(SeedPair(b, a, math.lcm(cb, ca)))
     return tuple(found)
 
@@ -344,7 +345,7 @@ def height(s: Substitution) -> int:
         raise RegimeError("height requires a primitive substitution")
     first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
     a = min(_cycle_lengths(first))
-    table = table_for(s)
+    table = s.table
     g = 0
     for n in itertools.count(1):
         if any(w[0] == a == w[-1] and a not in w[1:-1] for w in table.words(n + 1)):
@@ -374,7 +375,7 @@ def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
     """
     if not is_primitive(s):
         raise RegimeError("aperiodicity check requires a primitive substitution")
-    table = table_for(s)
+    table = s.table
     for n in range(n_max + 1, 0, -1):
         table.words(n)
     claim = "aperiodicity"
@@ -460,7 +461,7 @@ class SubstitutionSystem:
         return language(self.substitution, n)
 
     def admits(self, word: str) -> bool:
-        return table_for(self.substitution).admits(word)
+        return self.substitution.table.admits(word)
 
     def seed_points(self) -> tuple[SeedPair, ...]:
         return seed_pairs(self.substitution)

@@ -127,11 +127,6 @@ def rank_family_skeleton(r: int, depth: int = 10) -> ToeplitzSkeleton:
     return ToeplitzSkeleton(tuple(stages))
 
 
-def full_fill_skeleton() -> ToeplitzSkeleton:
-    """Degenerate skeleton with no holes; the sequence is periodic."""
-    return ToeplitzSkeleton((Stage(2, ((0, "0"), (1, "1"))),))
-
-
 def toeplitz_property(seq: str, periods: Iterable[int], positions: int) -> bool:
     """Every position up to ``positions`` recurs under some skeleton period.
 

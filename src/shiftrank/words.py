@@ -100,16 +100,6 @@ class DistanceScale:
     first_difference: int | None
     radius: int
 
-    @property
-    def is_exact(self) -> bool:
-        return self.first_difference is not None and self.first_difference <= self.radius
-
-    def value(self) -> float:
-        """The metric value 2^-k, or its certified upper bound if agreement held."""
-        if self.first_difference is None:
-            return 2.0 ** -(self.radius + 1)
-        return 2.0 ** -self.first_difference
-
     def within(self, scale_exp: int) -> bool:
         """Certified d < 2^-scale_exp, i.e. agreement on [-scale_exp, scale_exp]."""
         if self.radius < scale_exp:

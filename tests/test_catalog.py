@@ -84,3 +84,12 @@ def test_random_sampler_is_deterministic_and_filtered():
         assert s.constant_length is not None and 2 <= s.constant_length <= 4
         assert 2 <= s.alphabet_size <= 3
         assert aperiodicity_check(s, 48).status is VerdictStatus.WITNESSED
+
+
+def test_random_sampler_shares_one_instance_per_repeated_draw():
+    # equal draws share one instance, so they share its regime and language table
+    sample = catalog.random_exact_substitutions(40)
+    first = {}
+    for s in sample:
+        assert first.setdefault(s.rules, s) is s
+    assert len(first) < len(sample)  # the first 40 repeat three draws

@@ -4,20 +4,17 @@ import json
 
 import pytest
 
-from shiftrank.certificates import certificate_json, load_certificate, replay
+from shiftrank.certificates import _REPLAYERS, certificate_json, load_certificate, replay
 from shiftrank.oracles import (
     SearchBudget,
     block_m_sensitivity_test,
     cover_m_equicontinuity_test,
     m_equicontinuity_point_test,
     m_sensitivity_test,
-    proximal_pair_search,
-    regional_proximal_search,
 )
 from shiftrank.substitution import Substitution, SubstitutionSystem
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
-PD_SYS = SubstitutionSystem("period-doubling", Substitution(("01", "00")))
 
 
 def roundtrip(payload: dict) -> dict:
@@ -45,24 +42,6 @@ def test_block_certificate_replays():
     assert report.aggregate.witnessed
     result = replay(roundtrip(report.aggregate.certificate))
     assert result.ok, result.failures
-
-
-def test_proximal_certificate_replays():
-    budget = SearchBudget(N=32, K=3)
-    seeds = PD_SYS.seed_points()
-    x = PD_SYS.point_window(seeds[0], budget.N + budget.K)
-    y = PD_SYS.point_window(seeds[1], budget.N + budget.K)
-    v = proximal_pair_search(x, y, budget)
-    assert v.witnessed
-    assert replay(roundtrip(v.certificate)).ok
-
-
-def test_regional_certificate_replays():
-    budget = SearchBudget(N=32, K=2)
-    x = TM_SYS.point_window(TM_SYS.seed_points()[0], budget.N + budget.K)
-    v = regional_proximal_search(TM_SYS, [x, x], budget)
-    assert v.witnessed
-    assert replay(roundtrip(v.certificate)).ok
 
 
 def test_point_counterexample_replays():
@@ -137,7 +116,7 @@ def test_negative_scale_exponent_fails_replay(make):
 
 
 def test_every_kind_requires_a_non_negative_scale_exponent():
-    for kind in ("proximal-pair", "regional-proximal", "cover-witness"):
+    for kind in _REPLAYERS:
         with pytest.raises(ValueError):
             replay({"kind": kind})  # K is required
     result = replay({"kind": "cover-witness", "K": -1})

@@ -92,6 +92,31 @@ def test_negative_block_half_length_rejected(capsys, tmp_path):
     assert "witnessed" in out
 
 
+def test_cover_rejects_a_horizon_shorter_than_one_run(capsys, tmp_path):
+    # with N <= B no run of 2B+2 shifts fits in [-N, N], so the scan found no
+    # violating tuple and the cover claim was printed as witnessed
+    cert = tmp_path / "cert.json"
+    argv = ["cover", "thue-morse", "--m", "2", "--cert", str(cert), "--budget"]
+    code, out, err = run_cli(capsys, *argv, "N=4,B=8")
+    assert code == 2
+    assert out == ""
+    assert "N=4" in err and "2B+2 = 18" in err
+    assert not cert.exists()
+    code, out, _ = run_cli(capsys, *argv, "N=64,B=8")
+    assert code == 0
+    assert out.startswith("refuted")
+
+
+def test_negative_ladder_radius_rejected(capsys):
+    argv = ["point", "thue-morse", "--m", "2", "--budget"]
+    code, out, err = run_cli(capsys, *argv, "ladder=-1/2")
+    assert code == 2
+    assert out == ""
+    assert "ladder radii must be non-negative, got ladder=[-1, 2]" in err
+    code, _, _ = run_cli(capsys, *argv, "ladder=0/2")
+    assert code == 0
+
+
 @pytest.mark.parametrize("command", ["sensitivity", "block", "point", "cover"])
 def test_negative_scale_rejected(capsys, tmp_path, command):
     # 2^-K with K < 0 compares no position: every pair would look separated
@@ -272,7 +297,8 @@ BUDGET_READS = {
     "cover": {"N", "B", "ladder"},
     "verify": {"L", "N", "K", "B"},
 }
-BUDGET_ITEMS = {"L": "L=1", "N": "N=8", "K": "K=1", "B": "B=1", "m": "m=2", "ladder": "ladder=1/2"}
+# N exceeds the default B = 8, so that cover has a run of 2B+2 shifts to scan
+BUDGET_ITEMS = {"L": "L=1", "N": "N=16", "K": "K=1", "B": "B=1", "m": "m=2", "ladder": "ladder=1/2"}
 
 
 @pytest.mark.parametrize(

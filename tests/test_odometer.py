@@ -10,16 +10,14 @@ from shiftrank.odometer import (
     PLATEAU,
     OdometerResidue,
     _continuations,
+    _lift,
     base_windows,
     census_extreme,
     census_graph,
     column_number,
-    desubstitute,
     fiber_census,
     initial_state,
     lift_state,
-    odometer_successor,
-    residue_of_window,
 )
 from shiftrank.substitution import (
     Substitution,
@@ -90,6 +88,32 @@ def test_column_number_matches_image_columns_on_small_space():
 # -- de-substitution ----------------------------------------------------------
 
 
+def desubstitute(s, w, k):
+    """All (cut, preimage) pairs whose k-fold expansion matches w on its window.
+
+    Preimages are admissible words, read off ``odometer._lift`` one level at
+    a time.  The cuts are the window's odometer residues mod q^k, and an
+    empty result means the window itself is inadmissible.
+    """
+    q = s.require_constant_length()
+    if not s.table.admits(w.symbols):
+        return set()
+    if k == 0:
+        return {(0, w)}
+    out = set()
+    for c1 in range(q):
+        m_lo, _, preimages = _lift(s, q, w.left, w.right, c1, {w.symbols: w.symbols})
+        for v1 in preimages:
+            for c2, v2 in desubstitute(s, CenteredWord(v1, m_lo), k - 1):
+                out.add((c1 + q * c2, v2))
+    return out
+
+
+def residues(s, w, k):
+    """The residues mod q^k compatible with w: the cuts of its de-substitutions."""
+    return {cut for cut, _ in desubstitute(s, w, k)}
+
+
 def test_desubstitute_depth_zero_is_identity():
     w = CenteredWord("0110", 0)
     assert desubstitute(TM, w, 0) == {(0, w)}
@@ -142,7 +166,7 @@ def test_desubstitute_matches_brute_force(name, data):
 def test_inadmissible_window_gives_empty_results():
     w = CenteredWord("000", -1)
     assert desubstitute(TM, w, 1) == set()
-    assert residue_of_window(TM, w, 2) == frozenset()
+    assert residues(TM, w, 2) == set()
 
 
 # -- residues -----------------------------------------------------------------
@@ -150,42 +174,36 @@ def test_inadmissible_window_gives_empty_results():
 
 def test_depth_zero_residue():
     w = CenteredWord("01", 0)
-    assert residue_of_window(TM, w, 0) == frozenset({OdometerResidue(2, 0, 0)})
+    assert residues(TM, w, 0) == {0}
 
 
 def test_wide_seed_window_has_unique_residue():
     seed = seed_pairs(TM)[0]
     w = seed_window(TM, seed, 32)
-    residues = residue_of_window(TM, w, 3)
-    assert len(residues) == 1
-    assert next(iter(residues)).value == 0  # fixed points sit over the zero path
-
-
-def test_successor_examples():
-    assert odometer_successor(OdometerResidue(2, 3, 7)).value == 0
-    assert odometer_successor(OdometerResidue(2, 3, 3)).value == 4
+    assert residues(TM, w, 3) == {0}  # fixed points sit over the zero path
 
 
 def test_equivariance_shift_is_successor():
     # the finite form of the factor map commuting with the action
     seed = seed_pairs(TM)[0]
     w = seed_window(TM, seed, 64)
-    base = residue_of_window(TM, w.restrict(-40, 40), 3)
-    shifted = residue_of_window(TM, shift_window(w, 1).restrict(-40, 40), 3)
+    base = residues(TM, w.restrict(-40, 40), 3)
+    shifted = residues(TM, shift_window(w, 1).restrict(-40, 40), 3)
     assert len(base) == 1 and len(shifted) == 1
-    assert next(iter(shifted)) == odometer_successor(next(iter(base)))
+    # the successor of v mod q^k is (v + 1) mod q^k
+    assert shifted == {(next(iter(base)) + 1) % 2**3}
 
 
 def test_equivariance_along_an_orbit_stretch():
     seed = seed_pairs(TM)[2]
     w = seed_window(TM, seed, 96)
-    current = residue_of_window(TM, w.restrict(-48, 48), 3)
+    current = residues(TM, w.restrict(-48, 48), 3)
     assert len(current) == 1
     r = next(iter(current))
     for g in range(1, 9):
-        got = residue_of_window(TM, shift_window(w, g).restrict(-48, 48), 3)
-        r = odometer_successor(r)
-        assert got == frozenset({r})
+        got = residues(TM, shift_window(w, g).restrict(-48, 48), 3)
+        r = (r + 1) % 2**3
+        assert got == {r}
 
 
 # -- fiber census -------------------------------------------------------------
@@ -222,8 +240,7 @@ def test_census_rejects_small_radius():
 def test_census_representatives_share_residue():
     census = fiber_census(TM, OdometerResidue(2, 2, 1), 32)
     for rep in census.representatives:
-        residues = residue_of_window(TM, rep, 2)
-        assert OdometerResidue(2, 2, 1) in residues
+        assert 1 in residues(TM, rep, 2)
 
 
 # -- monotone census properties ------------------------------------------------

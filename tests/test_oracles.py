@@ -7,19 +7,16 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from shiftrank import catalog, oracles, substitution
+from shiftrank import catalog, oracles
 from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
-from shiftrank.odometer import OdometerResidue, fiber_census
 from shiftrank.oracles import (
     DEFAULT_BUDGET,
     SEGMENT,
     PairClass,
     SearchBudget,
-    _first_indices,
     _indexed_extension_groups,
     _ladder_extensions,
-    _residue_mismatch_note,
     _RunCliqueFinder,
     _SegmentBlocks,
     _cylinder_extensions,
@@ -33,14 +30,11 @@ from shiftrank.oracles import (
     m_equicontinuity_point_test,
     m_sensitivity_test,
     proximal_pair_exact,
-    proximal_pair_search,
-    regional_proximal_search,
     sensitivity_scan,
 )
 from shiftrank.ranks import sliding_block_factor
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
 from shiftrank.toeplitz import ToeplitzSystem, doubling_skeleton
-from shiftrank.verdicts import VerdictStatus, exhausted, witnessed
 from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
@@ -81,70 +75,13 @@ def test_ternary_all_offdiagonal_distal():
             assert proximal_pair_exact(tern, a, b) is expected
 
 
-# -- proximal pair search --------------------------------------------------------
+# -- budgets ------------------------------------------------------------------
 
 
-def test_identical_points_witnessed_at_zero():
-    budget = SearchBudget(N=16, K=3)
-    x = seed_point(TM_SYS, 0, budget.N + budget.K)
-    v = proximal_pair_search(x, x, budget)
-    assert v.witnessed and v.certificate["g"] == 0
-
-
-def test_distal_flip_pair_exhausts():
-    budget = SearchBudget(N=64, K=4)
-    # seeds (0,0) and (1,1): the bitwise complement pair
-    x = seed_point(TM_SYS, 0, budget.N + budget.K)
-    y = seed_point(TM_SYS, 3, budget.N + budget.K)
-    v = proximal_pair_search(x, y, budget)
-    assert v.exhausted
-    # exact theory agrees: the aligned pair (0,1) is distal
-    assert proximal_pair_exact(TM, "0", "1") is PairClass.DISTAL
-
-
-def test_period_doubling_aligned_pair_witnessed():
-    budget = SearchBudget(N=64, K=4)
-    x = seed_point(PD_SYS, 0, budget.N + budget.K)
-    y = seed_point(PD_SYS, 1, budget.N + budget.K)
-    v = proximal_pair_search(x, y, budget)
-    assert v.witnessed
-    g = v.certificate["g"]
-    assert scale_of_difference(shift_window(x, g), shift_window(y, g)).within(budget.K)
-
-
-def test_window_too_small_rejected():
-    budget = SearchBudget(N=64, K=4)
-    x = seed_point(TM_SYS, 0, 16)
-    with pytest.raises(ValueError):
-        proximal_pair_search(x, x, budget)
-
-
-# -- regional proximality --------------------------------------------------------
-
-
-def test_constant_tuple_witnessed_immediately():
-    budget = SearchBudget(N=16, K=3)
-    x = seed_point(TM_SYS, 0, budget.N + budget.K)
-    v = regional_proximal_search(TM_SYS, [x, x, x], budget)
-    assert v.witnessed and v.certificate["g"] == 0
-
-
-def test_fiber_pair_is_regionally_proximal():
-    budget = SearchBudget(N=64, K=3)
-    census = fiber_census(TM, OdometerResidue(2, 3, 0), budget.N + budget.K)
-    reps = census.representatives[:2]
-    v = regional_proximal_search(TM_SYS, list(reps), budget)
-    assert v.witnessed
-
-
-def test_distinct_residues_exhaust_with_annotation():
-    budget = SearchBudget(N=64, K=5)
-    radius = budget.N + budget.K
-    x = seed_point(TM_SYS, 0, radius)
-    y = seed_point(TM_SYS, 0, radius, shift=1)
-    v = regional_proximal_search(TM_SYS, [x, y], budget)
-    assert v.exhausted
-    assert v.annotations.get("residue_mismatch") == (0, 1)
+def test_budget_rejects_a_negative_ladder_radius():
+    with pytest.raises(ValueError, match=r"non-negative, got ladder=\[-1, 2\]"):
+        SearchBudget(ladder=(-1, 2))
+    assert SearchBudget(ladder=(0, 2)).ladder == (0, 2)  # radius 0 is the point's own symbol
 
 
 # -- equicontinuity point test ----------------------------------------------------
@@ -289,6 +226,16 @@ def test_thue_morse_cover_2_falsified():
     for g in range(stage["gap_start"], stage["gap_end"] + 1):
         a, b = (shift_window(w, g) for w in windows)
         assert scale_of_difference(a, b).separated_within(2)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_cover_test_rejects_a_horizon_shorter_than_one_run(N):
+    # N <= B leaves no run of 2B+2 shifts inside [-N, N]: the scan would be
+    # empty, and an empty scan finds no violating tuple
+    budget = SearchBudget(N=N, B=8)
+    x = seed_point(TM_SYS, 0, max(budget.ladder))
+    with pytest.raises(ValueError, match=rf"N={N} .* 2B\+2 = 18"):
+        cover_m_equicontinuity_test(TM_SYS, x, 2, budget.K, budget)
 
 
 def test_cover_and_block_verdicts_complement():
@@ -837,30 +784,32 @@ def _held_word_lengths(obj, seen=None) -> set[int]:
     return lengths
 
 
-TERN = Substitution(("012", "120", "201"))
-SCANNED_SYSTEMS = [
-    TM_SYS,
-    ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
-    sliding_block_factor(
-        SubstitutionSystem("ternary-morse", TERN),
-        {w: str((int(w[0]) + int(w[1])) % 3) for w in language(TERN, 2)},
-    ),
-]
+def _scanned_systems() -> list:
+    """Fresh systems, so no other test's memoised table lengths count."""
+    tm = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
+    tern = Substitution(("012", "120", "201"))
+    return [
+        tm,
+        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+        sliding_block_factor(
+            SubstitutionSystem("ternary-morse", tern),
+            {w: str((int(w[0]) + int(w[1])) % 3) for w in language(tern, 2)},
+        ),
+    ]
 
 
-def test_cylinder_scans_do_not_fill_the_extension_index(monkeypatch):
+def test_cylinder_scans_do_not_fill_the_extension_index():
     # the per-cylinder scans read long tables once: only extensions() caches
-    # a grouping, and neither the system nor a substitution's language table
-    # keeps a table of the scan lengths, 2 (L + N + K) + 1 and longer; the
-    # tables start empty, so other tests' memoised lengths do not count
-    monkeypatch.setattr(substitution, "_TABLES", {})
+    # a grouping, and neither the system nor the language table its
+    # substitution owns keeps a table of the scan lengths, 2 (L + N + K) + 1
+    # and longer
     budget = SearchBudget(N=32)
-    for system in SCANNED_SYSTEMS:
+    for system in _scanned_systems():
         before = _indexed_extension_groups.cache_info()
         sensitivity_scan(system, 3, budget.K, budget)
         block_sensitivity_scan(system, 3, 1, 2, budget)
         assert _indexed_extension_groups.cache_info() == before
-        held = _held_word_lengths(system) | _held_word_lengths(substitution._TABLES)
+        held = _held_word_lengths(system)
         assert max(held, default=0) < 2 * (budget.L + budget.N + budget.K) + 1, system.name
 
 
@@ -893,49 +842,3 @@ def test_segment_blocks_match_every_extension(case, rng):
     blocks = _SegmentBlocks(exts, width)
     for lo in los:
         assert blocks.at(lo) == {e[lo : lo + width] for e in exts}, lo
-
-
-def _per_shift_regional_search(system, points, budget):
-    """Reference: a first-index map over every extension of every point per shift."""
-    K, N = budget.K, budget.N
-    radius = N + K
-    claim = f"{len(points)}-regional proximality at scale 2^-{K} on {system.name}"
-    ext_lists = [extensions(system, x.central(K), radius) for x in points]
-    width = 2 * K + 1
-    for g in shifts(N):
-        start = radius + g - K
-        maps = [_first_indices(e[start : start + width] for e in ext) for ext in ext_lists]
-        common = set(maps[0]).intersection(*maps[1:])
-        if common:
-            block = sorted(common)[0]
-            perturbed = [CenteredWord(ext[bm[block]], -radius) for ext, bm in zip(ext_lists, maps)]
-            payload = {
-                "kind": "regional-proximal",
-                "originals": [x.serialize() for x in points],
-                "perturbed": [w.serialize() for w in perturbed],
-                "g": g,
-                "K": K,
-            }
-            return witnessed(claim, payload)
-    return exhausted(
-        claim, budget=budget.as_dict(), **_residue_mismatch_note(system.substitution, points)
-    )
-
-
-@pytest.mark.parametrize("system", [TM_SYS, PD_SYS], ids=lambda system: system.name)
-def test_regional_search_matches_per_shift_loop(system):
-    budget = SearchBudget(N=80, K=3)
-    radius = budget.N + budget.K
-    points = [
-        seed_point(system, i, radius, shift=g)
-        for i in range(len(system.seed_points()))
-        for g in (-37, -5, 0, 1, 2, 33)
-    ]
-    tuples = [points[i : i + size] for size in (2, 3) for i in range(0, len(points) - size, 5)]
-    statuses = set()
-    for tup in tuples:
-        got = regional_proximal_search(system, tup, budget)
-        want = _per_shift_regional_search(system, tup, budget)
-        assert got == want
-        statuses.add(got.status)
-    assert statuses == {VerdictStatus.WITNESSED, VerdictStatus.EXHAUSTED}

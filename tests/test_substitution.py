@@ -1,14 +1,16 @@
 """Substitutions: primitivity, language generation, seeds, expansion, height."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftrank import catalog, substitution
+from shiftrank import catalog
 from shiftrank.substitution import (
     LanguageTable,
     RegimeError,
@@ -21,7 +23,6 @@ from shiftrank.substitution import (
     language,
     seed_pairs,
     seed_window,
-    table_for,
 )
 from shiftrank.verdicts import VerdictStatus
 from shiftrank.words import CenteredWord
@@ -232,9 +233,9 @@ def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
         built.append(n)
         return images_covering(self, n)
 
-    monkeypatch.setattr(substitution, "_TABLES", {})
     monkeypatch.setattr(LanguageTable, "_images_covering", counting)
-    for s in (TM, TERN):
+    # fresh substitutions, whose tables no other test has filled
+    for s in (Substitution(TM.rules), Substitution(TERN.rules)):
         built.clear()
         assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
         # one build at length 49; lengths 1-48 are its prefixes
@@ -250,7 +251,7 @@ def test_sample_and_regime_evidence_are_frozen():
     systems = [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
     systems += catalog.random_exact_substitutions(200)
     rows = [
-        [s.rules, dict(s.regime.flags), [table_for(s).complexity(n) for n in range(1, 50)]]
+        [s.rules, dict(s.regime.flags), [s.table.complexity(n) for n in range(1, 50)]]
         for s in systems
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REGIME_SHA256
@@ -468,4 +469,18 @@ def test_text_roundtrip_and_hash():
 
 
 def test_memoized_language_table_shared():
-    assert table_for(TM) is table_for(Substitution(("01", "10")))
+    # every reader of one substitution shares its memoised table
+    s = Substitution(("01", "10"))
+    assert s.table is s.table
+    assert s.table.words(9) is s.table.words(9)
+    # an equal substitution owns a table of its own
+    assert Substitution(("01", "10")).table is not s.table
+
+
+def test_dropped_substitution_frees_its_table():
+    s = Substitution(("012", "120", "201"))
+    assert s.regime.exact  # fills the table through the regime gate
+    table = weakref.ref(s.table)
+    del s
+    gc.collect()
+    assert table() is None

@@ -10,10 +10,12 @@ from shiftrank.toeplitz import (
     ToeplitzSkeleton,
     ToeplitzSystem,
     doubling_skeleton,
-    full_fill_skeleton,
     rank_family_skeleton,
     toeplitz_property,
 )
+
+# a degenerate skeleton with no holes: the sequence is periodic
+FULL_FILL = ToeplitzSkeleton((Stage(2, ((0, "0"), (1, "1"))),))
 
 
 def test_doubling_skeleton_is_period_doubling_sequence():
@@ -47,7 +49,7 @@ def test_skeleton_conflicts_rejected():
 
 
 def test_full_fill_is_periodic_and_all_ranks_one():
-    sk = full_fill_skeleton()
+    sk = FULL_FILL
     assert sk.periodic
     system = ToeplitzSystem("degenerate", sk, prefix_length=64)
     report = system.rank_report()
@@ -73,7 +75,7 @@ CATALOG_TOEPLITZ = ("toeplitz-doubling", "toeplitz-rank-2", "toeplitz-rank-3")
     [
         *(system_for(name).skeleton for name in CATALOG_TOEPLITZ),
         rank_family_skeleton(2, 12),
-        full_fill_skeleton(),
+        FULL_FILL,
         # two fills of one stage share residue 0; symbol_at takes the first
         ToeplitzSkeleton((Stage(2, ((0, "0"), (0, "1"), (1, "1"))),)),
     ],
@@ -114,25 +116,6 @@ def test_language_from_prefix_is_factor_closed():
         shorter = set(system.language(n - 1))
         for w in system.language(n):
             assert w[:-1] in shorter and w[1:] in shorter
-
-
-def test_toeplitz_from_skeleton_doubling_prefix():
-    from shiftrank.catalog import toeplitz_from_skeleton
-
-    periods = [2**k for k in range(1, 13)]
-    fillers = {
-        2**k: [(2 ** (k - 1) - 1, "0" if k % 2 == 1 else "1")] for k in range(1, 13)
-    }
-    system = toeplitz_from_skeleton(periods, fillers, name="by-hand", prefix_length=2048)
-    reference = ToeplitzSystem("builder", doubling_skeleton(12), prefix_length=2048)
-    assert system.prefix == reference.prefix
-
-
-def test_toeplitz_from_skeleton_rejects_conflicts():
-    from shiftrank.catalog import toeplitz_from_skeleton
-
-    with pytest.raises(ValueError):
-        toeplitz_from_skeleton([2, 4], {2: [(0, "0")], 4: [(2, "1")]}, prefix_length=16)
 
 
 @functools.cache
