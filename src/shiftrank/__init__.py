@@ -1,6 +1,6 @@
 """Rank invariants and multivariate sensitivity searches for subshifts over Z."""
 
-from .words import CenteredWord, DistanceScale, scale_of_difference, shift_window
+from .words import CenteredWord, scale_of_difference, shift_window
 from .verdicts import Verdict, VerdictStatus
 from .substitution import (
     LanguageTable,

@@ -49,15 +49,28 @@ def _windows(items: list[str]) -> list[CenteredWord]:
     return [CenteredWord.parse(t) for t in items]
 
 
+def _shifted(
+    windows: list[CenteredWord], g: int, failures: list[str], label: str
+) -> list[CenteredWord | None]:
+    """Each window shifted by g, or None, with a failure, where the window does not hold g."""
+    for i, w in enumerate(windows):
+        if not w.covers(g, g):
+            failures.append(f"{label}: window {i} does not hold the shift {g}")
+    return [shift_window(w, g) if w.covers(g, g) else None for w in windows]
+
+
 def _check_separated_tuple(
     windows: list[CenteredWord], g: int, K: int, failures: list[str], label: str
 ) -> int:
     checks = 0
-    shifted = [shift_window(w, g) for w in windows]
+    shifted = _shifted(windows, g, failures, label)
     for i in range(len(shifted)):
         for j in range(i + 1, len(shifted)):
+            if shifted[i] is None or shifted[j] is None:
+                continue
             checks += 1
-            if not scale_of_difference(shifted[i], shifted[j]).separated_within(K):
+            d = scale_of_difference(shifted[i], shifted[j])
+            if d is None or d > K:
                 failures.append(f"{label}: pair ({i},{j}) not separated at shift {g}")
     return checks
 
@@ -71,7 +84,7 @@ def _check_tuple_size(windows: list[CenteredWord], m: int, failures: list[str], 
 def _check_cylinder(windows: list[CenteredWord], cylinder: str, failures: list[str]) -> int:
     half = len(cylinder) // 2
     for idx, w in enumerate(windows):
-        if w.central(half) != cylinder:
+        if not w.covers(-half, half) or w.central(half) != cylinder:
             failures.append(f"window {idx} does not carry the cylinder {cylinder!r}")
     return len(windows)
 
@@ -119,13 +132,13 @@ def _check_scale_matrix(
     if diagonal != [None] * m:
         failures.append(f"scale matrix diagonal {diagonal} is not null")
     checks = 2
-    shifted = [shift_window(w, g) for w in windows]
+    shifted = _shifted(windows, g, failures, "scale matrix")
     for i, row in enumerate(matrix):
         for j, claimed in enumerate(row):
-            if i == j:
+            if i == j or shifted[i] is None or shifted[j] is None:
                 continue
             checks += 1
-            got = scale_of_difference(shifted[i], shifted[j]).first_difference
+            got = scale_of_difference(shifted[i], shifted[j])
             if got != claimed:
                 failures.append(f"scale matrix mismatch at ({i},{j}): {got} != {claimed}")
     return checks

@@ -23,9 +23,9 @@ from .oracles import (
     m_equicontinuity_point_test,
     m_sensitivity_test,
 )
-from .ranks import predict_profile, rank_report
+from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, predict_profile, rank_report
 from .substitution import RegimeError, SubstitutionSystem
-from .verify import INCONSISTENT, verify_system
+from .verify import INCONSISTENT, M_MAX, verify_system
 
 
 class UsageError(Exception):
@@ -285,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ranks", help="rank report for a system")
     common(p)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--radius", type=int, default=64)
+    p.add_argument("--depth", type=int, default=CENSUS_DEPTH)
+    p.add_argument("--radius", type=int, default=CENSUS_RADIUS)
     p.set_defaults(fn=cmd_ranks)
 
     p = sub.add_parser("profile", help="predicted multivariate profile")
     common(p)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--radius", type=int, default=64)
+    p.add_argument("--m-max", type=int, default=M_MAX)
+    p.add_argument("--depth", type=int, default=CENSUS_DEPTH)
+    p.add_argument("--radius", type=int, default=CENSUS_RADIUS)
     p.set_defaults(fn=cmd_profile)
 
     def tuple_search(name, summary, fn, scale, scale_help):
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--value", type=int, required=True)
-    p.add_argument("--radius", type=int, default=64)
+    p.add_argument("--radius", type=int, default=CENSUS_RADIUS)
     p.set_defaults(fn=cmd_fiber)
 
     p = sub.add_parser("language", help="admissible words of a length")
@@ -359,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run over the verify-enabled catalog")
     p.add_argument("--json", action="store_true")
     p.add_argument("--budget")
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--radius", type=int, default=64)
+    p.add_argument("--m-max", type=int, default=M_MAX)
+    p.add_argument("--depth", type=int, default=CENSUS_DEPTH)
+    p.add_argument("--radius", type=int, default=CENSUS_RADIUS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("replay", help="replay a witness certificate, no search")

@@ -301,19 +301,10 @@ def census_graph(s: Substitution, radius: int) -> CensusGraph:
 
 
 def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[int, ...]]:
-    pats: list[tuple[int, ...]] = []
-    if policy == "max":
-        pats.append((0,))
-        pats.append((q - 1,))
-    else:
-        pats.append((1 % q, 0))
+    pats = [(0,), (q - 1,)] if policy == "max" else [(1 % q, 0)]
     if prefix and len(set(prefix)) > 1:
         pats.append(prefix)
-    out = []
-    for p in pats:
-        if p not in out:
-            out.append(p)
-    return out
+    return pats
 
 
 def census_extreme(

@@ -25,7 +25,7 @@ from .words import CenteredWord, scale_of_difference, shift_window, shifts
 
 
 class ShiftSystem(Protocol):
-    """Anything with a name, an alphabet, and an enumerable language.
+    """Anything with a name, a spec hash, and an enumerable language.
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
     a scan-length table lives as long as the grouping built from it: one
@@ -34,9 +34,6 @@ class ShiftSystem(Protocol):
     """
 
     name: str
-
-    @property
-    def alphabet_size(self) -> int: ...
 
     @property
     def spec_hash(self) -> str: ...
@@ -209,7 +206,7 @@ def _witness(
     for i in range(size):
         for j in range(i + 1, size):
             # the measure is symmetric: compute the upper triangle, mirror it
-            rows[i][j] = rows[j][i] = scale_of_difference(shifted[i], shifted[j]).first_difference
+            rows[i][j] = rows[j][i] = scale_of_difference(shifted[i], shifted[j])
     return {
         "cylinder": cylinder,
         "windows": [w.serialize() for w in windows],
@@ -320,8 +317,6 @@ def sensitivity_scan(
 class SensitivityReport:
     """Per-cylinder verdicts plus the aggregate for one tuple size."""
 
-    m: int
-    scale_exp: int
     aggregate: Verdict
     per_cylinder: dict[str, Verdict]
 
@@ -366,21 +361,19 @@ def sensitivity_report(
     for u, witnesses in scans.items():
         entry = witnesses.get(m)
         if entry is None:
-            per[u] = exhausted(claim, budget=budget.as_dict())
+            per[u] = exhausted(claim)
             missing.append(u)
         else:
             per[u] = witnessed(claim, entry)
             bundle.append(entry)
     if missing:
-        aggregate = exhausted(
-            claim, budget=budget.as_dict(), witness_free_cylinders=tuple(missing)
-        )
+        aggregate = exhausted(claim, witness_free_cylinders=tuple(missing))
     else:
         payload = {**_certificate_header(kind, system, m, K, budget), "cylinders": bundle}
         if B is not None:
             payload["B"] = B
         aggregate = witnessed(claim, payload)
-    return SensitivityReport(m, K, aggregate, per)
+    return SensitivityReport(aggregate, per)
 
 
 def m_sensitivity_test(
@@ -413,12 +406,7 @@ def m_equicontinuity_point_test(
     for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
         best, raw = _separation_scan(exts, radius, K, budget.N, m)
         if best < m:
-            return exhausted(
-                claim,
-                budget=budget.as_dict(),
-                verdict_class="consistent-up-to",
-                clean_delta_radius=W,
-            )
+            return exhausted(claim, verdict_class="consistent-up-to", clean_delta_radius=W)
         g, idxs = raw[m]
         stages.append({"delta_radius": W, **_witness(central, exts, idxs, radius, g, K)})
     payload = {

@@ -11,6 +11,7 @@ minimal and maximal rank come from digit-path censuses
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -18,6 +19,10 @@ from typing import Callable, Mapping
 from .odometer import census_extreme, column_number
 from .oracles import PairClass, proximal_pair_exact
 from .substitution import RegimeError, Substitution, SubstitutionSystem
+
+# The census depth and radius every rank report runs at unless told otherwise.
+CENSUS_DEPTH = 4
+CENSUS_RADIUS = 64
 
 
 class EstimateKind(enum.Enum):
@@ -145,18 +150,22 @@ def _census_rank(
     )
 
 
-def minimal_rank(s: Substitution, depth_max: int = 4, radius_max: int = 64) -> Estimate:
+def minimal_rank(
+    s: Substitution, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
+) -> Estimate:
     """Smallest stabilized fiber census over sampled digit paths."""
     return _census_rank(s, "min", depth_max, radius_max)
 
 
-def maximal_rank(s: Substitution, depth_max: int = 4, radius_max: int = 64) -> Estimate:
+def maximal_rank(
+    s: Substitution, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
+) -> Estimate:
     """Largest stabilized fiber census, boundary digit paths included."""
     return _census_rank(s, "max", depth_max, radius_max)
 
 
 def substitution_rank_report(
-    system: SubstitutionSystem, depth_max: int = 4, radius_max: int = 64
+    system: SubstitutionSystem, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
 ) -> RankReport:
     s = system.substitution
     regime = s.regime
@@ -184,7 +193,9 @@ def equicontinuous_rank_report(name: str) -> RankReport:
     return RankReport(name, one, one, one, {"equicontinuous": True})
 
 
-def rank_report(system, depth_max: int = 4, radius_max: int = 64) -> RankReport:
+def rank_report(
+    system, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
+) -> RankReport:
     """Dispatch to the right rank pipeline for the system's construction."""
     for label, value in (("depth", depth_max), ("radius", radius_max)):
         if value < 0:
@@ -203,17 +214,19 @@ def rank_report(system, depth_max: int = 4, radius_max: int = 64) -> RankReport:
 
 @dataclass(frozen=True)
 class ProfileRow:
+    """Predicted dichotomies at tuple size m: each equicontinuity negates a sensitivity."""
+
     m: int
-    m_equicontinuous: bool
     m_sensitive: bool
     compactly_m_sensitive: bool
-    cover_m_equicontinuous: bool
 
-    def __post_init__(self) -> None:
-        if self.m_sensitive == self.m_equicontinuous:
-            raise ValueError("m-sensitivity must be the negation of m-equicontinuity")
-        if self.compactly_m_sensitive == self.cover_m_equicontinuous:
-            raise ValueError("compact sensitivity must be the negation of cover equicontinuity")
+    @property
+    def m_equicontinuous(self) -> bool:
+        return not self.m_sensitive
+
+    @property
+    def cover_m_equicontinuous(self) -> bool:
+        return not self.compactly_m_sensitive
 
 
 @dataclass(frozen=True)
@@ -248,20 +261,10 @@ def predict_profile(report: RankReport, m_max: int) -> MultivariateProfile:
     if m_max < 2:
         raise ValueError("profile needs m_max >= 2")
     r_M, r_c = report.r_M.value, report.r_c.value
-    rows = []
-    for m in range(2, m_max + 1):
-        sensitive = r_M is None or r_M >= m
-        compact = r_c is None or r_c >= m
-        rows.append(
-            ProfileRow(
-                m,
-                m_equicontinuous=not sensitive,
-                m_sensitive=sensitive,
-                compactly_m_sensitive=compact,
-                cover_m_equicontinuous=not compact,
-            )
-        )
-    return MultivariateProfile(report.system, tuple(rows))
+    rows = tuple(
+        ProfileRow(m, r_M is None or r_M >= m, r_c is None or r_c >= m) for m in range(2, m_max + 1)
+    )
+    return MultivariateProfile(report.system, rows)
 
 
 # --------------------------------------------------------------------------
@@ -294,13 +297,7 @@ class FactorLanguage:
         self.name = name or f"{source.name}-factor"
 
     @property
-    def alphabet_size(self) -> int:
-        return len(set(self.rule.values()))
-
-    @property
     def spec_hash(self) -> str:
-        import hashlib
-
         text = self.source.spec_hash + repr(sorted(self.rule.items()))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

@@ -204,26 +204,21 @@ class LanguageTable:
         if longer is not None:
             prefixes = map(operator.itemgetter(slice(n)), self._cache[longer])
             return tuple(dict.fromkeys(prefixes))
-        if n == 1:
-            found = {c for p in self._two_letter_words() for c in p}
-            found.update(c for img in self._rules for c in img)
-        else:
-            images = dict(zip(self._letters, self._images_covering(n)))
-            seeds = set(self._two_letter_words())
-            if not seeds:  # single-letter alphabet with expanding rule
-                seeds = {2 * self._letters}
-            # A length-n window of a seed's block theta^k(a) theta^k(b)
-            # lies inside one letter's image or crosses the seam, and the
-            # crossing ones are the windows of theta^k(a)[1-n:] +
-            # theta^k(b)[:n-1]: take each letter's inner windows once,
-            # and per seed only the seam's.
-            found = set()
-            for c in {c for pair in seeds for c in pair}:
-                img = images[c]
-                found.update(img[i : i + n] for i in range(len(img) - n + 1))
-            for a, b in seeds:
-                seam = images[a][1 - n :] + images[b][: n - 1]
-                found.update(seam[i : i + n] for i in range(n - 1))
+        if n == 1:  # a primitive substitution's images use every letter
+            return tuple(self._letters)
+        images = dict(zip(self._letters, self._images_covering(n)))
+        seeds = self._two_letter_words()  # nonempty: _images_covering raises when no image grows
+        # A length-n window of a seed's block theta^k(a) theta^k(b) lies
+        # inside one letter's image or crosses the seam, and the crossing
+        # ones are the windows of theta^k(a)[1-n:] + theta^k(b)[:n-1]: take
+        # each letter's inner windows once, and per seed only the seam's.
+        found = set()
+        for c in {c for pair in seeds for c in pair}:
+            img = images[c]
+            found.update(img[i : i + n] for i in range(len(img) - n + 1))
+        for a, b in seeds:
+            seam = images[a][1 - n :] + images[b][: n - 1]
+            found.update(seam[i : i + n] for i in range(n - 1))
         return tuple(sorted(found))
 
     def words(self, n: int) -> tuple[str, ...]:
@@ -357,14 +352,17 @@ def height(s: Substitution) -> int:
     return g
 
 
-def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
+APERIODICITY_N_MAX = 48  # the complexity scan length n_max; see aperiodicity_check
+
+
+def aperiodicity_check(s: Substitution) -> Verdict:
     """Morse-Hedlund style periodicity scan.
 
     A flat step p(n) = p(n+1) certifies a periodic (finite) subshift, so the
     flatness scan runs first at every length; only a complexity profile that
     keeps strictly growing through n_max is reported as witnessed aperiodic,
-    with the least n where p(n) > n as the witness.  The default n_max is
-    deep enough to catch every periodic fixed point in the range that
+    with the least n where p(n) > n as the witness.  n_max is deep enough to
+    catch every periodic fixed point in the range that
     ``catalog.random_exact_substitutions`` samples (at most
     ``catalog.ALPHABET_MAX`` = 3 letters, length at most ``catalog.Q_MAX`` =
     4).
@@ -376,6 +374,7 @@ def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
     if not is_primitive(s):
         raise RegimeError("aperiodicity check requires a primitive substitution")
     table = s.table
+    n_max = APERIODICITY_N_MAX
     for n in range(n_max + 1, 0, -1):
         table.words(n)
     claim = "aperiodicity"
@@ -394,7 +393,7 @@ def aperiodicity_check(s: Substitution, n_max: int = 48) -> Verdict:
             {"n": witness_n, "complexity": table.complexity(witness_n)},
             scanned_to=n_max,
         )
-    return exhausted(claim, budget={"n_max": n_max})
+    return exhausted(claim)
 
 
 @dataclass(frozen=True)
@@ -445,10 +444,6 @@ class SubstitutionSystem:
     substitution: Substitution
 
     @property
-    def alphabet_size(self) -> int:
-        return self.substitution.alphabet_size
-
-    @property
     def spec_text(self) -> str:
         return f"substitution\n{self.substitution.to_text()}"
 
@@ -459,9 +454,6 @@ class SubstitutionSystem:
     def language(self, n: int) -> tuple[str, ...]:
         """The length-n words, built per call and not kept (see ``LanguageTable``)."""
         return language(self.substitution, n)
-
-    def admits(self, word: str) -> bool:
-        return self.substitution.table.admits(word)
 
     def seed_points(self) -> tuple[SeedPair, ...]:
         return seed_pairs(self.substitution)

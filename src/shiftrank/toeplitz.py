@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, Estimate, EstimateKind, RankReport
 from .words import ALPHABET_CHARS
 
 
@@ -52,23 +53,12 @@ class ToeplitzSkeleton:
     def periods(self) -> tuple[int, ...]:
         return tuple(st.period for st in self.stages)
 
-    @property
-    def alphabet(self) -> str:
-        syms = sorted({sym for st in self.stages for _, sym in st.fills})
-        return "".join(syms)
-
-    def symbol_at(self, n: int) -> str | None:
-        for st in self.stages:
-            for r, sym in st.fills:
-                if n % st.period == r:
-                    return sym
-        return None
-
     def _symbols(self, length: int) -> list[str | None]:
-        """``symbol_at(n)`` for every n < ``length``, by one stride assignment per fill.
+        """The symbol of every position n < ``length``, None where no fill reaches.
 
-        Fills are written in reverse order, so where two fills of one stage
-        share a residue the one ``symbol_at`` meets first is written last.
+        Position n takes the first fill, in stage order, whose residue is n
+        mod its period.  One stride assignment per fill, in reverse order,
+        writes that fill last.
         """
         chars: list[str | None] = [None] * length
         fills = [(st.period, r, sym) for st in self.stages for r, sym in st.fills]
@@ -175,10 +165,6 @@ class ToeplitzSystem:
         return self.skeleton.prefix(self.prefix_length)
 
     @property
-    def alphabet_size(self) -> int:
-        return len(self.skeleton.alphabet)
-
-    @property
     def spec_text(self) -> str:
         lines = ["toeplitz"]
         for st in self.skeleton.stages:
@@ -249,9 +235,7 @@ class ToeplitzSystem:
 
         return extreme(min), extreme(max)
 
-    def rank_report(self, depth_max: int = 4, radius_max: int = 64):
-        from .ranks import Estimate, EstimateKind, RankReport
-
+    def rank_report(self, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS):
         flags = {
             "toeplitz": True,
             "periods": list(self.skeleton.periods[:6]) + ["..."],

@@ -27,16 +27,11 @@ class Verdict:
     claim: str
     certificate: Any = None
     reason: str | None = None
-    budget: Mapping[str, Any] | None = None
     annotations: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def witnessed(self) -> bool:
         return self.status is VerdictStatus.WITNESSED
-
-    @property
-    def refuted(self) -> bool:
-        return self.status is VerdictStatus.REFUTED
 
     @property
     def exhausted(self) -> bool:
@@ -55,5 +50,5 @@ def refuted(claim: str, reason: str, **annotations: Any) -> Verdict:
     return Verdict(VerdictStatus.REFUTED, claim, reason=reason, annotations=annotations)
 
 
-def exhausted(claim: str, budget: Mapping[str, Any] | None = None, **annotations: Any) -> Verdict:
-    return Verdict(VerdictStatus.EXHAUSTED, claim, budget=budget, annotations=annotations)
+def exhausted(claim: str, **annotations: Any) -> Verdict:
+    return Verdict(VerdictStatus.EXHAUSTED, claim, annotations=annotations)

@@ -13,13 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracles import SearchBudget, block_sensitivity_scan, sensitivity_report, sensitivity_scan
-from .ranks import MultivariateProfile, RankReport, predict_profile, rank_report
+from .ranks import (
+    CENSUS_DEPTH,
+    CENSUS_RADIUS,
+    MultivariateProfile,
+    RankReport,
+    predict_profile,
+    rank_report,
+)
 from .verdicts import Verdict
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 BLOCK_SCALE = 1  # the scale exponent K of every block cell; see verify_system
+M_MAX = 5  # the largest tuple size graded unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,10 @@ def _grade(predicted_positive: bool, verdict: Verdict) -> str:
 
 def verify_system(
     system,
-    m_max: int = 5,
+    m_max: int = M_MAX,
     budget: SearchBudget | None = None,
-    depth_max: int = 4,
-    radius_max: int = 64,
+    depth_max: int = CENSUS_DEPTH,
+    radius_max: int = CENSUS_RADIUS,
 ) -> VerifyReport:
     """Grade sensitivity and block-sensitivity cells against the rank predictions.
 

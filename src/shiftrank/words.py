@@ -4,9 +4,10 @@ A point of a subshift is approximated at desk scale by a finite two-sided
 window of symbols straddling the origin.  All metric questions about points
 reduce to exact combinatorics on these windows: with the standard subshift
 metric d(x, y) = 2^-min{|n| : x_n != y_n}, the ball of radius 2^-K around x
-is exactly the cylinder of its central window of radius K.  Every comparison
-here is certified: it carries the overlap radius actually inspected, so a
-caller can always distinguish "equal within radius R" from "equal".
+is exactly the cylinder of its central window of radius K.  A comparison
+returns the least |n| at which two windows differ over their whole overlap,
+or None when they agree on it, so a None says nothing about the coordinates
+outside the overlap.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class CenteredWord:
     def right(self) -> int:
         return self.left + len(self.symbols) - 1
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def at(self, n: int) -> str:
-        """Symbol at coordinate ``n``."""
-        if not self.left <= n <= self.right:
-            raise IndexError(f"coordinate {n} outside window [{self.left}, {self.right}]")
-        return self.symbols[n - self.left]
-
     def covers(self, lo: int, hi: int) -> bool:
         return self.left <= lo and hi <= self.right
 
@@ -87,30 +79,6 @@ class CenteredWord:
         return cls(word_part, int(head[len("offset:left=") :]))
 
 
-@dataclass(frozen=True)
-class DistanceScale:
-    """Certified comparison of two windows under the dyadic metric.
-
-    ``first_difference`` is min{|n| : a_n != b_n} over the inspected overlap,
-    or None when the windows agree on the whole overlap.  ``radius`` is the
-    largest R with [-R, R] inside both windows; differences found at |n| <= R
-    are exact metric values, anything beyond is only an upper/lower bound.
-    """
-
-    first_difference: int | None
-    radius: int
-
-    def within(self, scale_exp: int) -> bool:
-        """Certified d < 2^-scale_exp, i.e. agreement on [-scale_exp, scale_exp]."""
-        if self.radius < scale_exp:
-            return False
-        return self.first_difference is None or self.first_difference > scale_exp
-
-    def separated_within(self, scale_exp: int) -> bool:
-        """Certified d >= 2^-scale_exp: a real difference at |n| <= scale_exp."""
-        return self.first_difference is not None and self.first_difference <= scale_exp
-
-
 def _first_mismatch(x: str, y: str) -> int | None:
     """Index of the first position where two equal-length strings differ, or None."""
     if x == y:
@@ -125,21 +93,18 @@ def _first_mismatch(x: str, y: str) -> int | None:
     return lo
 
 
-def scale_of_difference(a: CenteredWord, b: CenteredWord) -> DistanceScale:
-    """First coordinate (by absolute value) where the windows disagree.
+def scale_of_difference(a: CenteredWord, b: CenteredWord) -> int | None:
+    """min{|n| : a_n != b_n} over the overlap of the windows, or None if they agree there.
 
     Scans each side of the intersection of both windows outward from the
     origin: coordinates ``0..hi`` as they stand, ``lo..-1`` reversed.  Each
     side's first mismatch is found by bisection on slice equality, so a scan
-    costs O(log n) string comparisons.  ``first_difference`` is the exact
-    minimum |n| over the whole (possibly asymmetric) overlap, including
-    differences beyond ``radius``; the result's ``radius`` is the symmetric
-    overlap radius, so the caller can tell whether the reported scale is the
-    exact metric value.
+    costs O(log n) string comparisons.  The minimum is exact over the whole,
+    possibly asymmetric, overlap, differences beyond the symmetric overlap
+    radius included.
     """
     lo = max(a.left, b.left)
     hi = min(a.right, b.right)
-    radius = min(-lo, hi)
     sa, sb = a.symbols, b.symbols
     oa, ob = -a.left, -b.left
     best = _first_mismatch(sa[oa : oa + hi + 1], sb[ob : ob + hi + 1])
@@ -148,7 +113,7 @@ def scale_of_difference(a: CenteredWord, b: CenteredWord) -> DistanceScale:
     left = _first_mismatch(sa[oa - reach : oa][::-1], sb[ob - reach : ob][::-1])
     if left is not None:
         best = left + 1
-    return DistanceScale(best, radius)
+    return best
 
 
 def shift_window(w: CenteredWord, g: int) -> CenteredWord:

@@ -83,7 +83,7 @@ def test_random_sampler_is_deterministic_and_filtered():
         assert is_primitive(s)
         assert s.constant_length is not None and 2 <= s.constant_length <= 4
         assert 2 <= s.alphabet_size <= 3
-        assert aperiodicity_check(s, 48).status is VerdictStatus.WITNESSED
+        assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
 
 
 def test_random_sampler_shares_one_instance_per_repeated_draw():

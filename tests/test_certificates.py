@@ -57,12 +57,9 @@ def test_tampered_certificate_fails_replay():
     cert = json.loads(certificate_json(report.aggregate.certificate))
     entry = cert["cylinders"][0]
     entry["shift"] = entry["shift"] + 1000  # move the witness outside its window
-    try:
-        result = replay(cert)
-        ok = result.ok
-    except (ValueError, IndexError):
-        ok = False
-    assert not ok
+    result = replay(cert)
+    assert not result.ok
+    assert "window 0 does not hold the shift" in result.failures[0]
 
 
 def test_flipped_window_fails_replay():
@@ -137,6 +134,21 @@ def _tm_point_counterexample() -> dict:
 
 def _tm_block() -> dict:
     return block_m_sensitivity_test(TM_SYS, 2, 1, 8, SearchBudget()).aggregate.certificate
+
+
+def _tm_sensitivity() -> dict:
+    return m_sensitivity_test(TM_SYS, 2, 2, SearchBudget(N=16)).aggregate.certificate
+
+
+def _one_symbol_first_windows(cert: dict) -> None:
+    # a window on [0, 0] holds neither the cylinder nor any nonzero shift
+    for entry in cert.get("stages") or cert["cylinders"]:
+        entry["windows"][0] = "offset:left=0 word=0"
+
+
+def _far_shifts(cert: dict) -> None:
+    for entry in cert["cylinders"]:
+        entry["shift"] = 100000
 
 
 def _one_shift_gaps(cert: dict) -> None:
@@ -239,6 +251,12 @@ def _scale_matrices(matrix: list):
             _scale_matrices([[0, 0], [0, None]]),
             "diagonal [0, None] is not null",
         ),
+        (_tm_sensitivity, _one_symbol_first_windows, "window 0 does not carry the cylinder"),
+        (_tm_sensitivity, _one_symbol_first_windows, ": window 0 does not hold the shift"),
+        (_tm_sensitivity, _far_shifts, "window 1 does not hold the shift 100000"),
+        (_tm_block, _far_shifts, "scale matrix: window 0 does not hold the shift 100000"),
+        (_tm_point_counterexample, _one_symbol_first_windows, "does not carry the cylinder"),
+        (_tm_cover_falsified, _one_symbol_first_windows, "window 0 does not hold the shift"),
     ],
     ids=[
         "cover-gap-length",
@@ -256,6 +274,12 @@ def _scale_matrices(matrix: list):
         "block-1x1-scale-matrix",
         "cover-3x3-scale-matrix",
         "cover-scale-matrix-diagonal",
+        "sensitivity-window-short-of-cylinder",
+        "sensitivity-window-short-of-shift",
+        "sensitivity-shift-outside-windows",
+        "block-shift-outside-windows",
+        "point-window-short-of-cylinder",
+        "cover-window-short-of-gap",
     ],
 )
 def test_forged_run_lengths_and_cylinders_fail_replay(make, forge, reason):

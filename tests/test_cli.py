@@ -396,6 +396,32 @@ def test_replay_of_malformed_certificate_exits_two(capsys, tmp_path, doc, reason
     assert reason in err
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("windows", "offset:left=0 word=0", "window 0 does not carry the cylinder '00101'"),
+        ("shift", 100000, "cylinder '00101': window 0 does not hold the shift 100000"),
+    ],
+    ids=["one-symbol-window", "far-shift"],
+)
+def test_replay_of_a_window_short_of_its_claim_exits_one(capsys, tmp_path, field, value, reason):
+    # a window that misses its cylinder or its shift is a failed check, not a usage error
+    cert = tmp_path / "cert.json"
+    argv = ["sensitivity", "thue-morse", "--m", "2", "--budget", "N=16", "--cert", str(cert)]
+    assert run_cli(capsys, *argv)[0] == 0
+    doc = json.loads(cert.read_text())
+    for entry in doc["cylinders"]:
+        if field == "windows":
+            entry["windows"][0] = value
+        else:
+            entry[field] = value
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", str(cert))
+    assert code == 1
+    assert err == ""
+    assert out.startswith("replay FAILED") and f"  {reason}\n" in out
+
+
 def test_exhausted_search_removes_an_older_certificate(capsys, tmp_path):
     # the file at --cert must belong to the run that was asked to write it
     cert = tmp_path / "s.json"

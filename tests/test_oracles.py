@@ -35,6 +35,7 @@ from shiftrank.oracles import (
 from shiftrank.ranks import sliding_block_factor
 from shiftrank.substitution import Substitution, SubstitutionSystem, language
 from shiftrank.toeplitz import ToeplitzSystem, doubling_skeleton
+from shiftrank.verdicts import VerdictStatus
 from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
@@ -147,7 +148,8 @@ def test_sensitivity_monotone_in_m():
         shifted = [shift_window(w, g) for w in rest]
         for i in range(3):
             for j in range(i + 1, 3):
-                assert scale_of_difference(shifted[i], shifted[j]).separated_within(2)
+                d = scale_of_difference(shifted[i], shifted[j])
+                assert d is not None and d <= 2
 
 
 def test_sensitivity_monotone_in_budget():
@@ -195,7 +197,8 @@ def test_block_witness_yields_plain_witnesses_throughout_block():
     h, B = entry["shift"], entry["block_half"]
     for g in range(h - B, h + B + 1):
         a, b = (shift_window(w, g) for w in windows)
-        assert scale_of_difference(a, b).separated_within(1)
+        d = scale_of_difference(a, b)
+        assert d is not None and d <= 1
 
 
 # -- cover equicontinuity --------------------------------------------------------------
@@ -219,13 +222,15 @@ def test_thue_morse_cover_2_falsified():
     budget = SearchBudget(L=2, N=128, K=2, B=16)
     x = seed_point(TM_SYS, 0, budget.N + budget.B + budget.K + 1 + max(budget.ladder))
     v = cover_m_equicontinuity_test(TM_SYS, x, 2, 2, budget)
-    assert v.refuted and v.annotations["verdict_class"] == "falsified-up-to"
+    assert v.status is VerdictStatus.REFUTED
+    assert v.annotations["verdict_class"] == "falsified-up-to"
     # the recorded gap is a genuine stretch of pairwise separation
     stage = v.certificate["stages"][0]
     windows = [CenteredWord.parse(t) for t in stage["windows"]]
     for g in range(stage["gap_start"], stage["gap_end"] + 1):
         a, b = (shift_window(w, g) for w in windows)
-        assert scale_of_difference(a, b).separated_within(2)
+        d = scale_of_difference(a, b)
+        assert d is not None and d <= 2
 
 
 @pytest.mark.parametrize("N", [4, 8])
@@ -243,7 +248,7 @@ def test_cover_and_block_verdicts_complement():
     # fail; block 3 fails, so cover 3-equicontinuity must hold
     budget = SearchBudget(L=2, N=128, K=1, B=16)
     x = seed_point(TM_SYS, 0, budget.N + budget.B + budget.K + 1 + max(budget.ladder))
-    assert cover_m_equicontinuity_test(TM_SYS, x, 2, 1, budget).refuted
+    assert cover_m_equicontinuity_test(TM_SYS, x, 2, 1, budget).status is VerdictStatus.REFUTED
     assert cover_m_equicontinuity_test(TM_SYS, x, 3, 1, budget).witnessed
 
 

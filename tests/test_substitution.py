@@ -422,7 +422,7 @@ def test_height_one_when_short_prefixes_suggest_more(rules):
 
 
 def test_thue_morse_aperiodic_witnessed():
-    v = aperiodicity_check(TM, 4)
+    v = aperiodicity_check(TM)
     assert v.status is VerdictStatus.WITNESSED
     # the complexity witness satisfies p(n) > n
     n = v.certificate["n"]
@@ -430,26 +430,26 @@ def test_thue_morse_aperiodic_witnessed():
 
 
 def test_one_letter_refuted_with_period_one():
-    v = aperiodicity_check(ONE, 4)
+    v = aperiodicity_check(ONE)
     assert v.status is VerdictStatus.REFUTED
     assert v.annotations["period"] == 1
 
 
 def test_ternary_aperiodic():
-    assert aperiodicity_check(TERN, 4).status is VerdictStatus.WITNESSED
+    assert aperiodicity_check(TERN).status is VerdictStatus.WITNESSED
 
 
 def test_periodic_system_with_growing_low_complexity_is_refuted():
     # fixed point (001)^inf has p(1)=2>1; a naive p(n)>n check would pass it
     s = Substitution(("001", "001"))
-    v = aperiodicity_check(s, 8)
+    v = aperiodicity_check(s)
     assert v.status is VerdictStatus.REFUTED
     assert v.annotations["period"] == 3
 
 
 def test_alternating_periodic_refuted():
     s = Substitution(("01", "01"))
-    v = aperiodicity_check(s, 8)
+    v = aperiodicity_check(s)
     assert v.status is VerdictStatus.REFUTED
     assert v.annotations["period"] == 2
 
