@@ -79,9 +79,6 @@ class SearchBudget:
         }
 
 
-DEFAULT_BUDGET = SearchBudget()
-
-
 class PairClass(enum.Enum):
     PROXIMAL = "proximal"
     DISTAL = "distal"

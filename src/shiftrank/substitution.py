@@ -134,11 +134,17 @@ class LanguageTable:
     keeps the rules, not the substitution, so dropping a substitution frees
     its table at once.  ``build(n)`` makes the length-n tuple and keeps
     nothing; ``words(n)`` memoises it.  The memo serves the readers that
-    revisit short lengths: the regime gate (``aperiodicity_check`` and
-    ``height``), ``seed_pairs`` and the digit-path census.  The protocol
+    revisit lengths: ``seed_pairs`` and the digit-path census.  The protocol
     read ``SubstitutionSystem.language``, which the oracles and the CLI use
     for their scan-length tables, goes through ``build``, so such a table
     lives only as long as the caller holds it.
+
+    A substitution that has passed the regime gate keeps one length,
+    ``APERIODICITY_N_MAX + 1``, which ``aperiodicity_check`` memoises; the
+    gate reads its other lengths, in ``aperiodicity_check`` and ``height``,
+    without keeping them.  Every shorter length a later reader asks for,
+    such as the census's 2 * radius + 1, is derived from the shortest longer
+    one the memo holds.
 
     Exactness argument: once the image of every letter under the k-th power
     has length >= n, any admissible length-n word sits inside the image of an
@@ -202,8 +208,7 @@ class LanguageTable:
             return self._cache[n]
         longer = min((m for m in self._cache if m > n), default=None)
         if longer is not None:
-            prefixes = map(operator.itemgetter(slice(n)), self._cache[longer])
-            return tuple(dict.fromkeys(prefixes))
+            return _prefixes(self._cache[longer], n)
         if n == 1:  # a primitive substitution's images use every letter
             return tuple(self._letters)
         images = dict(zip(self._letters, self._images_covering(n)))
@@ -232,8 +237,10 @@ class LanguageTable:
         i = bisect.bisect_left(words, word)
         return i < len(words) and words[i] == word
 
-    def complexity(self, n: int) -> int:
-        return len(self.words(n))
+
+def _prefixes(words: tuple[str, ...], n: int) -> tuple[str, ...]:
+    """The distinct length-n prefixes of sorted ``words``, in order (see ``LanguageTable``)."""
+    return tuple(dict.fromkeys(map(operator.itemgetter(slice(n)), words)))
 
 
 def language(s: Substitution, n: int) -> tuple[str, ...]:
@@ -334,6 +341,7 @@ def height(s: Substitution) -> int:
     length r + 1 that starts and ends with a and has no a inside.  Lengths
     are read up to the least n at which every admissible word contains a:
     w is admissible and has no a, so |w| < n, and no return time exceeds n.
+    Each length is read through ``build``, so the table keeps none of them.
     """
     q = s.require_constant_length()
     if not is_primitive(s):
@@ -342,11 +350,14 @@ def height(s: Substitution) -> int:
     a = min(_cycle_lengths(first))
     table = s.table
     g = 0
+    words = table.build(1)
     for n in itertools.count(1):
-        if any(w[0] == a == w[-1] and a not in w[1:-1] for w in table.words(n + 1)):
+        longer = table.build(n + 1)
+        if any(w[0] == a == w[-1] and a not in w[1:-1] for w in longer):
             g = math.gcd(g, n)
-        if all(a in w for w in table.words(n)):
+        if all(a in w for w in words):
             break
+        words = longer
     while (d := math.gcd(g, q)) > 1:
         g //= d
     return g
@@ -367,32 +378,30 @@ def aperiodicity_check(s: Substitution) -> Verdict:
     ``catalog.ALPHABET_MAX`` = 3 letters, length at most ``catalog.Q_MAX`` =
     4).
 
-    The table is filled from length n_max + 1 down to 1 before the scan, so
-    only the longest is built from letter images and each shorter one is
-    derived from the one just above it (see ``LanguageTable``).
+    Only the length n_max + 1 table is built from letter images, and it is
+    the only one the substitution's table keeps.  The complexities p(n) are
+    read before the scan, down a chain from n_max + 1 to 1: each shorter
+    table is the prefixes of the one just above it (see ``LanguageTable``)
+    and is dropped once its length is counted.
     """
     if not is_primitive(s):
         raise RegimeError("aperiodicity check requires a primitive substitution")
-    table = s.table
     n_max = APERIODICITY_N_MAX
-    for n in range(n_max + 1, 0, -1):
-        table.words(n)
+    words = s.table.words(n_max + 1)
+    p = [0] * (n_max + 2)  # p[n] is the complexity at length n
+    p[n_max + 1] = len(words)
+    for n in range(n_max, 0, -1):
+        words = _prefixes(words, n)
+        p[n] = len(words)
     claim = "aperiodicity"
     witness_n: int | None = None
-    prev = table.complexity(1)
     for n in range(1, n_max + 1):
-        cur = table.complexity(n + 1)
-        if prev == cur:
-            return refuted(claim, f"complexity flat at length {n}", period=prev, length=n)
-        if witness_n is None and prev > n:
+        if p[n] == p[n + 1]:
+            return refuted(claim, f"complexity flat at length {n}", period=p[n], length=n)
+        if witness_n is None and p[n] > n:
             witness_n = n
-        prev = cur
     if witness_n is not None:
-        return witnessed(
-            claim,
-            {"n": witness_n, "complexity": table.complexity(witness_n)},
-            scanned_to=n_max,
-        )
+        return witnessed(claim, {"n": witness_n, "complexity": p[witness_n]}, scanned_to=n_max)
     return exhausted(claim)
 
 

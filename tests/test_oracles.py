@@ -11,7 +11,6 @@ from shiftrank import catalog, oracles
 from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
-    DEFAULT_BUDGET,
     SEGMENT,
     PairClass,
     SearchBudget,
@@ -96,7 +95,7 @@ def test_trivial_system_is_consistent_with_equicontinuity():
 
 
 def test_thue_morse_fails_4_equicontinuity_at_scale_two():
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     x = seed_point(TM_SYS, 0, budget.N + budget.K + max(budget.ladder))
     v = m_equicontinuity_point_test(TM_SYS, x, 4, 2, budget)
     assert v.witnessed and v.annotations["verdict_class"] == "counterexample"
@@ -104,7 +103,7 @@ def test_thue_morse_fails_4_equicontinuity_at_scale_two():
 
 
 def test_thue_morse_consistent_with_5_equicontinuity():
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     x = seed_point(TM_SYS, 0, budget.N + budget.K + max(budget.ladder))
     v = m_equicontinuity_point_test(TM_SYS, x, 5, 2, budget)
     assert v.exhausted and v.annotations["verdict_class"] == "consistent-up-to"
@@ -133,7 +132,7 @@ def test_trivial_system_never_sensitive():
 
 
 def test_sensitivity_monotone_in_m():
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     reports = {m: m_sensitivity_test(TM_SYS, m, 2, budget) for m in (2, 3, 4, 5)}
     for m in (3, 4, 5):
         if reports[m].aggregate.witnessed:
@@ -258,7 +257,7 @@ def test_cover_and_block_verdicts_complement():
 def test_point_test_verdict_stable_under_seed_shifts():
     # horizons matter here: small N makes boundary effects flip verdicts, so
     # the stability check runs at the full default horizon
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     for system in (TM_SYS, PD_SYS):
         base = None
         for g in range(-4, 5):
@@ -277,7 +276,7 @@ PROBE_SHA256 = "0b04883577144a056a16459dd8866566527980abfac62c75a0ba3d9ff05ddffd
 
 def test_probe_outputs_are_frozen():
     # the acceptance-criterion-8 probes of the four exact-regime systems
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     radius = budget.N + budget.K + 4 + max(budget.ladder)
     rows = []
     for name in ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011"):
@@ -358,7 +357,7 @@ def test_single_m_tests_build_witnesses_only_for_m(monkeypatch, name, test, witn
         return witness(*args, **kwargs)
 
     monkeypatch.setattr(oracles, "_witness", counting)
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     if test == "block":
         block_m_sensitivity_test(system_for(name), 3, 1, 8, budget)
     else:
@@ -559,7 +558,7 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
         return best(self, blocks)
 
     monkeypatch.setattr(_RunCliqueFinder, "best", counting_best)
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     x = seed_point(TM_SYS, 0, max(budget.ladder))
     assert cover_m_equicontinuity_test(TM_SYS, x, 3, budget.K, budget).witnessed
     assert len(solved) < 498 // 10  # one clique solve per start made 498
@@ -569,7 +568,7 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
 
 
 def test_zigzag_block_scan_keeps_one_blocker_per_side(monkeypatch):
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     K = 1
     reads = []
     at = _SegmentBlocks.at
@@ -586,7 +585,7 @@ def test_zigzag_block_scan_keeps_one_blocker_per_side(monkeypatch):
 
 
 def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     width = 2 * budget.B + 2 + 2 * budget.K  # a cover run: 2B+2 centers, K symbols each side
     solved = []
     best = _RunCliqueFinder.best
@@ -680,7 +679,7 @@ def test_clique_rows_check_only_pairs_the_search_reads(monkeypatch):
         return separated(self, b1, b2)
 
     monkeypatch.setattr(_RunCliqueFinder, "_separated", counting_separated)
-    budget = DEFAULT_BUDGET
+    budget = SearchBudget()
     radius = budget.N + budget.K + 4 + max(budget.ladder)
     for name in ("thue-morse", "ternary-morse", "keane-morse-011"):
         system = system_for(name)

@@ -49,6 +49,26 @@ def test_every_public_function_and_class_has_a_reader():
     assert _unread(defined) == []
 
 
+def _constant_names(node: ast.stmt) -> list[str]:
+    """The plain names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_public_module_constant_has_a_reader():
+    defined = [
+        (f"{path.stem}.{name}", name, stmt)
+        for path in MODULES
+        for stmt in TREES[path].body
+        for name in _constant_names(stmt)
+        if name[0] != "_"
+    ]
+    assert _unread(defined) == []
+
+
 def _member_name(node: ast.stmt) -> str | None:
     """The name a class-body statement defines as a method, property or field."""
     if isinstance(node, ast.FunctionDef):

@@ -10,8 +10,9 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftrank import catalog
+from shiftrank import catalog, ranks
 from shiftrank.substitution import (
+    APERIODICITY_N_MAX,
     LanguageTable,
     RegimeError,
     Substitution,
@@ -225,7 +226,9 @@ def test_derived_tables_match_pairwise_windows_on_criterion_5_sample():
             assert table.words(n) == _pairwise_words(s, n), (s.rules, n)
 
 
-def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
+@pytest.fixture
+def image_builds(monkeypatch):
+    """The lengths that tables build from letter images while the test runs."""
     built = []
     images_covering = LanguageTable._images_covering
 
@@ -234,12 +237,37 @@ def test_aperiodicity_check_builds_one_table_from_images(monkeypatch):
         return images_covering(self, n)
 
     monkeypatch.setattr(LanguageTable, "_images_covering", counting)
+    return built
+
+
+def test_aperiodicity_check_builds_one_table_from_images(image_builds):
     # fresh substitutions, whose tables no other test has filled
     for s in (Substitution(TM.rules), Substitution(TERN.rules)):
-        built.clear()
+        image_builds.clear()
         assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
         # one build at length 49; lengths 1-48 are its prefixes
-        assert built == [49]
+        assert image_builds == [49]
+
+
+def test_gated_sample_keeps_one_table_length():
+    # the regime gate keeps its scan length n_max + 1; everything else the
+    # memo holds adds up to fewer characters than that one length
+    longest = APERIODICITY_N_MAX + 1
+    for s in catalog.random_exact_substitutions(200):
+        memo = s.table._cache
+        assert longest in memo, s.rules
+        others = sum(n * len(words) for n, words in memo.items() if n != longest)
+        assert others < longest * len(memo[longest]), (s.rules, sorted(memo))
+
+
+def test_census_derives_its_tables_from_the_gated_length(image_builds):
+    sample = catalog.random_exact_substitutions(10)
+    image_builds.clear()
+    # the rank-sweep census: depth 3, radius 16, so length 33 and shorter
+    for s in sample:
+        ranks.minimal_rank(s, 3, 16)
+        ranks.maximal_rank(s, 3, 16)
+    assert image_builds == []
 
 
 # sha256 over, per catalog substitution and then per criterion-5 system, the
@@ -251,7 +279,7 @@ def test_sample_and_regime_evidence_are_frozen():
     systems = [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
     systems += catalog.random_exact_substitutions(200)
     rows = [
-        [s.rules, dict(s.regime.flags), [s.table.complexity(n) for n in range(1, 50)]]
+        [s.rules, dict(s.regime.flags), [len(s.table.words(n)) for n in range(1, 50)]]
         for s in systems
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REGIME_SHA256
