@@ -10,7 +10,6 @@ from .substitution import (
     aperiodicity_check,
     expand,
     height,
-    is_primitive,
     language,
     seed_pairs,
 )
@@ -19,16 +18,15 @@ from .odometer import (
     OdometerResidue,
     column_number,
     fiber_census,
+    proximal_pair,
 )
 from .oracles import (
-    PairClass,
     SearchBudget,
     SensitivityReport,
     block_m_sensitivity_test,
     cover_m_equicontinuity_test,
     m_equicontinuity_point_test,
     m_sensitivity_test,
-    proximal_pair_exact,
 )
 from .ranks import (
     Estimate,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Generic, Mapping, TypeVar
+from typing import Callable, Generic, Iterator, Mapping, TypeVar
 
 from .substitution import Substitution
 from .words import CenteredWord
@@ -63,35 +63,28 @@ class OdometerResidue:
         return tuple(out)
 
 
-def column_number(s: Substitution) -> tuple[int, int, int, str]:
-    """Dekking's column number c, decided exactly from the column maps.
+def _columns(s: Substitution, start: str) -> Iterator[dict[str, int]]:
+    """Each power's columns reachable from ``start``, each with its least index.
 
     f_j(a) is letter j of σ(a).  Column i of σ^k, the letters at position i
-    of the images σ^k(a), has base-q digits i_1…i_k, most significant first,
-    and equals f_{i_k}∘…∘f_{i_1} applied to the alphabet: letter i of
-    σ^k(a) is letter i_k of the image of letter ⌊i/q⌋ of σ^(k-1)(a).  So c,
-    the least column size over all powers (Dekking 1978), is the least size
-    of any subset reachable from the alphabet under the f_j, and there are
-    at most 2^d such subsets.  Each power's columns are the f_j-images of
-    the previous power's, so once a power has no column unseen at a lower
-    power, no later power has one, and the search stops there, or at the
-    first column of one letter, since no column is smaller.
+    of the images σ^k(a) for a in ``start``, has base-q digits i_1…i_k, most
+    significant first, and equals f_{i_k}∘…∘f_{i_1} applied to ``start``:
+    letter i of σ^k(a) is letter i_k of the image of letter ⌊i/q⌋ of
+    σ^(k-1)(a).  So the columns of every power are subsets reachable from
+    ``start`` under the f_j, and there are at most 2^d of them.  Each
+    power's columns are the f_j-images of the previous power's, so once a
+    power has no column unseen at a lower power, no later power has one, and
+    the search stops there.
 
-    The depth is the least power k >= 1 at which a column of size c appears.
-    Each power keeps the least index per column, as ``index*q + j`` from the
+    Yields powers 1, 2, … in order, each as a map from column (its letters
+    in order) to its least index.  That index is ``index*q + j`` from the
     previous power's least index: words of one length compare as the
-    integers they spell.  No fixed depth suffices: the column maps of
-    0->11;1->21;2->32;3->03 form Černý's automaton (Černý 1964), whose
-    shortest reset word has length (4-1)^2 = 9, so there c = 1 first appears
-    at depth 9.
-
-    Returns (c, depth, index, column), with the column's letters in order.
+    integers they spell.
     """
     q = s.require_constant_length()
     maps = [str.maketrans(s.letters, "".join(image[j] for image in s.rules)) for j in range(q)]
-    level = {s.letters: 0}
+    level = {start: 0}
     seen: set[str] = set()
-    least = []  # (size, power, index, letters) of each power's least column
     while not level.keys() <= seen:
         seen |= level.keys()
         deeper: dict[str, int] = {}
@@ -101,11 +94,44 @@ def column_number(s: Substitution) -> tuple[int, int, int, str]:
             for j, f in enumerate(maps):
                 deeper.setdefault("".join(sorted(set(column.translate(f)))), index * q + j)
         level = deeper
+        yield level
+
+
+def column_number(s: Substitution) -> tuple[int, int, int, str]:
+    """Dekking's column number c, decided exactly from the column maps.
+
+    c is the least column size over all powers (Dekking 1978), so it is the
+    least size of any subset that ``_columns`` reaches from the alphabet.
+    The search stops at the first column of one letter, since no column is
+    smaller.
+
+    The depth is the least power k >= 1 at which a column of size c appears,
+    and the index is that column's least index at that power.  No fixed
+    depth suffices: the column maps of 0->11;1->21;2->32;3->03 form Černý's
+    automaton (Černý 1964), whose shortest reset word has length
+    (4-1)^2 = 9, so there c = 1 first appears at depth 9.
+
+    Returns (c, depth, index, column), with the column's letters in order.
+    """
+    least = []  # (size, power, index, letters) of each power's least column
+    for level in _columns(s, s.letters):
         column, index = min(level.items(), key=lambda item: len(item[0]))
         least.append((len(column), len(least) + 1, index, column))
         if len(column) == 1:
             break
     return min(least)
+
+
+def proximal_pair(s: Substitution, a: str, b: str) -> bool:
+    """Whether the aligned points over letters a and b are proximal.
+
+    Position i of σ^k(a) and σ^k(b) is column i of σ^k over {a, b}, so the
+    points share arbitrarily long blocks exactly when ``_columns`` reaches a
+    single letter from {a, b}, and otherwise differ in every block position
+    (distal).
+    """
+    start = "".join(sorted({a, b}))
+    return any(len(column) == 1 for level in _columns(s, start) for column in level)
 
 
 def _lift(

@@ -6,20 +6,17 @@ the coordinates [-K, K] and "separated by epsilon" means a difference there.
 These are exact complements, which keeps the dichotomy-style tests honest.
 
 Every universally quantified negative ("no tuple exists") is reported as an
-exhausted budget, never as a refutation, unless an exact argument (the pair
-graph) applies.  Every witness carries enough data to replay its defining
-inequality with window operations alone.
+exhausted budget, never as a refutation.  Every witness carries enough data
+to replay its defining inequality with window operations alone.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .substitution import RegimeError, Substitution, is_primitive
 from .verdicts import Verdict, VerdictStatus, exhausted, witnessed
 from .words import CenteredWord, scale_of_difference, shift_window, shifts
 
@@ -77,41 +74,6 @@ class SearchBudget:
             "m": self.m,
             "ladder": list(self.ladder),
         }
-
-
-class PairClass(enum.Enum):
-    PROXIMAL = "proximal"
-    DISTAL = "distal"
-
-
-def proximal_pair_exact(s: Substitution, a: str, b: str) -> PairClass:
-    """Decide proximality of the aligned points generated over letters a and b.
-
-    The directed graph on ordered symbol pairs sends (x, y) to the pairs of
-    symbols in matching columns of their images.  Reaching the diagonal means
-    the two aligned points share arbitrarily long blocks (proximal); never
-    reaching it means they differ in every block position (distal).
-    """
-    s.require_constant_length()
-    if not is_primitive(s):
-        raise RegimeError("pair graph requires a primitive substitution")
-    if a == b:
-        return PairClass.PROXIMAL
-    idx = s.letters.index
-    frontier = {(a, b)}
-    seen = set(frontier)
-    while frontier:
-        nxt = set()
-        for x, y in frontier:
-            ix, iy = s.rules[idx(x)], s.rules[idx(y)]
-            for cx, cy in zip(ix, iy):
-                if cx == cy:
-                    return PairClass.PROXIMAL
-                if (cx, cy) not in seen:
-                    seen.add((cx, cy))
-                    nxt.add((cx, cy))
-        frontier = nxt
-    return PairClass.DISTAL
 
 
 def _central_span(central: str, radius: int) -> slice:

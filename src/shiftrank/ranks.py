@@ -3,9 +3,11 @@
 The three ranks measure fiber sizes of the odometer factor map: the smallest
 fiber, the largest fiber, and the largest pairwise non-proximal subset of a
 fiber.  In the exact regime (constant length, primitive, aperiodic, height
-one) the coincidence rank has a closed form through the pair graph, while
-minimal and maximal rank come from digit-path censuses
-(``odometer.census_extreme``) stabilized over depth and radius.
+one) the coincidence rank is exact: a minimal column and its pair classes
+both come from the search of ``odometer``'s column maps
+(``column_number``, ``proximal_pair``).  Minimal and maximal rank come from
+digit-path censuses (``odometer.census_extreme``) stabilized over depth and
+radius.  Nothing here reads the scan layer (``oracles``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .odometer import census_extreme, column_number
-from .oracles import PairClass, proximal_pair_exact
+from .odometer import census_extreme, column_number, proximal_pair
 from .substitution import RegimeError, Substitution, SubstitutionSystem
 
 # The census depth and radius every rank report runs at unless told otherwise.
@@ -90,7 +91,12 @@ class RankReport:
 
 
 def coincidence_rank(s: Substitution) -> Estimate:
-    """Largest pairwise-distal subset of a minimal column, via the pair graph."""
+    """Largest pairwise-distal subset of a minimal column.
+
+    The column and its pair classes come from one search, ``odometer``'s
+    column maps: from the alphabet for the column, from each 2-subset of it
+    for the pair's class.
+    """
     if not s.regime.exact:
         return Estimate(
             1,
@@ -98,19 +104,15 @@ def coincidence_rank(s: Substitution) -> Estimate:
             {"method": "pair-graph", "note": "outside the exact regime; trivial bound"},
         )
     _, depth, index, column = column_number(s)
-    value = 1
-    for size in range(len(column), 0, -1):
-        found = False
-        for subset in itertools.combinations(column, size):
-            if all(
-                proximal_pair_exact(s, a, b) is PairClass.DISTAL
-                for a, b in itertools.combinations(subset, 2)
-            ):
-                value = size
-                found = True
-                break
-        if found:
-            break
+    distal = {pair for pair in itertools.combinations(column, 2) if not proximal_pair(s, *pair)}
+    value = next(
+        size
+        for size in range(len(column), 0, -1)
+        if any(
+            distal.issuperset(itertools.combinations(subset, 2))
+            for subset in itertools.combinations(column, size)
+        )
+    )
     return Estimate(
         value,
         EstimateKind.EXACT,
@@ -204,7 +206,7 @@ def rank_report(
         return substitution_rank_report(system, depth_max, radius_max)
     reporter: Callable | None = getattr(system, "rank_report", None)
     if reporter is not None:
-        return reporter(depth_max, radius_max)
+        return reporter(radius_max)
     raise TypeError(f"no rank pipeline for {type(system).__name__}")
 
 

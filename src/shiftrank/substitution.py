@@ -66,6 +66,26 @@ class Substitution:
         return {ord(c): image for c, image in zip(self.letters, self.rules)}
 
     @cached_property
+    def primitive(self) -> bool:
+        """True iff some power of the incidence matrix is entrywise positive.
+
+        The power is bounded by the square of the alphabet size, which
+        suffices for primitive nonnegative matrices.  Decided once per
+        substitution, as ``regime`` is.
+        """
+        n = self.alphabet_size
+        m = [[bool(v) for v in row] for row in incidence_matrix(self)]
+        power = [row[:] for row in m]
+        for _ in range(n * n):
+            if all(all(row) for row in power):
+                return True
+            power = [
+                [any(power[i][k] and m[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        return all(all(row) for row in power)
+
+    @cached_property
     def regime(self) -> ExactRegime:
         """Membership in the exact regime, checked once per substitution."""
         return ExactRegime(MappingProxyType(_exact_regime_flags(self)))
@@ -107,25 +127,6 @@ def incidence_matrix(s: Substitution) -> list[list[int]]:
     return [[img.count(sym_char(j)) for j in range(s.alphabet_size)] for img in s.rules]
 
 
-def is_primitive(s: Substitution) -> bool:
-    """True iff some power of the incidence matrix is entrywise positive.
-
-    The power is bounded by the square of the alphabet size, which suffices
-    for primitive nonnegative matrices.
-    """
-    n = s.alphabet_size
-    m = [[bool(v) for v in row] for row in incidence_matrix(s)]
-    power = [row[:] for row in m]
-    for _ in range(n * n):
-        if all(all(row) for row in power):
-            return True
-        power = [
-            [any(power[i][k] and m[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return all(all(row) for row in power)
-
-
 class LanguageTable:
     """Admissible words of each length, one sorted tuple per length.
 
@@ -161,7 +162,7 @@ class LanguageTable:
     """
 
     def __init__(self, s: Substitution):
-        if not is_primitive(s):
+        if not s.primitive:
             raise RegimeError("language generation requires a primitive substitution")
         self._rules = s.rules
         self._letters = s.letters
@@ -299,7 +300,7 @@ def _cycle_lengths(step: dict[str, str]) -> dict[str, int]:
 
 def seed_pairs(s: Substitution) -> tuple[SeedPair, ...]:
     """All admissible fixed-point seeds, with the least power fixing both letters."""
-    if not is_primitive(s):
+    if not s.primitive:
         raise RegimeError("seed enumeration requires a primitive substitution")
     first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
     last = {c: s.rules[s.letters.index(c)][-1] for c in s.letters}
@@ -344,7 +345,7 @@ def height(s: Substitution) -> int:
     Each length is read through ``build``, so the table keeps none of them.
     """
     q = s.require_constant_length()
-    if not is_primitive(s):
+    if not s.primitive:
         raise RegimeError("height requires a primitive substitution")
     first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
     a = min(_cycle_lengths(first))
@@ -384,7 +385,7 @@ def aperiodicity_check(s: Substitution) -> Verdict:
     table is the prefixes of the one just above it (see ``LanguageTable``)
     and is dropped once its length is counted.
     """
-    if not is_primitive(s):
+    if not s.primitive:
         raise RegimeError("aperiodicity check requires a primitive substitution")
     n_max = APERIODICITY_N_MAX
     words = s.table.words(n_max + 1)
@@ -427,7 +428,7 @@ class ExactRegime:
 
 def _exact_regime_flags(s: Substitution) -> dict:
     flags: dict[str, object] = {
-        "primitive": is_primitive(s),
+        "primitive": s.primitive,
         "constant_length": s.constant_length,
     }
     if not flags["primitive"] or s.constant_length is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, Estimate, EstimateKind, RankReport
+from .ranks import CENSUS_RADIUS, Estimate, EstimateKind, RankReport
 from .words import ALPHABET_CHARS
 
 
@@ -235,7 +235,7 @@ class ToeplitzSystem:
 
         return extreme(min), extreme(max)
 
-    def rank_report(self, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS):
+    def rank_report(self, radius_max: int = CENSUS_RADIUS):
         flags = {
             "toeplitz": True,
             "periods": list(self.skeleton.periods[:6]) + ["..."],

@@ -4,7 +4,7 @@ import pytest
 
 from shiftrank import catalog
 from shiftrank.ranks import rank_report
-from shiftrank.substitution import RegimeError, SubstitutionSystem, aperiodicity_check, is_primitive
+from shiftrank.substitution import RegimeError, SubstitutionSystem, aperiodicity_check
 from shiftrank.toeplitz import ToeplitzSystem, toeplitz_property
 from shiftrank.verdicts import VerdictStatus
 
@@ -42,7 +42,7 @@ def test_catalog_substitutions_pass_structural_predicates():
         if spec.kind != "substitution":
             continue
         system = catalog.system_for(name)
-        assert is_primitive(system.substitution), name
+        assert system.substitution.primitive, name
         verdict = aperiodicity_check(system.substitution)
         if name == "trivial-1":
             assert verdict.status is VerdictStatus.REFUTED
@@ -80,7 +80,7 @@ def test_random_sampler_is_deterministic_and_filtered():
     b = catalog.random_exact_substitutions(10, seed=5)
     assert [s.rules for s in a] == [s.rules for s in b]
     for s in a:
-        assert is_primitive(s)
+        assert s.primitive
         assert s.constant_length is not None and 2 <= s.constant_length <= 4
         assert 2 <= s.alphabet_size <= 3
         assert aperiodicity_check(s).status is VerdictStatus.WITNESSED

@@ -1,4 +1,4 @@
-"""Odometer factor: columns, de-substitution, residues, fiber censuses."""
+"""Odometer factor: columns, pair classes, de-substitution, residues, fiber censuses."""
 
 import itertools
 
@@ -18,11 +18,12 @@ from shiftrank.odometer import (
     fiber_census,
     initial_state,
     lift_state,
+    proximal_pair,
 )
 from shiftrank.substitution import (
+    RegimeError,
     Substitution,
     expand,
-    is_primitive,
     language,
     seed_pairs,
     seed_window,
@@ -66,7 +67,8 @@ def _reference_column(s, k_max):
     return min(best)
 
 
-def test_column_number_matches_image_columns_on_small_space():
+def _small_primitive_systems():
+    """The primitive substitutions with 2 letters and q <= 4, or 3 letters and q = 2."""
     spaces = [("01", 2), ("01", 3), ("01", 4), ("012", 2)]
     systems = [
         Substitution(rules)
@@ -75,7 +77,11 @@ def test_column_number_matches_image_columns_on_small_space():
             ["".join(w) for w in itertools.product(letters, repeat=q)], repeat=len(letters)
         )
     ]
-    primitive = [s for s in systems if is_primitive(s)]
+    return [s for s in systems if s.primitive]
+
+
+def test_column_number_matches_image_columns_on_small_space():
+    primitive = _small_primitive_systems()
     assert len(primitive) == 568
     for s in primitive:
         expected = column_number(s)
@@ -83,6 +89,68 @@ def test_column_number_matches_image_columns_on_small_space():
     for s, expected in DEPTH_NINE.items():
         assert _reference_column(s, 8)[0] == 2
         assert _reference_column(s, 9) == expected
+
+
+# -- pair classes ---------------------------------------------------------------
+
+
+def _reference_proximal(s, a, b):
+    """The ordered-pair search: whether the aligned points over a and b are proximal.
+
+    The directed graph on ordered letter pairs sends (x, y) to the pairs of
+    letters in matching columns of their images.  Reaching the diagonal means
+    the two aligned points share arbitrarily long blocks (proximal); never
+    reaching it means they differ in every block position (distal).
+    """
+    s.require_constant_length()
+    if not s.primitive:
+        raise RegimeError("pair graph requires a primitive substitution")
+    if a == b:
+        return True
+    idx = s.letters.index
+    frontier = {(a, b)}
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for x, y in frontier:
+            for cx, cy in zip(s.rules[idx(x)], s.rules[idx(y)]):
+                if cx == cy:
+                    return True
+                if (cx, cy) not in seen:
+                    seen.add((cx, cy))
+                    nxt.add((cx, cy))
+        frontier = nxt
+    return False
+
+
+def test_diagonal_pairs_are_proximal():
+    for system in (TM, PD):
+        for a in system.letters:
+            assert proximal_pair(system, a, a)
+
+
+def test_thue_morse_opposite_letters_distal():
+    # the reachable pair set from (0,1) never meets the diagonal
+    assert not proximal_pair(TM, "0", "1")
+    assert not proximal_pair(TM, "1", "0")
+
+
+def test_period_doubling_pair_proximal_via_first_column():
+    assert proximal_pair(PD, "0", "1")
+
+
+def test_ternary_all_offdiagonal_distal():
+    tern = Substitution(("012", "120", "201"))
+    for a in "012":
+        for b in "012":
+            assert proximal_pair(tern, a, b) is (a == b)
+
+
+def test_pair_classes_match_ordered_pair_search_on_small_space():
+    systems = [*_small_primitive_systems(), *DEPTH_NINE]
+    for s in systems:
+        for a, b in itertools.product(s.letters, repeat=2):
+            assert proximal_pair(s, a, b) is _reference_proximal(s, a, b), (s.rules, a, b)
 
 
 # -- de-substitution ----------------------------------------------------------

@@ -12,7 +12,6 @@ from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
     SEGMENT,
-    PairClass,
     SearchBudget,
     _indexed_extension_groups,
     _ladder_extensions,
@@ -28,7 +27,6 @@ from shiftrank.oracles import (
     extensions,
     m_equicontinuity_point_test,
     m_sensitivity_test,
-    proximal_pair_exact,
     sensitivity_scan,
 )
 from shiftrank.ranks import sliding_block_factor
@@ -40,39 +38,10 @@ from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shi
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
 PD_SYS = SubstitutionSystem("period-doubling", Substitution(("01", "00")))
 ONE_SYS = SubstitutionSystem("trivial-1", Substitution(("00",)))
-TM = TM_SYS.substitution
-PD = PD_SYS.substitution
 
 
 def seed_point(system, index, radius, shift=0):
     return system.point_window(system.seed_points()[index], radius, shift)
-
-
-# -- exact pair classification -------------------------------------------------
-
-
-def test_diagonal_pairs_are_proximal():
-    for system in (TM, PD):
-        for a in system.letters:
-            assert proximal_pair_exact(system, a, a) is PairClass.PROXIMAL
-
-
-def test_thue_morse_opposite_letters_distal():
-    # the reachable pair set from (0,1) never meets the diagonal
-    assert proximal_pair_exact(TM, "0", "1") is PairClass.DISTAL
-    assert proximal_pair_exact(TM, "1", "0") is PairClass.DISTAL
-
-
-def test_period_doubling_pair_proximal_via_first_column():
-    assert proximal_pair_exact(PD, "0", "1") is PairClass.PROXIMAL
-
-
-def test_ternary_all_offdiagonal_distal():
-    tern = Substitution(("012", "120", "201"))
-    for a in "012":
-        for b in "012":
-            expected = PairClass.PROXIMAL if a == b else PairClass.DISTAL
-            assert proximal_pair_exact(tern, a, b) is expected
 
 
 # -- budgets ------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Rank pipelines, predicted profiles, factors, and the extension inequality."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from shiftrank import ranks
 from shiftrank.catalog import random_exact_substitutions, system_for
 from shiftrank.odometer import column_number
 from shiftrank.ranks import (
@@ -307,3 +311,16 @@ def test_rank_report_rejects_negative_census_settings(name, depth, radius, messa
         rank_report(system, depth, radius)
     report = rank_report(system, 0, 0)
     assert report.r_m.value >= 1
+
+
+def test_ranks_imports_nothing_from_the_scan_layer():
+    # r_c reads its column and pair classes from odometer, not from oracles
+    tree = ast.parse(Path(ranks.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "oracles" in name.split(".")] == []

@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftrank import catalog, ranks
+from shiftrank import catalog, ranks, substitution
 from shiftrank.substitution import (
     APERIODICITY_N_MAX,
     LanguageTable,
@@ -20,7 +20,6 @@ from shiftrank.substitution import (
     aperiodicity_check,
     expand,
     height,
-    is_primitive,
     language,
     seed_pairs,
     seed_window,
@@ -51,15 +50,15 @@ def factors(word: str, n: int) -> set[str]:
 
 
 def test_thue_morse_is_primitive():
-    assert is_primitive(TM)
+    assert TM.primitive
 
 
 def test_identity_substitution_is_not_primitive():
-    assert not is_primitive(Substitution(("0", "1")))
+    assert not Substitution(("0", "1")).primitive
 
 
 def test_period_doubling_is_primitive():
-    assert is_primitive(PD)
+    assert PD.primitive
 
 
 def _conjugate(s: Substitution, image: str) -> Substitution:
@@ -71,9 +70,22 @@ def _conjugate(s: Substitution, image: str) -> Substitution:
 
 
 def test_primitivity_invariant_under_relabeling():
-    assert is_primitive(_conjugate(PD, "10")) == is_primitive(PD)
+    assert _conjugate(PD, "10").primitive == PD.primitive
     for image in itertools.permutations("012"):
-        assert is_primitive(_conjugate(TERN, "".join(image))) == is_primitive(TERN)
+        assert _conjugate(TERN, "".join(image)).primitive == TERN.primitive
+
+
+def test_primitivity_is_decided_once_per_substitution(monkeypatch):
+    runs = []
+    incidence_matrix = substitution.incidence_matrix
+    monkeypatch.setattr(
+        substitution, "incidence_matrix", lambda s: runs.append(s.rules) or incidence_matrix(s)
+    )
+    s = Substitution(("011", "100"))  # fresh, so no property is cached yet
+    assert s.regime.exact
+    s.table.words(5)
+    seed_pairs(s)
+    assert runs == [s.rules]
 
 
 # -- language ---------------------------------------------------------------
@@ -399,7 +411,7 @@ def _primitive_aperiodic(letters: str, q: int) -> list[Substitution]:
     return [
         s
         for s in systems
-        if is_primitive(s) and aperiodicity_check(s).status is VerdictStatus.WITNESSED
+        if s.primitive and aperiodicity_check(s).status is VerdictStatus.WITNESSED
     ]
 
 
