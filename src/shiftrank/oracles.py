@@ -8,6 +8,19 @@ These are exact complements, which keeps the dichotomy-style tests honest.
 Every universally quantified negative ("no tuple exists") is reported as an
 exhausted budget, never as a refutation.  Every witness carries enough data
 to replay its defining inequality with window operations alone.
+
+The searches bound their tuples by distinct-block counts, which come from one
+of two counters.  The cylinder scans, ``sensitivity_scan`` and
+``block_sensitivity_scan``, read the system's ``block_counter`` when it has
+one: for a constant-length substitution that is the block-pair automaton
+``substitution.BlockPairs``, which counts without reading an extension.
+Everything else is cut from the extensions by the segment kernel
+``_SegmentBlocks``: the counts of the Toeplitz and factor systems' cylinder
+scans, the run-blocks and cores of every run scan, and every block of the
+point and cover probes.  The probes keep the kernel because each ladder
+radius has its own central width and their scans exit early, so an
+automaton per stage costs more than it saves: one per stage made the
+probe-replay benchmark 3.4 times slower.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .verdicts import Verdict, VerdictStatus, exhausted, witnessed
 from .words import CenteredWord, scale_of_difference, shift_window, shifts
@@ -26,8 +39,14 @@ class ShiftSystem(Protocol):
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
     a scan-length table lives as long as the grouping built from it: one
-    ``_cylinder_extensions`` call, or an entry of the bounded
+    ``CylinderGrouping``, or an entry of the bounded
     ``_indexed_extension_groups``.
+
+    A system may also offer ``block_counter(central, width)``, a function
+    that counts, for a length-``central`` word u and a displacement e, the
+    length-``width`` words occurring e after u (``substitution.BlockPairs``
+    for constant-length substitutions).  The cylinder scans read it instead
+    of their extensions' blocks; see ``_cylinder_counts``.
     """
 
     name: str
@@ -137,15 +156,86 @@ def _ladder_extensions(
         yield W, central, exts
 
 
-def _cylinder_extensions(
-    system: ShiftSystem, L: int, radius: int
-) -> list[tuple[str, tuple[str, ...]]]:
-    """Every radius-``L`` cylinder word with its ``extensions`` at ``radius``.
+def scan_radius(budget: SearchBudget, K: int, B: int = 0) -> int:
+    """The window radius of a sensitivity scan (B = 0) or of a block scan of half-length B."""
+    return budget.L + budget.N + B + K
 
-    The grouping is built here and dropped after the scan, not cached.
+
+class CylinderGrouping:
+    """Every radius-``L`` cylinder word with its extensions at ``radius`` or any narrower radius.
+
+    One length-(2 radius + 1) table serves the scans at every radius up to
+    ``radius``.  A radius-r extension of u is a central trim of some
+    radius-``radius`` extension of u, because the language is factorial and
+    extendable, and every such trim is one.  So the distinct trims, sorted,
+    are exactly u's extensions at r, in language order.  A Toeplitz system's
+    language is read off a finite prefix; on the catalog's Toeplitz systems
+    the trims match the direct grouping at N = 256 and N = 1024 (a test
+    checks it).
+
+    A read at a narrower radius is the grouping's last: it trims one
+    cylinder at a time and drops each wider extension once trimmed, so the
+    wide and the trimmed words are never all held at once.  The grouping is
+    not cached: it lives as long as its caller holds it, one scan or one
+    ``verify_system`` call.
     """
-    groups = _extension_groups(system, radius, L)
-    return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
+
+    def __init__(self, system: ShiftSystem, L: int, radius: int):
+        self.L = L
+        self.radius = radius
+        groups = _extension_groups(system, radius, L)
+        self._cylinders: list[tuple[str, tuple[str, ...]]] | None = [
+            (u, groups.get(u, ())) for u in system.language(2 * L + 1)
+        ]
+
+    def at(self, L: int, radius: int) -> Iterable[tuple[str, tuple[str, ...]]]:
+        """The cylinders with their extensions at ``radius``, at most the grouping's."""
+        if self._cylinders is None:
+            raise ValueError("the grouping was handed to a narrower read")
+        if L != self.L or radius > self.radius:
+            raise ValueError(
+                f"grouping at L={self.L}, radius {self.radius} cannot serve L={L}, radius {radius}"
+            )
+        if radius == self.radius:
+            return self._cylinders
+        cylinders, self._cylinders = self._cylinders, None
+        return _trimmed(cylinders, self.radius - radius, 2 * radius + 1)
+
+
+def _trimmed(
+    cylinders: list[tuple[str, tuple[str, ...]]], lo: int, width: int
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each cylinder with the distinct length-``width`` trims at ``lo`` of its words, sorted.
+
+    Empties ``cylinders`` as it goes, dropping each word once trimmed.
+    """
+    trim = operator.itemgetter(slice(lo, lo + width))
+    cylinders.reverse()
+    while cylinders:
+        u, exts = cylinders.pop()
+        exts = list(exts)  # the list is the words' last holder
+        trims = set()
+        while exts:
+            trims.add(trim(exts.pop()))
+        yield u, tuple(sorted(trims))
+
+
+def _cylinder_counts(
+    system: ShiftSystem, L: int, width: int, radius: int
+) -> Callable[[str], Callable[[int], int]] | None:
+    """Per cylinder word u, the distinct width-``width`` blocks at each string offset.
+
+    The offsets are those of u's radius-``radius`` extensions, and the count
+    comes from the system's ``block_counter``: u sits at offset radius - L,
+    so the block at offset lo is displaced lo - (radius - L) from it.  None
+    when the system offers no counter, and the scan counts its extensions'
+    blocks with ``_SegmentBlocks``.
+    """
+    count = system.block_counter(2 * L + 1, width) if hasattr(system, "block_counter") else None
+    if count is None:
+        return None
+    origin = radius - L
+    return lambda u: lambda lo: count(u, lo - origin)
 
 
 def _witness(
@@ -176,9 +266,14 @@ def _witness(
     }
 
 
-# Offsets per segment of the distinct-block kernel.  Counted per verify-wide
-# cylinder against one slice per extension per shift, segments of 8 slice
-# about 5x fewer strings, 16 to 32 6.6-11x fewer and 64 5.5-9.5x fewer.
+# Offsets per segment of the distinct-block kernel.  It serves every count
+# but a substitution's cylinder scans, which read the block-pair automaton,
+# and it cuts every block a clique search or a witness reads (the module
+# docstring lists the readers).  The probes keep it because their scans exit
+# early and each ladder radius would need an automaton of its own.  Counted
+# per verify-wide cylinder against one slice per extension per shift,
+# segments of 8 slice about 5x fewer strings, 16 to 32 6.6-11x fewer and 64
+# 5.5-9.5x fewer.
 SEGMENT = 32
 
 
@@ -212,6 +307,9 @@ class _SegmentBlocks:
             windows = self._windows[seg] = tuple(set(map(window_of, self._exts)))
         return set(map(operator.itemgetter(slice(off, off + self._width)), windows))
 
+    def count(self, lo: int) -> int:
+        return len(self.at(lo))
+
 
 def _first_indices(blocks: Iterable[str]) -> dict[str, int]:
     """Each distinct block with the index of its first occurrence, in that order."""
@@ -222,22 +320,30 @@ def _first_indices(blocks: Iterable[str]) -> dict[str, int]:
 
 
 def _separation_scan(
-    exts: Sequence[str], radius: int, K: int, horizon: int, m_cap: int
+    exts: Sequence[str],
+    radius: int,
+    K: int,
+    horizon: int,
+    m_cap: int,
+    count_at: Callable[[int], int] | None = None,
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best number of pairwise-separated extensions at a single shift.
 
     Extensions are separated at shift g exactly when their radius-K blocks
     around coordinate g are pairwise distinct words.  Returns the best count
     and, for each tuple size up to the cap, the first witnessing shift with
-    extension indices, in deterministic scan order.
+    extension indices, in deterministic scan order.  ``count_at(lo)`` is the
+    number of distinct blocks at string offset lo, from the extensions
+    themselves unless given.
     """
     best = 0
     witnesses: dict[int, tuple[int, list[int]]] = {}
     width = 2 * K + 1
-    distinct = _SegmentBlocks(exts, width)
+    if count_at is None:
+        count_at = _SegmentBlocks(exts, width).count
     for g in shifts(horizon):
         start = radius + g - K
-        count = len(distinct.at(start))
+        count = count_at(start)
         if count > best:
             block_of = operator.itemgetter(slice(start, start + width))
             first_indices = list(_first_indices(map(block_of, exts)).values())
@@ -256,14 +362,27 @@ def _require_scale(K: int) -> None:
 
 
 def sensitivity_scan(
-    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
+    system: ShiftSystem,
+    m_cap: int,
+    K: int,
+    budget: SearchBudget,
+    m_min: int = 2,
+    grouping: CylinderGrouping | None = None,
 ) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan."""
+    """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
+
+    The extensions come from ``grouping`` when given, so that one grouping
+    serves both of verify's scans, and the block counts from the system's
+    ``block_counter`` when it has one.
+    """
     _require_scale(K)
-    radius = budget.L + budget.N + K
+    radius = scan_radius(budget, K)
+    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
     scans = {}
-    for u, exts in _cylinder_extensions(system, budget.L, radius):
-        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap)
+    grouping = grouping or CylinderGrouping(system, budget.L, radius)
+    for u, exts in grouping.at(budget.L, radius):
+        count_at = counts(u) if counts else None
+        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at)
         scans[u] = {
             m: _witness(u, exts, idxs, radius, g, K)
             for m, (g, idxs) in raw.items()
@@ -468,12 +587,14 @@ def _run_scan(
     starts: Iterable[int],
     m_cap: int,
     finder: _RunCliqueFinder,
+    center_count: Callable[[int], int] | None = None,
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best clique of extensions pairwise separated at every shift of a run.
 
     ``starts`` enumerates the first shift of each candidate run of
     ``centers`` consecutive shifts; returns witnesses keyed by tuple size,
-    with the run start.
+    with the run start.  ``center_count(p)`` is the number of distinct
+    (2K+1)-blocks at string offset p, from the extensions unless given.
 
     A clique's members show pairwise distinct radius-K blocks at every center
     of their run, so its size is at most the number of distinct (2K+1)-blocks
@@ -509,13 +630,14 @@ def _run_scan(
         return best, witnesses
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
-    center_blocks = _SegmentBlocks(exts, 2 * K + 1)
+    if center_count is None:
+        center_count = _SegmentBlocks(exts, 2 * K + 1).count
     counts: dict[int, int] = {}  # string offset -> distinct (2K+1)-blocks there
 
     def count_at(p: int) -> int:
         count = counts.get(p)
         if count is None:
-            count = counts[p] = len(center_blocks.at(p))
+            count = counts[p] = center_count(p)
         return count
 
     # Core step S, at least 1 for the one-center runs of B = 0.  A smaller
@@ -569,19 +691,32 @@ def _run_scan(
 
 
 def block_sensitivity_scan(
-    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
+    system: ShiftSystem,
+    m_cap: int,
+    K: int,
+    B: int,
+    budget: SearchBudget,
+    m_min: int = 2,
+    grouping: CylinderGrouping | None = None,
 ) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B]."""
+    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
+
+    Extensions and center counts come as in ``sensitivity_scan``; the
+    run-blocks and cores are always cut from the extensions.
+    """
     _require_scale(K)
     if B < 0:
         raise ValueError(f"block half-length must be non-negative, got B={B}")
-    radius = budget.L + budget.N + B + K
+    radius = scan_radius(budget, K, B)
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)
+    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
     scans = {}
-    for u, exts in _cylinder_extensions(system, budget.L, radius):
+    grouping = grouping or CylinderGrouping(system, budget.L, radius)
+    for u, exts in grouping.at(budget.L, radius):
         starts = (h - B for h in shifts(budget.N))
-        _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder)
+        center_count = counts(u) if counts else None
+        _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
         scans[u] = {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()

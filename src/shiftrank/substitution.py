@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, shift_window, sym_char
@@ -249,6 +249,153 @@ def language(s: Substitution, n: int) -> tuple[str, ...]:
     return s.table.build(n)
 
 
+class BlockPairs:
+    """How many length-``b`` words occur at each displacement from a length-``a`` word.
+
+    T(e; a, b) is the set of pairs (x, y), |x| = a and |y| = b, such that
+    some admissible word carries x at 0 and y at e.  For a primitive
+    substitution sigma of constant length q >= 2, every admissible word is a
+    factor sigma(w')[r : ...] of the image of an admissible w', at a cut r < q,
+    and the image of every admissible word is admissible.  Reading x at cut r
+    and y at r + e, with r_y = (r + e) mod q, gives the recursion
+
+        T(e; a, b) = union over r < q of the pairs
+            (sigma(x')[r : r + a], sigma(y')[r_y : r_y + b])
+            for (x', y') in T(floor((r + e) / q); floor((r + a - 1) / q) + 1,
+                              floor((r_y + b - 1) / q) + 1).
+
+    |e| and the lengths never grow down the recursion, and every branch
+    reaches |e| <= 1 and lengths <= 2, a span of at most 3.  So a node whose
+    span fits in ``base`` = 2 (a + b) is read directly off the length-``base``
+    table, with x and y at their offsets in each word.  The language is
+    factorial and extendable, so for a cylinder word u the number of y with
+    (u, y) in T(e; a, b) is exactly the number of distinct length-b blocks at
+    displacement e among the extensions of u, however wide they are.
+
+    A node is one int, bit x * |W_b| + y set for the pair of the x-th and y-th
+    words of the sorted tables W_a and W_b, interned to a small id.  A node
+    is keyed by the residue of e mod q, its lengths and its q children, and
+    each child row's image is memoised, so once its children are known a
+    displacement costs a few dict lookups.  Everything lives as long as this
+    object, which is one scan call.
+    """
+
+    def __init__(self, s: Substitution, a: int, b: int):
+        self._q = q = s.require_constant_length()
+        if q < 2:
+            raise RegimeError("block pairs need a substitution of constant length at least 2")
+        self._image = s.image
+        self._a, self._b = a, b
+        self._base = 2 * (a + b)
+        self._table = s.table.build(self._base)
+        self._tables: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
+        self._memo: dict[tuple[int, int], dict[int, int]] = {}  # (a, b) -> e -> node id
+        self._top = self._memo[a, b] = {}
+        self._ids: dict[int, int] = {}  # node -> id
+        self._nodes: list[int] = []  # id -> node
+        self._lifted: dict[tuple[int, ...], int] = {}
+        self._cuts: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._rows: dict[tuple[int, int, int, int], int] = {}
+        self._counts: dict[int, tuple[int, ...]] = {}  # top node id -> y count per x
+
+    def _words(self, n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+        """The length-n words, sorted, with each word's index."""
+        got = self._tables.get(n)
+        if got is None:
+            words = _prefixes(self._table, n)
+            got = self._tables[n] = (words, {w: i for i, w in enumerate(words)})
+        return got
+
+    def _intern(self, node: int) -> int:
+        i = self._ids.get(node)
+        if i is None:
+            i = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return i
+
+    def _cut(self, n: int, r: int, m: int) -> tuple[int, ...]:
+        """Per length-n word w', the index of sigma(w')[r : r + m]."""
+        key = (n, r, m)
+        cut = self._cuts.get(key)
+        if cut is None:
+            ids = self._words(m)[1]
+            image = self._image
+            cut = self._cuts[key] = tuple(ids[image(w)[r : r + m]] for w in self._words(n)[0])
+        return cut
+
+    def _row(self, row: int, n: int, r: int, m: int) -> int:
+        """The row of the cuts sigma(y')[r : r + m] of the length-n words y' in ``row``."""
+        key = (row, n, r, m)
+        image = self._rows.get(key)
+        if image is None:
+            cut = self._cut(n, r, m)
+            image, bits = 0, row
+            while bits:
+                low = bits & -bits
+                image |= 1 << cut[low.bit_length() - 1]
+                bits ^= low
+            self._rows[key] = image
+        return image
+
+    def _node(self, e: int, a: int, b: int) -> int:
+        memo = self._memo.setdefault((a, b), {})
+        i = memo.get(e)
+        if i is not None:
+            return i
+        if max(a, e + b) - min(0, e) <= self._base:
+            x_ids, y_ids = self._words(a)[1], self._words(b)[1]
+            nb = len(y_ids)
+            ox, oy = max(0, -e), max(0, e)
+            node = 0
+            for w in self._table:
+                node |= 1 << (x_ids[w[ox : ox + a]] * nb + y_ids[w[oy : oy + b]])
+            i = self._intern(node)
+        else:
+            q = self._q
+            children = [e % q, a, b]
+            for r in range(q):
+                ey, ry = divmod(r + e, q)
+                children.append(self._node(ey, (r + a - 1) // q + 1, (ry + b - 1) // q + 1))
+            key = tuple(children)
+            i = self._lifted.get(key)
+            if i is None:
+                i = self._lifted[key] = self._intern(self._lift(e, a, b, key[3:]))
+        memo[e] = i
+        return i
+
+    def _lift(self, e: int, a: int, b: int, children: tuple[int, ...]) -> int:
+        q = self._q
+        nb = len(self._words(b)[0])
+        node = 0
+        for r, child in enumerate(children):
+            ry = (r + e) % q
+            # the child pairs the preimages x' and y', of these lengths
+            a_pre, b_pre = (r + a - 1) // q + 1, (ry + b - 1) // q + 1
+            cut = self._cut(a_pre, r, a)
+            nb_pre = len(self._words(b_pre)[0])
+            full = (1 << nb_pre) - 1
+            bits = self._nodes[child]
+            for x in range(len(cut)):
+                row = (bits >> (x * nb_pre)) & full
+                if row:
+                    node |= self._row(row, b_pre, ry, b) << (cut[x] * nb)
+        return node
+
+    def count(self, x: str, e: int) -> int:
+        """How many length-b words occur at displacement e from an occurrence of x."""
+        i = self._top.get(e)
+        if i is None:
+            i = self._node(e, self._a, self._b)
+        counts = self._counts.get(i)
+        if counts is None:
+            bits, nb = self._nodes[i], len(self._words(self._b)[0])
+            full = (1 << nb) - 1
+            counts = self._counts[i] = tuple(
+                ((bits >> (x * nb)) & full).bit_count() for x in range(len(self._words(self._a)[0]))
+            )
+        return counts[self._words(self._a)[1][x]]
+
+
 def expand(s: Substitution, w: CenteredWord, k: int, cut: int) -> CenteredWord:
     """Apply the k-th power of the substitution to a window.
 
@@ -342,18 +489,24 @@ def height(s: Substitution) -> int:
     length r + 1 that starts and ends with a and has no a inside.  Lengths
     are read up to the least n at which every admissible word contains a:
     w is admissible and has no a, so |w| < n, and no return time exceeds n.
-    Each length is read through ``build``, so the table keeps none of them.
+    Every length is the prefixes of one source table, read through
+    ``build``: first at the gate's length ``APERIODICITY_N_MAX + 1``, which
+    a gated substitution's table already holds, then, whenever the scan runs
+    past it, at twice its length.  So letter images are read once per
+    doubling of the length, and the table keeps none of the longer lengths.
     """
     q = s.require_constant_length()
     if not s.primitive:
         raise RegimeError("height requires a primitive substitution")
     first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
     a = min(_cycle_lengths(first))
-    table = s.table
     g = 0
-    words = table.build(1)
+    source = s.table.build(APERIODICITY_N_MAX + 1)
+    words = _prefixes(source, 1)
     for n in itertools.count(1):
-        longer = table.build(n + 1)
+        if n + 1 > len(source[0]):
+            source = s.table.build(2 * len(source[0]))
+        longer = _prefixes(source, n + 1)
         if any(w[0] == a == w[-1] and a not in w[1:-1] for w in longer):
             g = math.gcd(g, n)
         if all(a in w for w in words):
@@ -464,6 +617,16 @@ class SubstitutionSystem:
     def language(self, n: int) -> tuple[str, ...]:
         """The length-n words, built per call and not kept (see ``LanguageTable``)."""
         return language(self.substitution, n)
+
+    def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
+        """``BlockPairs(...).count`` for words of these lengths, or None below constant length 2.
+
+        The scans read it in place of their extensions' blocks; see
+        ``oracles.sensitivity_scan``.
+        """
+        if (self.substitution.constant_length or 0) < 2:
+            return None
+        return BlockPairs(self.substitution, central, width).count
 
     def seed_points(self) -> tuple[SeedPair, ...]:
         return seed_pairs(self.substitution)

@@ -20,9 +20,12 @@ from shiftrank.odometer import (
     lift_state,
     proximal_pair,
 )
+from shiftrank.oracles import CylinderGrouping, _SegmentBlocks
 from shiftrank.substitution import (
+    BlockPairs,
     RegimeError,
     Substitution,
+    SubstitutionSystem,
     expand,
     language,
     seed_pairs,
@@ -235,6 +238,49 @@ def test_inadmissible_window_gives_empty_results():
     w = CenteredWord("000", -1)
     assert desubstitute(TM, w, 1) == set()
     assert residues(TM, w, 2) == set()
+
+
+# -- block pairs ----------------------------------------------------------------
+
+# displacements of a block from a cylinder word: negative, overlapping the
+# word, and past the direct-table span 2 (a + b) of every width pair below
+DISPLACEMENTS = (-29, -17, -6, -3, -2, -1, 0, 1, 2, 4, 7, 11, 23, 31)
+
+
+def _segment_counts(s, a, b):
+    """(u, e, count) per length-a word u and displacement e, from u's extensions.
+
+    The count is the number of distinct length-b blocks at displacement e
+    among the extensions of u, read by ``_SegmentBlocks``, the kernel the
+    probes and the Toeplitz scans count with.
+    """
+    radius = max(map(abs, DISPLACEMENTS)) + a + b
+    origin = radius - a // 2  # where u starts in an extension
+    grouping = CylinderGrouping(SubstitutionSystem("s", s), a // 2, radius)
+    for u, exts in grouping.at(a // 2, radius):
+        blocks = _SegmentBlocks(exts, b)
+        for e in DISPLACEMENTS:
+            yield u, e, blocks.count(origin + e)
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (1, 5), (3, 3), (3, 5), (5, 3), (5, 5)])
+def test_block_pairs_match_segment_counts(a, b):
+    substitutions = [
+        catalog.system_for(name).substitution
+        for name in catalog.names()
+        if catalog.get(name).kind == "substitution"
+    ]
+    for s in [*substitutions, *_small_primitive_systems()]:
+        pairs = BlockPairs(s, a, b)
+        for u, e, want in _segment_counts(s, a, b):
+            assert pairs.count(u, e) == want, (s.rules, u, e)
+
+
+def test_block_pairs_need_an_expanding_constant_length():
+    with pytest.raises(RegimeError, match="constant length at least 2"):
+        BlockPairs(Substitution(("0",)), 1, 1)
+    with pytest.raises(RegimeError, match="constant-length"):
+        BlockPairs(Substitution(("01", "0")), 1, 1)
 
 
 # -- residues -----------------------------------------------------------------

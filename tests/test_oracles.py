@@ -1,8 +1,14 @@
 """Witness searches: examples, certificates, and cross-test invariants."""
 
+import ast
+import collections
+import gc
 import hashlib
 import itertools
 import json
+import operator
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,12 +18,12 @@ from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
     SEGMENT,
+    CylinderGrouping,
     SearchBudget,
     _indexed_extension_groups,
     _ladder_extensions,
     _RunCliqueFinder,
     _SegmentBlocks,
-    _cylinder_extensions,
     _pair_separated_over_run,
     _run_scan,
     _separation_scan,
@@ -30,9 +36,10 @@ from shiftrank.oracles import (
     sensitivity_scan,
 )
 from shiftrank.ranks import sliding_block_factor
-from shiftrank.substitution import Substitution, SubstitutionSystem, language
+from shiftrank.substitution import BlockPairs, Substitution, SubstitutionSystem, language
 from shiftrank.toeplitz import ToeplitzSystem, doubling_skeleton
 from shiftrank.verdicts import VerdictStatus
+from shiftrank.verify import BLOCK_SCALE
 from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shifts
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
@@ -539,17 +546,27 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
 def test_zigzag_block_scan_keeps_one_blocker_per_side(monkeypatch):
     budget = SearchBudget()
     K = 1
+    segment_reads = []
     reads = []
     at = _SegmentBlocks.at
+    count = BlockPairs.count
 
     def counting_at(self, lo):
         if self._width == 2 * K + 1:
-            reads.append(lo)
+            segment_reads.append(lo)
         return at(self, lo)
 
+    def counting_count(self, x, e):
+        reads.append(e)
+        return count(self, x, e)
+
     monkeypatch.setattr(_SegmentBlocks, "at", counting_at)
+    monkeypatch.setattr(BlockPairs, "count", counting_count)
     block_sensitivity_scan(system_for("ternary-morse"), 5, K, budget.B, budget)
-    # one blocker shared by both sides of the zigzag made 14,022 center reads
+    # a substitution's center counts come from its block pairs, not its
+    # extensions; one blocker shared by both sides of the zigzag made 14,022
+    # center reads
+    assert segment_reads == []
     assert len(reads) <= 3500
 
 
@@ -716,7 +733,7 @@ def _whole_table_extensions(system, central, radius):
 @pytest.mark.parametrize("system", INDEX_SYSTEMS, ids=lambda system: system.name)
 @pytest.mark.parametrize("L, radius", [(0, 3), (1, 4), (2, 20), (2, 67)])
 def test_grouped_extensions_match_per_cylinder_filter(system, L, radius):
-    grouped = _cylinder_extensions(system, L, radius)
+    grouped = CylinderGrouping(system, L, radius).at(L, radius)
     assert [u for u, _ in grouped] == list(system.language(2 * L + 1))
     for u, exts in grouped:
         assert exts == _whole_table_extensions(system, u, radius), u
@@ -734,6 +751,120 @@ def test_extensions_match_whole_table_filter(system, half, radius):
     for u in (*words, inadmissible):
         assert extensions(system, u, radius) == _whole_table_extensions(system, u, radius), u
     assert extensions(system, inadmissible, radius) == ()
+
+
+CATALOG_SCAN_SYSTEMS = [
+    name for name in catalog.names() if catalog.get(name).kind in ("substitution", "toeplitz")
+]
+
+
+@pytest.mark.parametrize("name", CATALOG_SCAN_SYSTEMS)
+@pytest.mark.parametrize("N", [256, 1024])
+def test_trimmed_grouping_matches_direct_grouping(name, N):
+    # verify's two radii at the default budget: the block scan's is the wider
+    system = system_for(name)
+    budget = SearchBudget(N=N)
+    radius = oracles.scan_radius(budget, budget.K)
+    wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
+    assert wide > radius
+    grouping = CylinderGrouping(system, budget.L, wide)
+    direct = CylinderGrouping(system, budget.L, radius).at(budget.L, radius)
+    assert list(grouping.at(budget.L, radius)) == direct
+
+
+def test_grouping_serves_no_wider_radius_and_no_read_after_a_narrower_one():
+    grouping = CylinderGrouping(TM_SYS, 2, 20)
+    with pytest.raises(ValueError, match="cannot serve L=2, radius 21"):
+        grouping.at(2, 21)
+    with pytest.raises(ValueError, match="cannot serve L=1, radius 20"):
+        grouping.at(1, 20)
+    trimmed = grouping.at(2, 10)
+    with pytest.raises(ValueError, match="handed to a narrower read"):
+        grouping.at(2, 20)
+    assert list(trimmed) == CylinderGrouping(TM_SYS, 2, 10).at(2, 10)
+
+
+class _Counted(str):
+    """A word that counts its own deletion."""
+
+    deleted = collections.Counter()
+
+    def __del__(self):
+        _Counted.deleted[len(self)] += 1
+
+
+class _CountedWords:
+    """A system's language with every word a ``_Counted``."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def language(self, n):
+        return tuple(map(_Counted, self.system.language(n)))
+
+
+def test_a_narrower_read_drops_each_wide_word_once_trimmed():
+    wide, narrow = 40, 30
+    grouping = CylinderGrouping(_CountedWords(TM_SYS), 2, wide)
+    sizes = [len(exts) for _, exts in grouping.at(2, wide)]
+    _Counted.deleted.clear()
+    dropped = []
+    for _, exts in grouping.at(2, narrow):
+        assert exts
+        dropped.append(_Counted.deleted[2 * wide + 1])
+    # a cylinder's wide words are all gone once its trims are handed out, so
+    # the wide and the trimmed table are never held together
+    assert dropped == list(itertools.accumulate(sizes))
+
+
+class _WithoutBlockCounter:
+    """A system's name and language, without its block counter."""
+
+    def __init__(self, system):
+        self.name = system.name
+        self.language = system.language
+
+
+def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):
+    built = []
+    init = BlockPairs.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(BlockPairs, "__init__", recording_init)
+    budget = SearchBudget(N=32)
+    for system in (TM_SYS, system_for("ternary-morse")):
+        scans = sensitivity_scan(system, 3, budget.K, budget)
+        block_scans = block_sensitivity_scan(system, 3, 1, 2, budget)
+        assert len(built) == 2
+        gc.collect()
+        assert [ref() for ref in built] == [None, None]  # nothing outlives the scan
+        built.clear()
+        # the same witnesses as the segment kernel, which a system without a
+        # block counter is counted by
+        plain = _WithoutBlockCounter(system)
+        assert sensitivity_scan(plain, 3, budget.K, budget) == scans
+        assert block_sensitivity_scan(plain, 3, 1, 2, budget) == block_scans
+    toeplitz = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096)
+    sensitivity_scan(toeplitz, 3, budget.K, budget)
+    assert built == []
+
+
+def test_oracles_import_nothing_from_the_system_modules():
+    # systems reach the scans through the ShiftSystem protocol and an
+    # optional block_counter, never through an import
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    system_modules = {"substitution", "odometer", "toeplitz"}
+    assert [name for name in imported if system_modules & set(name.split("."))] == []
 
 
 def _held_word_lengths(obj, seen=None) -> set[int]:

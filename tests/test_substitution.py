@@ -282,6 +282,16 @@ def test_census_derives_its_tables_from_the_gated_length(image_builds):
     assert image_builds == []
 
 
+def test_height_builds_from_images_once_per_doubling(image_builds):
+    # height reads lengths up to 72 here: the gate's length 49 serves the
+    # first 49, and one build at twice that serves the rest
+    s = Substitution.from_text("0->200;1->222;2->110")
+    assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
+    image_builds.clear()
+    assert height(s) == 1
+    assert image_builds == [2 * (APERIODICITY_N_MAX + 1)]
+
+
 # sha256 over, per catalog substitution and then per criterion-5 system, the
 # rules, the regime flags and the complexities p(1..49) of the shared table
 REGIME_SHA256 = "a56f36746b674192eebae21ee379f383e260e7252c8cb9c2bc6dfb0a57c92a31"

@@ -2,11 +2,26 @@
 
 import hashlib
 
+import pytest
+
 from shiftrank import catalog
 from shiftrank.certificates import certificate_json
-from shiftrank.oracles import SearchBudget
+from shiftrank.oracles import (
+    SearchBudget,
+    block_sensitivity_scan,
+    scan_radius,
+    sensitivity_report,
+    sensitivity_scan,
+)
 from shiftrank.verdicts import exhausted, witnessed
-from shiftrank.verify import CONSISTENT, INCONCLUSIVE, INCONSISTENT, _grade, verify_system
+from shiftrank.verify import (
+    BLOCK_SCALE,
+    CONSISTENT,
+    INCONCLUSIVE,
+    INCONSISTENT,
+    _grade,
+    verify_system,
+)
 
 # sha256 of the canonical JSON of each witnessed certificate, in cell order,
 # from verify_system at its defaults; `verify --all --json` records only cell
@@ -104,3 +119,30 @@ def test_verify_wide_certificates_are_frozen():
     got = _witnessed_certificate_hashes(m_max=5, budget=SearchBudget(N=512))
     assert got == VERIFY_WIDE_CERTIFICATE_SHA256
     assert sum(map(len, got.values())) == 16
+
+
+@pytest.mark.parametrize(
+    "budget, sensitivity_wider",
+    [(SearchBudget(N=64, K=4, B=1), True), (SearchBudget(N=64), False)],
+    ids=["sensitivity-radius-wider", "block-radius-wider"],
+)
+def test_cells_match_the_public_scans_run_apart(budget, sensitivity_wider):
+    # verify_system reads one grouping for both scans; each scan run on its
+    # own builds its own
+    wider = scan_radius(budget, budget.K) > scan_radius(budget, BLOCK_SCALE, budget.B)
+    assert wider is sensitivity_wider
+    m_max = 4
+    for name in catalog.names():
+        if not catalog.get(name).verify:
+            continue
+        system = catalog.system_for(name)
+        sens = sensitivity_scan(system, m_max, budget.K, budget)
+        block = block_sensitivity_scan(system, m_max, BLOCK_SCALE, budget.B, budget)
+        expected = []
+        for m in range(2, m_max + 1):
+            expected.append(sensitivity_report(system, sens, m, budget.K, None, budget).aggregate)
+            expected.append(
+                sensitivity_report(system, block, m, BLOCK_SCALE, budget.B, budget).aggregate
+            )
+        cells = verify_system(system, m_max, budget).cells
+        assert [cell.verdict for cell in cells] == expected, name
