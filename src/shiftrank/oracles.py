@@ -11,8 +11,9 @@ to replay its defining inequality with window operations alone.
 
 The searches bound their tuples by distinct-block counts, which come from one
 of two counters.  The cylinder scans, ``sensitivity_scan`` and
-``block_sensitivity_scan``, read the system's ``block_counter`` when it has
-one: for a constant-length substitution that is the block-pair automaton
+``block_sensitivity_scan``, which ``cylinder_scans`` runs for ``verify`` from
+one extension table, read the system's ``block_counter`` when it has one:
+for a constant-length substitution that is the block-pair automaton
 ``substitution.BlockPairs``, which counts without reading an extension.
 Everything else is cut from the extensions by the segment kernel
 ``_SegmentBlocks``: the counts of the Toeplitz and factor systems' cylinder
@@ -38,9 +39,9 @@ class ShiftSystem(Protocol):
     """Anything with a name, a spec hash, and an enumerable language.
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
-    a scan-length table lives as long as the grouping built from it: one
-    ``CylinderGrouping``, or an entry of the bounded
-    ``_indexed_extension_groups``.
+    a scan-length table lives as long as the grouping built from it: the
+    cylinder list of one scan or one ``cylinder_scans`` call, or an entry of
+    the bounded ``_indexed_extension_groups``.
 
     A system may also offer ``block_counter(central, width)``, a function
     that counts, for a length-``central`` word u and a displacement e, the
@@ -161,45 +162,14 @@ def scan_radius(budget: SearchBudget, K: int, B: int = 0) -> int:
     return budget.L + budget.N + B + K
 
 
-class CylinderGrouping:
-    """Every radius-``L`` cylinder word with its extensions at ``radius`` or any narrower radius.
+def _cylinders(system: ShiftSystem, L: int, radius: int) -> list[tuple[str, tuple[str, ...]]]:
+    """Every radius-``L`` cylinder word with its radius-``radius`` extensions, in language order.
 
-    One length-(2 radius + 1) table serves the scans at every radius up to
-    ``radius``.  A radius-r extension of u is a central trim of some
-    radius-``radius`` extension of u, because the language is factorial and
-    extendable, and every such trim is one.  So the distinct trims, sorted,
-    are exactly u's extensions at r, in language order.  A Toeplitz system's
-    language is read off a finite prefix; on the catalog's Toeplitz systems
-    the trims match the direct grouping at N = 256 and N = 1024 (a test
-    checks it).
-
-    A read at a narrower radius is the grouping's last: it trims one
-    cylinder at a time and drops each wider extension once trimmed, so the
-    wide and the trimmed words are never all held at once.  The grouping is
-    not cached: it lives as long as its caller holds it, one scan or one
-    ``verify_system`` call.
+    Not cached: the list lives as long as its caller holds it, one scan or
+    one ``cylinder_scans`` call.
     """
-
-    def __init__(self, system: ShiftSystem, L: int, radius: int):
-        self.L = L
-        self.radius = radius
-        groups = _extension_groups(system, radius, L)
-        self._cylinders: list[tuple[str, tuple[str, ...]]] | None = [
-            (u, groups.get(u, ())) for u in system.language(2 * L + 1)
-        ]
-
-    def at(self, L: int, radius: int) -> Iterable[tuple[str, tuple[str, ...]]]:
-        """The cylinders with their extensions at ``radius``, at most the grouping's."""
-        if self._cylinders is None:
-            raise ValueError("the grouping was handed to a narrower read")
-        if L != self.L or radius > self.radius:
-            raise ValueError(
-                f"grouping at L={self.L}, radius {self.radius} cannot serve L={L}, radius {radius}"
-            )
-        if radius == self.radius:
-            return self._cylinders
-        cylinders, self._cylinders = self._cylinders, None
-        return _trimmed(cylinders, self.radius - radius, 2 * radius + 1)
+    groups = _extension_groups(system, radius, L)
+    return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
 
 
 def _trimmed(
@@ -311,11 +281,14 @@ class _SegmentBlocks:
         return len(self.at(lo))
 
 
-def _first_indices(blocks: Iterable[str]) -> dict[str, int]:
-    """Each distinct block with the index of its first occurrence, in that order."""
+def _first_indices(blocks: Iterable[str], limit: int) -> dict[str, int]:
+    """The first ``limit`` distinct blocks with their first indices; reads no block past them."""
     first: dict[str, int] = {}
     for idx, block in enumerate(blocks):
-        first.setdefault(block, idx)
+        if block not in first:
+            first[block] = idx
+            if len(first) == limit:
+                break
     return first
 
 
@@ -346,8 +319,9 @@ def _separation_scan(
         count = count_at(start)
         if count > best:
             block_of = operator.itemgetter(slice(start, start + width))
-            first_indices = list(_first_indices(map(block_of, exts)).values())
-            for m in range(best + 1, min(count, m_cap) + 1):
+            top = min(count, m_cap)
+            first_indices = list(_first_indices(map(block_of, exts), top).values())
+            for m in range(best + 1, top + 1):
                 witnesses[m] = (g, sorted(first_indices[:m]))
             best = count
             if best >= m_cap:
@@ -367,20 +341,21 @@ def sensitivity_scan(
     K: int,
     budget: SearchBudget,
     m_min: int = 2,
-    grouping: CylinderGrouping | None = None,
+    cylinders: Iterable[tuple[str, tuple[str, ...]]] | None = None,
 ) -> dict[str, dict[int, dict]]:
     """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
 
-    The extensions come from ``grouping`` when given, so that one grouping
-    serves both of verify's scans, and the block counts from the system's
-    ``block_counter`` when it has one.
+    The cylinders with their extensions come from ``cylinders`` when given,
+    so that one table serves both of verify's scans (``cylinder_scans``),
+    and the block counts from the system's ``block_counter`` when it has one.
     """
     _require_scale(K)
     radius = scan_radius(budget, K)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
     scans = {}
-    grouping = grouping or CylinderGrouping(system, budget.L, radius)
-    for u, exts in grouping.at(budget.L, radius):
+    if cylinders is None:
+        cylinders = _cylinders(system, budget.L, radius)
+    for u, exts in cylinders:
         count_at = counts(u) if counts else None
         _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at)
         scans[u] = {
@@ -680,7 +655,8 @@ def _run_scan(
         blocks = tuple(sorted(distinct.at(lo)))
         size, members = finder.best(blocks)
         if size > best:
-            first_idx = _first_indices(map(operator.itemgetter(slice(lo, lo + width)), exts))
+            block_of = operator.itemgetter(slice(lo, lo + width))
+            first_idx = _first_indices(map(block_of, exts), len(blocks))
             for m in range(best + 1, min(size, m_cap) + 1):
                 idxs = sorted(first_idx[blocks[v]] for v in members[:m])
                 witnesses[m] = (a, idxs)
@@ -697,7 +673,7 @@ def block_sensitivity_scan(
     B: int,
     budget: SearchBudget,
     m_min: int = 2,
-    grouping: CylinderGrouping | None = None,
+    cylinders: Iterable[tuple[str, tuple[str, ...]]] | None = None,
 ) -> dict[str, dict[int, dict]]:
     """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
 
@@ -712,8 +688,9 @@ def block_sensitivity_scan(
     finder = _RunCliqueFinder(K, m_cap)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
     scans = {}
-    grouping = grouping or CylinderGrouping(system, budget.L, radius)
-    for u, exts in grouping.at(budget.L, radius):
+    if cylinders is None:
+        cylinders = _cylinders(system, budget.L, radius)
+    for u, exts in cylinders:
         starts = (h - B for h in shifts(budget.N))
         center_count = counts(u) if counts else None
         _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
@@ -723,6 +700,44 @@ def block_sensitivity_scan(
             if m >= m_min
         }
     return scans
+
+
+def cylinder_scans(
+    system: ShiftSystem, m_cap: int, budget: SearchBudget, block_K: int
+) -> tuple[dict[str, dict[int, dict]], dict[str, dict[int, dict]]]:
+    """``sensitivity_scan`` at scale ``budget.K`` and ``block_sensitivity_scan`` at ``block_K``.
+
+    Both read one length-(2 radius + 1) table, at the wider of their radii,
+    and the wider scan runs first.  A radius-r extension of u is a central
+    trim of some wider extension of u, because the language is factorial and
+    extendable, and every such trim is one, so the narrower scan reads the
+    distinct trims, sorted: u's extensions at r, in language order.  Each
+    wide word is dropped once trimmed, so the wide and the trimmed words are
+    never all held at once.  A Toeplitz system's language is read off a
+    finite prefix; on the catalog's Toeplitz systems the trims match the
+    direct grouping at N = 256 and N = 1024 (a test checks it).
+    """
+    sens_radius = scan_radius(budget, budget.K)
+    block_radius = scan_radius(budget, block_K, budget.B)
+    radius = max(sens_radius, block_radius)
+    cylinders = _cylinders(system, budget.L, radius)
+
+    def at(r: int) -> Iterable[tuple[str, tuple[str, ...]]]:
+        return cylinders if r == radius else _trimmed(cylinders, radius - r, 2 * r + 1)
+
+    def sens():
+        return sensitivity_scan(system, m_cap, budget.K, budget, cylinders=at(sens_radius))
+
+    def block():
+        return block_sensitivity_scan(
+            system, m_cap, block_K, budget.B, budget, cylinders=at(block_radius)
+        )
+
+    if block_radius >= sens_radius:
+        block_scans = block()
+        return sens(), block_scans
+    sens_scans = sens()
+    return sens_scans, block()
 
 
 def block_m_sensitivity_test(

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracles import (
-    CylinderGrouping,
-    SearchBudget,
-    block_sensitivity_scan,
-    scan_radius,
-    sensitivity_report,
-    sensitivity_scan,
-)
+from .oracles import SearchBudget, cylinder_scans, sensitivity_report
 from .ranks import (
     CENSUS_DEPTH,
     CENSUS_RADIUS,
@@ -104,29 +97,13 @@ def verify_system(
     coincidence rank only rules out in the limit, while at scale one the
     searches track the rank on every reference system.
 
-    Both scans read one extension grouping, built at the wider of their
-    window radii.  The wider scan runs first, because the narrower one trims
-    the grouping and drops it as it goes (see ``CylinderGrouping``).
+    Both scans come from ``oracles.cylinder_scans``, which reads one
+    extension table for the two.
     """
     budget = budget or SearchBudget()
     ranks = rank_report(system, depth_max, radius_max)
     profile = predict_profile(ranks, m_max)
-    sens_radius = scan_radius(budget, budget.K)
-    block_radius = scan_radius(budget, BLOCK_SCALE, budget.B)
-    grouping = CylinderGrouping(system, budget.L, max(sens_radius, block_radius))
-
-    def sens():
-        return sensitivity_scan(system, m_max, budget.K, budget, grouping=grouping)
-
-    def block():
-        return block_sensitivity_scan(
-            system, m_max, BLOCK_SCALE, budget.B, budget, grouping=grouping
-        )
-
-    if block_radius >= sens_radius:
-        block_scans, sens_scans = block(), sens()
-    else:
-        sens_scans, block_scans = sens(), block()
+    sens_scans, block_scans = cylinder_scans(system, m_max, budget, BLOCK_SCALE)
     cells = []
     for m in range(2, m_max + 1):
         row = profile.row(m)

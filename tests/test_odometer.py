@@ -20,7 +20,7 @@ from shiftrank.odometer import (
     lift_state,
     proximal_pair,
 )
-from shiftrank.oracles import CylinderGrouping, _SegmentBlocks
+from shiftrank.oracles import _cylinders, _SegmentBlocks
 from shiftrank.substitution import (
     BlockPairs,
     RegimeError,
@@ -256,8 +256,7 @@ def _segment_counts(s, a, b):
     """
     radius = max(map(abs, DISPLACEMENTS)) + a + b
     origin = radius - a // 2  # where u starts in an extension
-    grouping = CylinderGrouping(SubstitutionSystem("s", s), a // 2, radius)
-    for u, exts in grouping.at(a // 2, radius):
+    for u, exts in _cylinders(SubstitutionSystem("s", s), a // 2, radius):
         blocks = _SegmentBlocks(exts, b)
         for e in DISPLACEMENTS:
             yield u, e, blocks.count(origin + e)
@@ -523,6 +522,35 @@ def test_census_graph_counts_match_every_short_path(name, radius):
 def test_census_graph_counts_match_paths_on_criterion_5_sample():
     for s in catalog.random_exact_substitutions(200):
         assert _graph_counts_match_paths(s, 8, 4), s.rules
+
+
+def _seam_cycle_words(s):
+    """The legal 2-letter words on cycles of the seam map, which sends ba to σ(b)[-1] σ(a)[0].
+
+    The points over the odometer's 0 are the fixed points of some power of σ,
+    σ^p(b).σ^p(a) for a legal ba on a cycle of this map, so there are as many
+    as there are words on its cycles.
+    """
+    words = language(s, 2)
+    image = dict(zip(s.letters, s.rules))
+    seam = {w: image[w[0]][-1] + image[w[1]][0] for w in words}
+    on_cycles = set(words)
+    for _ in words:  # |words| steps take every word onto its cycle
+        on_cycles = {seam[w] for w in on_cycles}
+    return len(on_cycles)
+
+
+@pytest.mark.parametrize("radius", [16, 64])
+def test_census_along_digit_zero_counts_the_seam_cycles(radius):
+    # an oracle for the fiber over 0 that shares no code with _lift
+    named = [catalog.system_for(name).substitution for name in EXACT_CATALOG]
+    for s in [*named, *catalog.random_exact_substitutions(200)]:
+        graph = census_graph(s, radius)
+        path = [0]
+        while (node := graph.step(path[-1], 0)) not in path:
+            path.append(node)
+        cycle_counts = {graph.count(n) for n in path[path.index(node) :]}
+        assert cycle_counts == {_seam_cycle_words(s)}, s.rules
 
 
 def test_census_graph_lifts_each_state_once(monkeypatch):

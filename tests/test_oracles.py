@@ -18,8 +18,8 @@ from shiftrank.catalog import system_for
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
     SEGMENT,
-    CylinderGrouping,
     SearchBudget,
+    _cylinders,
     _indexed_extension_groups,
     _ladder_extensions,
     _RunCliqueFinder,
@@ -27,6 +27,7 @@ from shiftrank.oracles import (
     _pair_separated_over_run,
     _run_scan,
     _separation_scan,
+    _trimmed,
     block_m_sensitivity_test,
     block_sensitivity_scan,
     cover_m_equicontinuity_test,
@@ -733,7 +734,7 @@ def _whole_table_extensions(system, central, radius):
 @pytest.mark.parametrize("system", INDEX_SYSTEMS, ids=lambda system: system.name)
 @pytest.mark.parametrize("L, radius", [(0, 3), (1, 4), (2, 20), (2, 67)])
 def test_grouped_extensions_match_per_cylinder_filter(system, L, radius):
-    grouped = CylinderGrouping(system, L, radius).at(L, radius)
+    grouped = _cylinders(system, L, radius)
     assert [u for u, _ in grouped] == list(system.language(2 * L + 1))
     for u, exts in grouped:
         assert exts == _whole_table_extensions(system, u, radius), u
@@ -767,21 +768,9 @@ def test_trimmed_grouping_matches_direct_grouping(name, N):
     radius = oracles.scan_radius(budget, budget.K)
     wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
     assert wide > radius
-    grouping = CylinderGrouping(system, budget.L, wide)
-    direct = CylinderGrouping(system, budget.L, radius).at(budget.L, radius)
-    assert list(grouping.at(budget.L, radius)) == direct
-
-
-def test_grouping_serves_no_wider_radius_and_no_read_after_a_narrower_one():
-    grouping = CylinderGrouping(TM_SYS, 2, 20)
-    with pytest.raises(ValueError, match="cannot serve L=2, radius 21"):
-        grouping.at(2, 21)
-    with pytest.raises(ValueError, match="cannot serve L=1, radius 20"):
-        grouping.at(1, 20)
-    trimmed = grouping.at(2, 10)
-    with pytest.raises(ValueError, match="handed to a narrower read"):
-        grouping.at(2, 20)
-    assert list(trimmed) == CylinderGrouping(TM_SYS, 2, 10).at(2, 10)
+    trimmed = _trimmed(_cylinders(system, budget.L, wide), wide - radius, 2 * radius + 1)
+    direct = _cylinders(system, budget.L, radius)
+    assert list(trimmed) == direct
 
 
 class _Counted(str):
@@ -805,11 +794,11 @@ class _CountedWords:
 
 def test_a_narrower_read_drops_each_wide_word_once_trimmed():
     wide, narrow = 40, 30
-    grouping = CylinderGrouping(_CountedWords(TM_SYS), 2, wide)
-    sizes = [len(exts) for _, exts in grouping.at(2, wide)]
+    cylinders = _cylinders(_CountedWords(TM_SYS), 2, wide)
+    sizes = [len(exts) for _, exts in cylinders]
     _Counted.deleted.clear()
     dropped = []
-    for _, exts in grouping.at(2, narrow):
+    for _, exts in _trimmed(cylinders, wide - narrow, 2 * narrow + 1):
         assert exts
         dropped.append(_Counted.deleted[2 * wide + 1])
     # a cylinder's wide words are all gone once its trims are handed out, so

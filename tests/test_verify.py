@@ -1,10 +1,12 @@
 """Cell grading rules of the consistency loop, and its frozen certificates."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from shiftrank import catalog
+from shiftrank import catalog, verify
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
     SearchBudget,
@@ -146,3 +148,20 @@ def test_cells_match_the_public_scans_run_apart(budget, sensitivity_wider):
             )
         cells = verify_system(system, m_max, budget).cells
         assert [cell.verdict for cell in cells] == expected, name
+
+
+def test_verify_imports_only_the_joint_scan_entry_from_oracles():
+    # the scan radii, the shared extension table and the scan order live in
+    # oracles.cylinder_scans; verify grades what it returns
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if "oracles" in (node.module or "").split("."):
+                imported += names
+            else:
+                imported += [name for name in names if name == "oracles"]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if "oracles" in a.name.split(".")]
+    assert sorted(imported) == ["SearchBudget", "cylinder_scans", "sensitivity_report"]
