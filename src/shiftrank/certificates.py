@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .words import CenteredWord, scale_of_difference, shift_window
 
@@ -45,79 +46,68 @@ def load_certificate(text: str) -> dict:
     return doc
 
 
-def _windows(items: list[str]) -> list[CenteredWord]:
-    return [CenteredWord.parse(t) for t in items]
+class _Ledger:
+    """A replay's check count and the reasons of the checks that failed."""
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.failures: list[str] = []
+
+    def check(self, ok: bool, reason: str, *args) -> bool:
+        """Count one check; a failed one records ``reason.format(*args)``.
+
+        The reason is formatted only on failure, so the per-pair loops build
+        no text for a check that passes.
+        """
+        self.checks += 1
+        if not ok:
+            self.failures.append(reason.format(*args))
+        return ok
 
 
 def _shifted(
-    windows: list[CenteredWord], g: int, failures: list[str], label: str
+    windows: list[CenteredWord], g: int, ledger: _Ledger, label: str
 ) -> list[CenteredWord | None]:
-    """Each window shifted by g, or None, with a failure, where the window does not hold g."""
+    """Each window shifted by g, or None where the window does not hold g.
+
+    A window short of g is a failure but not a check: the pairs it belongs
+    to are skipped at g, not counted.
+    """
     for i, w in enumerate(windows):
         if not w.covers(g, g):
-            failures.append(f"{label}: window {i} does not hold the shift {g}")
+            ledger.failures.append(f"{label}: window {i} does not hold the shift {g}")
     return [shift_window(w, g) if w.covers(g, g) else None for w in windows]
 
 
-def _check_separated_tuple(
-    windows: list[CenteredWord], g: int, K: int, failures: list[str], label: str
-) -> int:
-    checks = 0
-    shifted = _shifted(windows, g, failures, label)
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            if shifted[i] is None or shifted[j] is None:
-                continue
-            checks += 1
-            d = scale_of_difference(shifted[i], shifted[j])
-            if d is None or d > K:
-                failures.append(f"{label}: pair ({i},{j}) not separated at shift {g}")
-    return checks
+def _replay_entry(entry: dict, m: int, K: int, shifts, ledger: _Ledger) -> None:
+    """Replay one tuple: an entry of a sensitivity kind or a stage of a ladder kind.
 
-
-def _check_tuple_size(windows: list[CenteredWord], m: int, failures: list[str], label: str) -> int:
-    if len(windows) != m:
-        failures.append(f"{label}: {len(windows)} windows for a claimed tuple size m={m}")
-    return 1
-
-
-def _check_cylinder(windows: list[CenteredWord], cylinder: str, failures: list[str]) -> int:
-    half = len(cylinder) // 2
-    for idx, w in enumerate(windows):
-        if not w.covers(-half, half) or w.central(half) != cylinder:
-            failures.append(f"window {idx} does not carry the cylinder {cylinder!r}")
-    return len(windows)
-
-
-def _replay_sensitivity_entry(
-    entry: dict, m: int, K: int, failures: list[str], B: int | None = None
-) -> int:
-    """Replay one cylinder entry or stage; ``B`` is the block kind's half-length."""
-    windows = _windows(entry["windows"])
+    The entry holds ``m`` windows, each carries the entry's cylinder
+    centrally, every pair differs within ``K`` of each shift in ``shifts``,
+    and the scale matrix is reproduced at the entry's own ``shift``.
+    """
+    windows = [CenteredWord.parse(t) for t in entry["windows"]]
     cylinder = entry["cylinder"]
-    checks = _check_tuple_size(windows, m, failures, f"cylinder {cylinder!r}")
-    checks += _check_cylinder(windows, cylinder, failures)
-    block_half = entry.get("block_half")
-    if B is not None:
-        checks += 1
-        if block_half != B:
-            failures.append(f"cylinder {cylinder!r}: block half-length {block_half!r} != B={B}")
-    g = entry["shift"]
-    if block_half is None:
-        checks += _check_separated_tuple(windows, g, K, failures, f"cylinder {cylinder!r}")
-    else:
-        # a negative half-length leaves no shift to check, which would prove nothing
-        checks += 1
-        if block_half < 0:
-            failures.append(f"cylinder {cylinder!r}: negative block half-length {block_half}")
-        for t in range(g - block_half, g + block_half + 1):
-            checks += _check_separated_tuple(windows, t, K, failures, f"cylinder {cylinder!r}")
-    return checks + _check_scale_matrix(windows, g, entry.get("scale_matrix") or [], failures)
+    label = f"cylinder {cylinder!r}"
+    size = len(windows)
+    ledger.check(size == m, "{}: {} windows for a claimed tuple size m={}", label, size, m)
+    half = len(cylinder) // 2
+    for i, w in enumerate(windows):
+        ok = w.covers(-half, half) and w.central(half) == cylinder
+        ledger.check(ok, "window {} does not carry the cylinder {!r}", i, cylinder)
+    for g in shifts:
+        shifted = _shifted(windows, g, ledger, label)
+        for (i, a), (j, b) in combinations(enumerate(shifted), 2):
+            if a is not None and b is not None:
+                d = scale_of_difference(a, b)
+                reason = "{}: pair ({},{}) not separated at shift {}"
+                ledger.check(d is not None and d <= K, reason, label, i, j, g)
+    _replay_scale_matrix(windows, entry["shift"], entry["scale_matrix"], ledger)
 
 
-def _check_scale_matrix(
-    windows: list[CenteredWord], g: int, matrix: list[list], failures: list[str]
-) -> int:
+def _replay_scale_matrix(
+    windows: list[CenteredWord], g: int, matrix: list[list], ledger: _Ledger
+) -> None:
     """Each off-diagonal entry is the pair's first difference at shift g.
 
     The matrix must be m x m, m = len(windows), with a null diagonal; a
@@ -125,73 +115,72 @@ def _check_scale_matrix(
     """
     m = len(windows)
     shape = [len(row) for row in matrix]
-    if shape != [m] * m:
-        failures.append(f"scale matrix has row lengths {shape}, not {m} x {m}")
-        return 1
+    reason = "scale matrix has row lengths {}, not {} x {}"
+    if not ledger.check(shape == [m] * m, reason, shape, m, m):
+        return
     diagonal = [matrix[i][i] for i in range(m)]
-    if diagonal != [None] * m:
-        failures.append(f"scale matrix diagonal {diagonal} is not null")
-    checks = 2
-    shifted = _shifted(windows, g, failures, "scale matrix")
+    ledger.check(diagonal == [None] * m, "scale matrix diagonal {} is not null", diagonal)
+    shifted = _shifted(windows, g, ledger, "scale matrix")
     for i, row in enumerate(matrix):
         for j, claimed in enumerate(row):
-            if i == j or shifted[i] is None or shifted[j] is None:
-                continue
-            checks += 1
-            got = scale_of_difference(shifted[i], shifted[j])
-            if got != claimed:
-                failures.append(f"scale matrix mismatch at ({i},{j}): {got} != {claimed}")
-    return checks
+            if i != j and shifted[i] is not None and shifted[j] is not None:
+                got = scale_of_difference(shifted[i], shifted[j])
+                reason = "scale matrix mismatch at ({},{}): {} != {}"
+                ledger.check(got == claimed, reason, i, j, got, claimed)
 
 
-def _check_cylinder_radius(cylinder: str, W: int, failures: list[str], label: str) -> int:
-    if len(cylinder) != 2 * W + 1:
-        failures.append(f"{label}: cylinder length {len(cylinder)}, not 2W+1 = {2 * W + 1}")
-    return 1
-
-
-def _replay_point_counterexample(doc: dict, failures: list[str]) -> int:
-    """Stages at the budget's ladder radii, each on the point's central word there."""
-    point, stages = doc["point"], doc["stages"]
-    radii = [stage["delta_radius"] for stage in stages]
+def _replay_ladder(doc: dict, point: str, ledger: _Ledger) -> None:
+    """Stages at the budget's ladder radii, each on the base point's central word there."""
+    radii = [stage["delta_radius"] for stage in doc["stages"]]
     ladder = doc["budget"]["ladder"]
-    checks = 1
-    if radii != ladder:
-        failures.append(f"stage radii {radii} are not the budget ladder {ladder}")
+    ledger.check(radii == ladder, "stage radii {} are not the budget ladder {}", radii, ladder)
     half = len(point) // 2
-    for stage in stages:
-        W, cylinder = stage["delta_radius"], stage["cylinder"]
-        label = f"stage W={W}"
-        checks += _check_cylinder_radius(cylinder, W, failures, label)
-        checks += 1
-        if W > half or point[half - W : half + W + 1] != cylinder:
-            failures.append(f"{label}: cylinder {cylinder!r} is not the point read at radius {W}")
-        checks += _replay_sensitivity_entry(stage, doc["m"], doc["K"], failures)
-    return checks
+    for W, stage in zip(radii, doc["stages"]):
+        cylinder = stage["cylinder"]
+        reason = "stage W={}: cylinder length {}, not 2W+1 = {}"
+        ledger.check(len(cylinder) == 2 * W + 1, reason, W, len(cylinder), 2 * W + 1)
+        read = W <= half and point[half - W : half + W + 1] == cylinder
+        reason = "stage W={}: cylinder {!r} is not the point read at radius {}"
+        ledger.check(read, reason, W, cylinder, W)
 
 
-def _replay_cover_falsified(doc: dict, failures: list[str]) -> int:
-    m, K, B = doc["m"], doc["K"], doc["B"]
-    checks = 1
-    if B < 0:
-        failures.append(f"negative block half-length B={B}")
+def _replay_sensitivity(doc: dict, ledger: _Ledger) -> None:
+    for entry in doc["cylinders"]:
+        _replay_entry(entry, doc["m"], doc["K"], (entry["shift"],), ledger)
+
+
+def _replay_block_sensitivity(doc: dict, ledger: _Ledger) -> None:
+    B = doc["B"]
+    for entry in doc["cylinders"]:
+        label, g = f"cylinder {entry['cylinder']!r}", entry["shift"]
+        half = entry["block_half"]
+        ledger.check(half == B, "{}: block half-length {!r} != B={}", label, half, B)
+        # a negative half-length leaves no shift to check, which would prove nothing
+        ledger.check(B >= 0, "{}: negative block half-length {}", label, B)
+        _replay_entry(entry, doc["m"], doc["K"], range(g - B, g + B + 1), ledger)
+
+
+def _replay_point_counterexample(doc: dict, ledger: _Ledger) -> None:
+    _replay_ladder(doc, doc["point"], ledger)
     for stage in doc["stages"]:
-        windows = _windows(stage["windows"])
-        W, start = stage["delta_radius"], stage["gap_start"]
-        label = f"gap stage W={W}"
-        checks += _check_tuple_size(windows, m, failures, label)
-        checks += _check_cylinder_radius(stage["cylinder"], W, failures, label)
-        checks += _check_cylinder(windows, stage["cylinder"], failures)
-        checks += 2
-        gap = stage["gap_end"] - start + 1
-        if gap != 2 * B + 2:
-            failures.append(f"{label}: gap length {gap}, not 2B+2 = {2 * B + 2}")
-        if stage["shift"] != start:
-            failures.append(f"{label}: shift {stage['shift']} is not the gap start {start}")
-        for t in range(start, stage["gap_end"] + 1):
-            checks += _check_separated_tuple(windows, t, K, failures, label)
-        checks += _check_scale_matrix(windows, start, stage["scale_matrix"], failures)
-    return checks
+        _replay_entry(stage, doc["m"], doc["K"], (stage["shift"],), ledger)
+
+
+def _replay_cover_falsified(doc: dict, ledger: _Ledger) -> None:
+    B, stages = doc["B"], doc["stages"]
+    # a gap of 2B + 2 < 2 shifts holds no shift at which to compare a pair
+    ledger.check(B >= 0, "negative block half-length B={}", B)
+    # the document records no point: its largest-radius stage reads the base point
+    top = max(stages, key=lambda stage: stage["delta_radius"], default={"cylinder": ""})
+    _replay_ladder(doc, top["cylinder"], ledger)
+    for stage in stages:
+        W, start, end = stage["delta_radius"], stage["gap_start"], stage["gap_end"]
+        gap = end - start + 1
+        reason = "gap stage W={}: gap length {}, not 2B+2 = {}"
+        ledger.check(gap == 2 * B + 2, reason, W, gap, 2 * B + 2)
+        reason = "gap stage W={}: shift {} is not the gap start {}"
+        ledger.check(stage["shift"] == start, reason, W, stage["shift"], start)
+        _replay_entry(stage, doc["m"], doc["K"], range(start, end + 1), ledger)
 
 
 def replay(doc: dict) -> ReplayResult:
@@ -200,39 +189,30 @@ def replay(doc: dict) -> ReplayResult:
     A document that lacks a field its kind needs, or holds a value of the
     wrong type in one, raises ValueError.
     """
-    failures: list[str] = []
+    ledger = _Ledger()
     try:
-        checks = _replay_kind(doc, failures)
+        _replay_kind(doc, ledger)
     except KeyError as e:
         raise ValueError(f"malformed certificate: missing field {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed certificate: {e}") from None
-    return ReplayResult(not failures, checks, tuple(failures))
-
-
-def _replay_sensitivity(doc: dict, failures: list[str]) -> int:
-    B = doc["B"] if doc["kind"] == "block-m-sensitivity" else None
-    return sum(
-        _replay_sensitivity_entry(entry, doc["m"], doc["K"], failures, B)
-        for entry in doc["cylinders"]
-    )
+    return ReplayResult(not ledger.failures, ledger.checks, tuple(ledger.failures))
 
 
 _REPLAYERS = {
     "m-sensitivity": _replay_sensitivity,
-    "block-m-sensitivity": _replay_sensitivity,
+    "block-m-sensitivity": _replay_block_sensitivity,
     "eq-point-counterexample": _replay_point_counterexample,
     "cover-falsified": _replay_cover_falsified,
     # universal claim: the payload is a summary, nothing to replay
-    "cover-witness": lambda doc, failures: 0,
+    "cover-witness": lambda doc, ledger: None,
 }
 
 
-def _replay_kind(doc: dict, failures: list[str]) -> int:
+def _replay_kind(doc: dict, ledger: _Ledger) -> None:
     kind = doc["kind"]
     if kind not in _REPLAYERS:
         raise ValueError(f"unknown certificate kind: {kind!r}")
     # a scale 2^-K with K < 0 compares no position, so a claim at it proves nothing
-    if doc["K"] < 0:
-        failures.append(f"negative scale exponent K={doc['K']}")
-    return 1 + _REPLAYERS[kind](doc, failures)
+    ledger.check(doc["K"] >= 0, "negative scale exponent K={}", doc["K"])
+    _REPLAYERS[kind](doc, ledger)

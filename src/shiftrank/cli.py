@@ -25,7 +25,7 @@ from .oracles import (
 )
 from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, predict_profile, rank_report
 from .substitution import RegimeError, SubstitutionSystem
-from .verify import INCONSISTENT, M_MAX, verify_system
+from .verify import BLOCK_SCALE, INCONSISTENT, M_MAX, verify_system
 
 
 class UsageError(Exception):
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sensitivity",
         "tuple sensitivity search over all cylinders",
         cmd_cylinder_search,
-        scale=2,
+        scale=SearchBudget.K,
         scale_help="epsilon exponent K",
     )
 
@@ -319,16 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
         "block",
         "block sensitivity search over all cylinders",
         cmd_cylinder_search,
-        scale=1,
+        scale=BLOCK_SCALE,
         scale_help=None,
     )
-    p.add_argument("--block", type=int, default=8, help="block half-length B")
+    p.add_argument("--block", type=int, default=SearchBudget.B, help="block half-length B")
 
     p = tuple_search(
         "cover",
         "cover equicontinuity test at a seed point",
         cmd_seed_point_test,
-        scale=2,
+        scale=SearchBudget.K,
         scale_help=None,
     )
     p.add_argument("--seed-index", type=int, default=0)
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "point",
         "equicontinuity point test at a seed point",
         cmd_seed_point_test,
-        scale=2,
+        scale=SearchBudget.K,
         scale_help=None,
     )
     p.add_argument("--seed-index", type=int, default=0)

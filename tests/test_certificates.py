@@ -120,9 +120,9 @@ def test_every_kind_requires_a_non_negative_scale_exponent():
     assert result.failures == ("negative scale exponent K=-1",)
 
 
-def _tm_cover_falsified() -> dict:
+def _tm_cover_falsified(shift: int = 0) -> dict:
     budget = SearchBudget()
-    x = TM_SYS.point_window(TM_SYS.seed_points()[0], max(budget.ladder))
+    x = TM_SYS.point_window(TM_SYS.seed_points()[0], max(budget.ladder), shift=shift)
     return cover_m_equicontinuity_test(TM_SYS, x, 2, budget.K, budget).certificate
 
 
@@ -173,6 +173,19 @@ def _stage_zero_at_every_radius(cert: dict) -> None:
 
 def _stage_zero_everywhere(cert: dict) -> None:
     cert["stages"] = [dict(cert["stages"][0]) for _ in cert["stages"]]
+
+
+def _no_stages(cert: dict) -> None:
+    cert["stages"] = []
+
+
+def _first_stage_only(cert: dict) -> None:
+    del cert["stages"][1:]
+
+
+def _w2_stage_of_the_next_seed_shift(cert: dict) -> None:
+    # a genuine W=2 stage, but around the point shifted by one: cylinder 00110, not 10011
+    cert["stages"][1] = roundtrip(_tm_cover_falsified(shift=1))["stages"][1]
 
 
 def _radius_one_cylinder_at_w2(cert: dict) -> None:
@@ -234,6 +247,18 @@ def _scale_matrices(matrix: list):
             _stage_zero_everywhere,
             "stage radii [1, 1, 1, 1] are not the budget ladder [1, 2, 4, 8]",
         ),
+        (
+            _tm_cover_falsified,
+            _stage_zero_everywhere,
+            "stage radii [1, 1, 1, 1] are not the budget ladder [1, 2, 4, 8]",
+        ),
+        (_tm_cover_falsified, _no_stages, "stage radii [] are not the budget ladder [1, 2, 4, 8]"),
+        (_tm_cover_falsified, _first_stage_only, "stage radii [1] are not the budget ladder"),
+        (
+            _tm_cover_falsified,
+            _w2_stage_of_the_next_seed_shift,
+            "stage W=2: cylinder '00110' is not the point read at radius 2",
+        ),
         (_tm_cover_falsified, _radius_one_cylinder_at_w2, "cylinder length 3, not 2W+1 = 5"),
         (_tm_cover_falsified, _later_scale_matrices, "scale matrix mismatch at (0,1): 0 != 2"),
         (_tm_cover_falsified, _moved_shifts, "is not the gap start"),
@@ -265,6 +290,10 @@ def _scale_matrices(matrix: list):
         "point-stage-on-point",
         "point-stage-radius",
         "point-ladder",
+        "cover-ladder",
+        "cover-no-stages",
+        "cover-first-stage-only",
+        "cover-stage-off-the-point",
         "cover-stage-radius",
         "cover-scale-matrix",
         "cover-shift",

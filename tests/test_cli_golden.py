@@ -126,6 +126,16 @@ CERT_SHA256 = {
     "cover-refuted": "f6b4cc1ef68a8a51f9ca5223c5b530cd2ee5b41220efb98f8927086d58c905ae",
 }
 
+# case -> stdout of ``replay`` on the file that --cert writes; the check
+# counts are the ones docs/certificates.md derives for each kind
+REPLAY_STDOUT = {
+    "sensitivity-witnessed": "replay ok: 181 checks, 0 failures\n",
+    "block-witnessed": "replay ok: 313 checks, 0 failures\n",
+    "point-witnessed": "replay ok: 56 checks, 0 failures\n",
+    "cover-witnessed": "replay ok: 1 checks, 0 failures\n",
+    "cover-refuted": "replay ok: 87 checks, 0 failures\n",
+}
+
 # subcommand -> option string (or positional dest) -> default
 PARSER_SNAPSHOT = {
     "catalog": {"-h/--help": argparse.SUPPRESS, "--json": False},
@@ -217,6 +227,15 @@ def test_written_certificate_is_frozen(capsys, tmp_path, case):
     assert main(CASES[case] + ["--cert", str(cert)]) == 0
     capsys.readouterr()
     assert _sha256(cert.read_bytes()) == CERT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_STDOUT))
+def test_replay_of_a_written_certificate_is_frozen(capsys, tmp_path, case):
+    cert = tmp_path / "cert.json"
+    assert main(CASES[case] + ["--cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(cert)]) == 0
+    assert capsys.readouterr().out == REPLAY_STDOUT[case]
 
 
 @pytest.mark.parametrize("case", ["cover-witnessed", "cover-refuted"])
