@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
-from .words import ALPHABET_CHARS, CenteredWord, shift_window, sym_char
+from .words import ALPHABET_CHARS, CenteredWord, _first_mismatch, shift_window, sym_char
 
 
 class RegimeError(ValueError):
@@ -140,12 +140,12 @@ class LanguageTable:
     for their scan-length tables, goes through ``build``, so such a table
     lives only as long as the caller holds it.
 
-    A substitution that has passed the regime gate keeps one length,
-    ``APERIODICITY_N_MAX + 1``, which ``aperiodicity_check`` memoises; the
-    gate reads its other lengths, in ``aperiodicity_check`` and ``height``,
-    without keeping them.  Every shorter length a later reader asks for,
-    such as the census's 2 * radius + 1, is derived from the shortest longer
-    one the memo holds.
+    The regime gate reads one length, ``APERIODICITY_N_MAX + 1``, once:
+    ``aperiodicity_check`` memoises it and counts every shorter complexity
+    from it, and ``height`` reads no table.  So a substitution that has
+    passed the gate keeps that one length, and every shorter length a later
+    reader asks for, such as the census's 2 * radius + 1, is derived from
+    the shortest longer one the memo holds.
 
     Exactness argument: once the image of every letter under the k-th power
     has length >= n, any admissible length-n word sits inside the image of an
@@ -474,47 +474,48 @@ def seed_window(s: Substitution, seed: SeedPair, radius: int, shift: int = 0) ->
 
 
 def height(s: Substitution) -> int:
-    """Largest divisor, coprime to q, of the gcd of return times of the first letter.
+    """Dekking's height h: the largest n <= d, coprime to q, that phases the letters mod n.
 
     Dekking (1978, "The spectrum of dynamical systems arising from
-    substitutions of constant length") defines the height from the positions
-    of u_0 = a in a fixed point u, where a is the least letter on a cycle of
-    the first-letter map.  The gcd of those positions is the gcd of the
-    return times of a: the lengths r = |a w| of the return words a w a of u,
-    with no a in w.
+    substitutions of constant length") defines h as the largest divisor,
+    coprime to q, of the gcd of the positions of u_0 in a fixed point u of
+    a power sigma^p.  A *phasing mod n* is a map c from letters to Z/n and a
+    constant t with c(sigma(b)[j]) = q c(b) + j + t for every letter b and
+    j < q.  For n coprime to q, a phasing mod n exists exactly when n | h:
 
-    It is decided exactly from the language table.  For a primitive
-    substitution every admissible word occurs in u, and ``LanguageTable`` is
-    exactly the language, so a return of time r is an admissible word of
-    length r + 1 that starts and ends with a and has no a inside.  Lengths
-    are read up to the least n at which every admissible word contains a:
-    w is admissible and has no a, so |w| < n, and no return time exceeds n.
-    Every length is the prefixes of one source table, read through
-    ``build``: first at the gate's length ``APERIODICITY_N_MAX + 1``, which
-    a gated substitution's table already holds, then, whenever the scan runs
-    past it, at twice its length.  So letter images are read once per
-    doubling of the length, and the table keeps none of the longer lengths.
+    - (<=) Induction along u = sigma^p(u) gives c(u_k) = c(u_0) + k.  So n
+      divides the gcd of the positions of u_0 and, being coprime to q, h.
+    - (=>) Dekking's partition puts u_k in class k mod h.  So every point x
+      of the subshift has x_k in class c(x_0) + k.  Reading this at
+      x = sigma(u) phases the letters mod h, and mod every divisor of h.
+    - Each class holds a letter, so h <= d.
     """
     q = s.require_constant_length()
     if not s.primitive:
         raise RegimeError("height requires a primitive substitution")
-    first = {c: s.rules[s.letters.index(c)][0] for c in s.letters}
-    a = min(_cycle_lengths(first))
-    g = 0
-    source = s.table.build(APERIODICITY_N_MAX + 1)
-    words = _prefixes(source, 1)
-    for n in itertools.count(1):
-        if n + 1 > len(source[0]):
-            source = s.table.build(2 * len(source[0]))
-        longer = _prefixes(source, n + 1)
-        if any(w[0] == a == w[-1] and a not in w[1:-1] for w in longer):
-            g = math.gcd(g, n)
-        if all(a in w for w in words):
-            break
-        words = longer
-    while (d := math.gcd(g, q)) > 1:
-        g //= d
-    return g
+    for n in range(s.alphabet_size, 1, -1):
+        if math.gcd(n, q) == 1 and any(_phased(s, n, t) for t in range(n)):
+            return n
+    return 1
+
+
+def _phased(s: Substitution, n: int, t: int) -> bool:
+    """Whether a phasing mod n with constant t exists (see ``height``).
+
+    A shift of c only changes t, so c is 0 at the first letter.  Labels spread
+    breadth-first from the images, and primitivity reaches every letter.
+    """
+    q, images = s.constant_length, dict(zip(s.letters, s.rules))
+    phase, queue = {s.letters[0]: 0}, [s.letters[0]]
+    for b in queue:
+        for j, e in enumerate(images[b]):
+            want = (q * phase[b] + j + t) % n
+            if e not in phase:
+                phase[e] = want
+                queue.append(e)
+            elif phase[e] != want:
+                return False
+    return True
 
 
 APERIODICITY_N_MAX = 48  # the complexity scan length n_max; see aperiodicity_check
@@ -532,21 +533,19 @@ def aperiodicity_check(s: Substitution) -> Verdict:
     ``catalog.ALPHABET_MAX`` = 3 letters, length at most ``catalog.Q_MAX`` =
     4).
 
-    Only the length n_max + 1 table is built from letter images, and it is
-    the only one the substitution's table keeps.  The complexities p(n) are
-    read before the scan, down a chain from n_max + 1 to 1: each shorter
-    table is the prefixes of the one just above it (see ``LanguageTable``)
-    and is dropped once its length is counted.
+    Only the length n_max + 1 table is read, and the substitution's table
+    keeps it.  The length-n words are its distinct length-n prefixes (see
+    ``LanguageTable``), and sorted words share a prefix exactly when every
+    word between them does, so p(n) is one more than the number of adjacent
+    pairs that agree on fewer than n letters: one pass counts every p(n).
     """
     if not s.primitive:
         raise RegimeError("aperiodicity check requires a primitive substitution")
     n_max = APERIODICITY_N_MAX
-    words = s.table.words(n_max + 1)
-    p = [0] * (n_max + 2)  # p[n] is the complexity at length n
-    p[n_max + 1] = len(words)
-    for n in range(n_max, 0, -1):
-        words = _prefixes(words, n)
-        p[n] = len(words)
+    agree = [0] * (n_max + 1)  # agree[k]: the adjacent pairs whose first mismatch is at k
+    for x, y in itertools.pairwise(s.table.words(n_max + 1)):
+        agree[_first_mismatch(x, y)] += 1
+    p = list(itertools.accumulate(agree, initial=1))  # p[n] for n >= 1
     claim = "aperiodicity"
     witness_n: int | None = None
     for n in range(1, n_max + 1):

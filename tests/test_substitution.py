@@ -46,6 +46,13 @@ def factors(word: str, n: int) -> set[str]:
     return {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
+def _primitive(letters: str, q: int) -> list[Substitution]:
+    """Every primitive length-q substitution over the letters, periodic ones included."""
+    images = ["".join(w) for w in itertools.product(letters, repeat=q)]
+    systems = [Substitution(rules) for rules in itertools.product(images, repeat=len(letters))]
+    return [s for s in systems if s.primitive]
+
+
 # -- primitivity ------------------------------------------------------------
 
 
@@ -252,13 +259,22 @@ def image_builds(monkeypatch):
     return built
 
 
-def test_aperiodicity_check_builds_one_table_from_images(image_builds):
+def test_aperiodicity_check_builds_one_table_from_images(image_builds, monkeypatch):
+    derived = []
+    prefixes = substitution._prefixes
+
+    def counting(words, n):
+        derived.append(n)
+        return prefixes(words, n)
+
+    monkeypatch.setattr(substitution, "_prefixes", counting)
     # fresh substitutions, whose tables no other test has filled
     for s in (Substitution(TM.rules), Substitution(TERN.rules)):
         image_builds.clear()
         assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
-        # one build at length 49; lengths 1-48 are its prefixes
+        # one build at length 49, and p(1..48) counted from it without a derived table
         assert image_builds == [49]
+        assert derived == []
 
 
 def test_gated_sample_keeps_one_table_length():
@@ -282,14 +298,34 @@ def test_census_derives_its_tables_from_the_gated_length(image_builds):
     assert image_builds == []
 
 
-def test_height_builds_from_images_once_per_doubling(image_builds):
-    # height reads lengths up to 72 here: the gate's length 49 serves the
-    # first 49, and one build at twice that serves the rest
-    s = Substitution.from_text("0->200;1->222;2->110")
-    assert aperiodicity_check(s).status is VerdictStatus.WITNESSED
-    image_builds.clear()
-    assert height(s) == 1
-    assert image_builds == [2 * (APERIODICITY_N_MAX + 1)]
+def test_height_reads_no_language_table(monkeypatch):
+    def unread(*args):
+        raise AssertionError("height read a language table")
+
+    for name in ("build", "words", "_images_covering"):
+        monkeypatch.setattr(LanguageTable, name, unread)
+    # its words avoid 1 for up to 70 letters, so its returns of 1 outrun length 49
+    systems = [Substitution.from_text("0->200;1->222;2->110")]
+    systems += [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
+    assert [height(s) for s in systems] == [1] * len(systems)
+
+
+# sha256 over the full aperiodicity verdict (status, certificate, annotations
+# and reason) of each catalog substitution, each criterion-5 system and each
+# primitive substitution with 2 letters and q <= 3, periodic ones included
+APERIODICITY_SHA256 = "8befb95b96fa4d1e02b1a11db08be95bf50bf772154f273da810132083024810"
+
+
+def test_aperiodicity_evidence_is_frozen():
+    systems = [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
+    systems += catalog.random_exact_substitutions(200)
+    systems += _primitive("01", 2) + _primitive("01", 3)
+    rows = []
+    for s in systems:
+        v = aperiodicity_check(s)
+        rows.append([s.rules, v.status.value, v.certificate, dict(v.annotations), v.reason])
+    assert len(rows) == 261
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == APERIODICITY_SHA256
 
 
 # sha256 over, per catalog substitution and then per criterion-5 system, the
@@ -414,24 +450,16 @@ def test_height_against_direct_prefix_oracle():
     assert h == height(TM) == 1
 
 
-def _primitive_aperiodic(letters: str, q: int) -> list[Substitution]:
-    """The primitive length-q substitutions over the letters with a witnessed aperiodicity scan."""
-    images = ["".join(w) for w in itertools.product(letters, repeat=q)]
-    systems = [Substitution(rules) for rules in itertools.product(images, repeat=len(letters))]
-    return [
-        s
-        for s in systems
-        if s.primitive and aperiodicity_check(s).status is VerdictStatus.WITNESSED
-    ]
-
-
 def test_height_agrees_with_prefix_oracle_and_divides_returns():
     import math
 
-    candidates = [TM, PD, TERN] + _primitive_aperiodic("012", 2)
-    assert len(candidates) == 3 + 270
+    candidates = [TM, PD, TERN] + [s for q in (2, 3, 4) for s in _primitive("01", q)]
+    candidates += _primitive("012", 2)
+    assert len(candidates) == 3 + 8 + 48 + 224 + 288
+    heights = []
     for s in candidates:
         h = height(s)
+        heights.append(h)
         q = s.constant_length
         # the least letter on a cycle of the first-letter map, and its period:
         # theta^p(a) starts with a, so theta^(pk)(a) is a fixed-point prefix
@@ -456,6 +484,8 @@ def test_height_agrees_with_prefix_oracle_and_divides_returns():
         while (d := math.gcd(g, q)) > 1:
             g //= d
         assert h == g, s.rules
+    # the periodic 0->101;1->010 has height 2, and 0->10;1->02;2->21 height 3
+    assert set(heights) == {1, 2, 3}
 
 
 @pytest.mark.parametrize(
