@@ -13,15 +13,16 @@ The searches bound their tuples by distinct-block counts, which come from one
 of two counters.  The cylinder scans, ``sensitivity_scan`` and
 ``block_sensitivity_scan``, which ``cylinder_scans`` runs for ``verify`` from
 one extension table, read the system's ``block_counter`` when it has one:
-for a constant-length substitution that is the block-pair automaton
+for a constant-length substitution, and for a Toeplitz system through the
+substitution its skeleton repeats, that is the block-pair automaton
 ``substitution.BlockPairs``, which counts without reading an extension.
 Everything else is cut from the extensions by the segment kernel
-``_SegmentBlocks``: the counts of the Toeplitz and factor systems' cylinder
-scans, the run-blocks and cores of every run scan, and every block of the
-point and cover probes.  The probes keep the kernel because each ladder
-radius has its own central width and their scans exit early, so an
-automaton per stage costs more than it saves: one per stage made the
-probe-replay benchmark 3.4 times slower.
+``_SegmentBlocks``: the counts of the factor systems' cylinder scans, the
+run-blocks and cores of every run scan, and every block of the point and
+cover probes.  The probes keep the kernel because each ladder radius has its
+own central width and their scans exit early, so an automaton per stage
+costs more than it saves: one per stage made the probe-replay benchmark 3.4
+times slower.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ def _witness(
 
 
 # Offsets per segment of the distinct-block kernel.  It serves every count
-# but a substitution's cylinder scans, which read the block-pair automaton,
-# and it cuts every block a clique search or a witness reads (the module
-# docstring lists the readers).  The probes keep it because their scans exit
-# early and each ladder radius would need an automaton of its own.  Counted
-# per verify-wide cylinder against one slice per extension per shift,
-# segments of 8 slice about 5x fewer strings, 16 to 32 6.6-11x fewer and 64
-# 5.5-9.5x fewer.
+# but the cylinder scans of substitution and Toeplitz systems, which read the
+# block-pair automaton, and it cuts every block a clique search or a witness
+# reads (the module docstring lists the readers).  The probes keep it because
+# their scans exit early and each ladder radius would need an automaton of
+# its own.  Counted per verify-wide cylinder against one slice per extension
+# per shift, segments of 8 slice about 5x fewer strings, 16 to 32 6.6-11x
+# fewer and 64 5.5-9.5x fewer.
 SEGMENT = 32
 
 
@@ -713,9 +714,7 @@ def cylinder_scans(
     extendable, and every such trim is one, so the narrower scan reads the
     distinct trims, sorted: u's extensions at r, in language order.  Each
     wide word is dropped once trimmed, so the wide and the trimmed words are
-    never all held at once.  A Toeplitz system's language is read off a
-    finite prefix; on the catalog's Toeplitz systems the trims match the
-    direct grouping at N = 256 and N = 1024 (a test checks it).
+    never all held at once.
     """
     sens_radius = scan_radius(budget, budget.K)
     block_radius = scan_radius(budget, block_K, budget.B)

@@ -206,7 +206,7 @@ def rank_report(
         return substitution_rank_report(system, depth_max, radius_max)
     reporter: Callable | None = getattr(system, "rank_report", None)
     if reporter is not None:
-        return reporter(radius_max)
+        return reporter(depth_max, radius_max)
     raise TypeError(f"no rank pipeline for {type(system).__name__}")
 
 

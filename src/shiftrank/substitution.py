@@ -189,9 +189,6 @@ class LanguageTable:
 
     def _images_covering(self, n: int) -> tuple[str, ...]:
         """Letter images under the least power whose shortest image has length >= n."""
-        lengths = [len(r) for r in self._rules]
-        if min(lengths) < 2 and max(lengths) < 2:
-            raise RegimeError("substitution does not expand; language undefined at this length")
         images = tuple(self._letters)
         k = 0
         while min(map(len, images)) < n:
@@ -212,8 +209,12 @@ class LanguageTable:
             return _prefixes(self._cache[longer], n)
         if n == 1:  # a primitive substitution's images use every letter
             return tuple(self._letters)
+        if len(self._letters) == 1:  # the only point is the constant word
+            return (self._letters * n,)
+        # a primitive substitution on two or more letters is no permutation,
+        # so some image is longer than one letter and the powers cover n
         images = dict(zip(self._letters, self._images_covering(n)))
-        seeds = self._two_letter_words()  # nonempty: _images_covering raises when no image grows
+        seeds = self._two_letter_words()  # nonempty: some image has two letters
         # A length-n window of a seed's block theta^k(a) theta^k(b) lies
         # inside one letter's image or crosses the seam, and the crossing
         # ones are the windows of theta^k(a)[1-n:] + theta^k(b)[:n-1]: take
@@ -456,8 +457,7 @@ def seed_pairs(s: Substitution) -> tuple[SeedPair, ...]:
     found = []
     for b, cb in sorted(last_cycles.items()):
         for a, ca in sorted(first_cycles.items()):
-            # a one-letter alphabet admits its only pair without a table
-            if s.alphabet_size == 1 or s.table.admits(b + a):
+            if s.table.admits(b + a):
                 found.append(SeedPair(b, a, math.lcm(cb, ca)))
     return tuple(found)
 

@@ -1,11 +1,15 @@
-"""Toeplitz sequences from period skeletons, and their fiber censuses.
+"""Toeplitz sequences from period skeletons, presented by the substitutions they repeat.
 
 A skeleton is a nested list of stages: stage k fills some residue classes
 modulo its period with fixed symbols, leaving holes for deeper stages.  Every
 position is eventually filled periodically, which is exactly the Toeplitz
-property; the odometer over the period tower is the equicontinuous factor,
-and fibers are censused by following residue classes down the tower in a
-generated prefix.
+property.  A skeleton that repeats its stage rule inside its one remaining
+hole describes the fixed point of a constant-length substitution
+(Cassaigne and Karhumaki, "Toeplitz words, generalized periodicity and
+periodically iterated morphisms", 1997), and ``ToeplitzSystem`` reads its
+language, its block counts and its fiber censuses off that substitution,
+whose odometer is the equicontinuous factor.  A skeleton that does not
+repeat is refused.
 """
 
 from __future__ import annotations
@@ -13,9 +17,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .ranks import CENSUS_RADIUS, Estimate, EstimateKind, RankReport
+from .ranks import (
+    CENSUS_DEPTH,
+    CENSUS_RADIUS,
+    Estimate,
+    EstimateKind,
+    RankReport,
+    maximal_rank,
+    minimal_rank,
+)
+from .substitution import RegimeError, Substitution, SubstitutionSystem
 from .words import ALPHABET_CHARS
 
 
@@ -85,6 +98,40 @@ class ToeplitzSkeleton:
             )
         return "".join(chars)
 
+    def substitution(self) -> Substitution:
+        """The constant-length substitution sigma fixing this skeleton's sequence t.
+
+        Take the least p such that the first p stages leave at most one hole
+        residue h mod P, the period of stage p, and every later stage p + k
+        is stage k dilated into the hole: its period is P * period(k), and
+        its fills are (h + P r, a) for each fill (r, a) of stage k.  At least
+        one later stage must exist and match, unless no hole is left, which
+        makes t periodic.  Then sigma(a) is t[:P] with a at position h, or
+        t[:P] for every a when t is periodic, for each letter a up to the
+        largest fill symbol.
+
+        Proof: the first p stages fill position P n + j, j != h, with t[j].
+        Position P n + h is filled at stage p + k exactly when n is filled at
+        stage k, with the same symbol, so t[P n + h] = t[n].  So t = sigma(t).
+
+        A skeleton has finitely many stages; it is read as the first stages
+        of the self-similar rule it repeats, whose limit is sigma's fixed
+        point.  Any other skeleton raises RegimeError.
+        """
+        used = {sym for st in self.stages for _, sym in st.fills}
+        letters = ALPHABET_CHARS[: 1 + max(map(ALPHABET_CHARS.index, used), default=0)]
+        for p, stage in enumerate(self.stages, 1):
+            P, later = stage.period, self.stages[p:]
+            symbols = ToeplitzSkeleton(self.stages[:p])._symbols(P)
+            holes = [r for r, sym in enumerate(symbols) if sym is None]
+            repeats = len(holes) == 1 and later and later == tuple(
+                Stage(P * st.period, tuple((holes[0] + P * r, sym) for r, sym in st.fills))
+                for st in self.stages[: len(later)]
+            )
+            if not holes or repeats:
+                return Substitution(tuple("".join(sym or a for sym in symbols) for a in letters))
+        raise RegimeError("the skeleton does not repeat its stages inside one hole")
+
 
 def doubling_skeleton(depth: int = 16) -> ToeplitzSkeleton:
     """Classic alternating doubling skeleton: stage k fills 2^(k-1)-1 mod 2^k."""
@@ -144,25 +191,18 @@ def toeplitz_property(seq: str, periods: Iterable[int], positions: int) -> bool:
     return True
 
 
-_MIN_SAMPLES = 4
-
-
 class ToeplitzSystem:
-    """A Toeplitz subshift presented by a skeleton and a generated prefix.
+    """A Toeplitz subshift presented by a skeleton and the substitution it repeats.
 
-    The language is read off the prefix; for a minimal Toeplitz sequence
-    every admissible word recurs with bounded gaps, so a long prefix is a
-    faithful desk-scale presentation.
+    The language, the scans' block counts and the rank censuses are those of
+    ``sigma``, the ``SubstitutionSystem`` of ``skeleton.substitution()``.
+    The spec, and with it every certificate, stays the skeleton's.
     """
 
-    def __init__(self, name: str, skeleton: ToeplitzSkeleton, prefix_length: int = 1 << 15):
+    def __init__(self, name: str, skeleton: ToeplitzSkeleton):
         self.name = name
         self.skeleton = skeleton
-        self.prefix_length = prefix_length
-
-    @cached_property
-    def prefix(self) -> str:
-        return self.skeleton.prefix(self.prefix_length)
+        self.sigma = SubstitutionSystem(name, skeleton.substitution())
 
     @property
     def spec_text(self) -> str:
@@ -177,65 +217,17 @@ class ToeplitzSystem:
         return hashlib.sha256(self.spec_text.encode()).hexdigest()[:16]
 
     def language(self, n: int) -> tuple[str, ...]:
-        """The length-n windows of the prefix, sorted, built per call and not kept."""
-        if n < 1:
-            raise ValueError("length must be positive")
-        p = self.prefix
-        return tuple(sorted({p[i : i + n] for i in range(len(p) - n + 1)}))
+        """The length-n words of ``sigma``, built per call and not kept."""
+        return self.sigma.language(n)
 
-    # -- fiber census over the period tower -------------------------------
+    def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
+        """``sigma``'s block counter; see ``SubstitutionSystem.block_counter``."""
+        return self.sigma.block_counter(central, width)
 
-    def _census_extremes(self, radius: int) -> tuple[tuple[int, bool], tuple[int, bool]]:
-        """Least and greatest stabilized window counts over residue paths down the tower.
-
-        Each extreme comes with whether some path ending at it stabilized.
-        One walk serves both: which nodes it visits never depends on the
-        extreme.  A path goes one period deeper only while the prefix holds
-        at least ``_MIN_SAMPLES`` occurrences of the deeper residue class.
-        """
-        periods = self.skeleton.periods
-        leaves: list[tuple[int, bool]] = []  # (count, stabilized) per path end
-        # ids[i] numbers the radius-``radius`` window centred at prefix
-        # position radius + i, so equal windows share an id and a residue
-        # class is counted from ints, never re-slicing the prefix
-        p, width = self.prefix, 2 * radius + 1
-        intern: dict[str, int] = {}
-        ids = [intern.setdefault(p[i : i + width], len(intern)) for i in range(len(p) - width + 1)]
-
-        def occurrences(period: int, residue: int) -> int:
-            return max(0, (self.prefix_length - residue) // period)
-
-        def walk(level: int, residue: int, history: tuple[int, ...]) -> None:
-            period = periods[level]
-            # the index in ids of the class's first whole window
-            count = len(set(ids[(residue - radius) % period :: period]))
-            history = history + (count,)
-            deeper_ok = (
-                level + 1 < len(periods)
-                and occurrences(periods[level + 1], residue) >= _MIN_SAMPLES
-            )
-            stabilized = len(history) >= 3 and len(set(history[-3:])) == 1
-            if stabilized or not deeper_ok:
-                if count > 0:
-                    leaves.append((count, stabilized))
-                return
-            nxt = periods[level + 1]
-            for lift in range(residue, nxt, period):
-                if occurrences(nxt, lift) >= 1:
-                    walk(level + 1, lift, history)
-
-        for r in range(periods[0]):
-            walk(0, r, ())
-        if not leaves:
-            raise RuntimeError("census found no occupied residue; prefix too short")
-
-        def extreme(pick) -> tuple[int, bool]:
-            value = pick(count for count, _ in leaves)
-            return value, any(st for count, st in leaves if count == value)
-
-        return extreme(min), extreme(max)
-
-    def rank_report(self, radius_max: int = CENSUS_RADIUS):
+    def rank_report(
+        self, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
+    ) -> RankReport:
+        """r_m and r_M from ``sigma``'s censuses, r_c from the almost-automorphic bound."""
         flags = {
             "toeplitz": True,
             "periods": list(self.skeleton.periods[:6]) + ["..."],
@@ -244,19 +236,9 @@ class ToeplitzSystem:
         if self.skeleton.periodic:
             one = Estimate(1, EstimateKind.EXACT, {"method": "periodic-orbit"})
             return RankReport(self.name, one, one, one, flags)
-        (lo_v, lo_st), (hi_v, hi_st) = self._census_extremes(radius_max)
-        (lo_small, _), (hi_small, _) = self._census_extremes(max(4, radius_max // 2))
-        ev = {"method": "fiber-census", "radius": radius_max, "prefix": self.prefix_length}
-        r_m = Estimate(
-            lo_v,
-            EstimateKind.STABILIZED if lo_st and lo_v == lo_small else EstimateKind.LOWER_BOUND,
-            ev,
-        )
-        r_M = Estimate(
-            hi_v,
-            EstimateKind.STABILIZED if hi_st and hi_v == hi_small else EstimateKind.LOWER_BOUND,
-            ev,
-        )
+        s = self.sigma.substitution
+        r_m = minimal_rank(s, depth_max, radius_max)
+        r_M = maximal_rank(s, depth_max, radius_max)
         if r_m.value == 1:
             r_c = Estimate(
                 1,

@@ -66,7 +66,7 @@ def test_toeplitz_entries_satisfy_toeplitz_property():
         system = catalog.system_for(name)
         assert isinstance(system, ToeplitzSystem)
         periods = system.skeleton.periods
-        assert toeplitz_property(system.prefix[: 2**12 + 512], periods, 2**12)
+        assert toeplitz_property(system.skeleton.prefix(2**12 + 512), periods, 2**12)
 
 
 def test_custom_substitution_from_rule_text():

@@ -163,6 +163,18 @@ def test_inline_rules_accepted(capsys):
     assert "6 admissible words" in out
 
 
+def test_one_letter_identity_is_the_constant_word(capsys):
+    # 0 -> 0 presents the same one-point subshift as 0 -> 00
+    code, out, err = run_cli(capsys, "ranks", "0->0")
+    assert code == 0, err
+    assert out == run_cli(capsys, "ranks", "0->00")[1]
+    assert run_cli(capsys, "language", "0->0", "--length", "3")[1].splitlines()[1:] == ["000"]
+    code, out, err = run_cli(capsys, "verify", "0->0", "--json")
+    assert code == 0, err
+    (report,) = json.loads(out)["verify"].values()
+    assert {cell["label"] for cell in report["cells"]} == {"CONSISTENT"}
+
+
 def test_sensitivity_and_replay_roundtrip(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, out, _ = run_cli(

@@ -64,7 +64,7 @@ STDOUT_SHA256 = {
     ("cover-refuted", False): "122c0e42cf279b363d79c3fdc8d802e6b7befd660822ac284acfe36667c57f42",
     ("cover-refuted", True): "b910342d94d883212022eb6ce9c255924f58955b0001492bcc4cd3d0d8f2158c",
     ("verify-all", False): "ee7fead72737c3e5b93fb9a1f530f4f65942b221a186ebb1a571b35026a9bc55",
-    ("verify-all", True): "ab0e3f4a5a50f667f39fd5a826cbc7de6965ac78bdb677871e319dc4b99f2fcd",
+    ("verify-all", True): "95f8c004ccf4613f51d23ab6ef54d09b978af7b281dbb870b07e5090e60f2462",
     ("ranks-thue-morse", False): "1ece548e0ad5dc38079d2cd647649f38412d413889c0616235a610a9d5b6f6e2",
     ("ranks-thue-morse", True): "c4ca83ebd4d284149f73376b1df53638e3728ccf14b73826c8f36ec953a65fc1",
     ("ranks-thue-morse-d3r16", False): "7df554ba7be9bb4d8b1378c3f8acb0c77c15c8052a90d9fec68c691a1e4328d5",
@@ -85,18 +85,18 @@ STDOUT_SHA256 = {
     ("ranks-trivial-1", True): "ebf28352c0b1b3ffbf532c4de9534490be746f8a5e4cdf014e02f3c76c56c08f",
     ("ranks-trivial-1-d3r16", False): "0e994850ea8adf3409522b3f6abaebdb61b936797f705cc66fb6d1c129a80786",
     ("ranks-trivial-1-d3r16", True): "ebf28352c0b1b3ffbf532c4de9534490be746f8a5e4cdf014e02f3c76c56c08f",
-    ("ranks-toeplitz-doubling", False): "4be71494a3a70b199f89028d1ab79718672b822f48dc489147f9bc1d47d97af5",
-    ("ranks-toeplitz-doubling", True): "124cbf9b33d69a0e58ed2ee6ef6b4280b214c109341df75bf3e32e8ac13024af",
-    ("ranks-toeplitz-doubling-d3r16", False): "a34144b33a4b83de7dcfcd6fb99fe94313cfe0f1176ffa5190791d1d7489f864",
-    ("ranks-toeplitz-doubling-d3r16", True): "78b4380a4233a6b55fe2c782b78535836ae653e551bc69800f88a09d967d90bb",
-    ("ranks-toeplitz-rank-2", False): "baa064a480b7cec559c5f68916dedb2768c8f7141e0f64c2d517ecc4f2353a4d",
-    ("ranks-toeplitz-rank-2", True): "40228459db01958aa542c70d121b0f94d03a78d690a374b562381039af1f6bbd",
-    ("ranks-toeplitz-rank-2-d3r16", False): "3e264f98934667a123d491d56db34cbbb10c85e3d13a6d4cc09910560db32d72",
-    ("ranks-toeplitz-rank-2-d3r16", True): "a5267b983b74f9172d322095dbfccbe0bcfba75c0fed1f92a184d8c1631e907e",
-    ("ranks-toeplitz-rank-3", False): "a1ceb321e388adc945cde641a4a78c0ac7d1ef1225046a51325988dfba6bc298",
-    ("ranks-toeplitz-rank-3", True): "31ba182bce3db0d0010c77ea603d04e1ce30164721bc36701857a8dcd56e14ac",
-    ("ranks-toeplitz-rank-3-d3r16", False): "03c919a6edc0b68b1c0c97ca3f5cda014a374594c83ef6831c85e6c869d4a457",
-    ("ranks-toeplitz-rank-3-d3r16", True): "75cc7847ed3422e3a5b755bd721fe9f65b6b84bf6c70ce3822dfdfb8faadb12d",
+    ("ranks-toeplitz-doubling", False): "0f8ff35f2531016adce99415f17a3a0c9bb060553507f9485cb50259e0910340",
+    ("ranks-toeplitz-doubling", True): "934a9cc7b6acd7d66246a55d2ff66d663ad01ece886ec348f4dc08f4c4209493",
+    ("ranks-toeplitz-doubling-d3r16", False): "8b9b523e4e3e26b5e93457f33330d0d840547ce204fa85d5ae02bc66f60825a0",
+    ("ranks-toeplitz-doubling-d3r16", True): "bdb3787959220bdffd4aaf307eae6feb5a2e896da696acc3f04df8c2363d9a17",
+    ("ranks-toeplitz-rank-2", False): "4e6ff0ce32d81bc65c291158f2c3c71cdcec9a17d0315ceaca6288956cb5adec",
+    ("ranks-toeplitz-rank-2", True): "899eacb4264c6e17d7810eb4ecc7bb25a7340dff415c43c27e35c295f0a085b9",
+    ("ranks-toeplitz-rank-2-d3r16", False): "5bcbc9d86815c0b408ac3e9a4911535353866c00703aa1da687057188ebd1985",
+    ("ranks-toeplitz-rank-2-d3r16", True): "1e404e00fe165a7da9b42d77987d1053bf6319b4359f00b496a5d34c062b2f7d",
+    ("ranks-toeplitz-rank-3", False): "338a923ad6a6296a0c6172532d9d725c48804a189134f4f5cc581a1545d3d284",
+    ("ranks-toeplitz-rank-3", True): "5b1788b353756b87a91a71545d3c74291311921a77ae3adc35c70f943bb5eb09",
+    ("ranks-toeplitz-rank-3-d3r16", False): "c1b3d5f59bd260a5ecafa090480009dd55dfd46cd71bf4a66056b5a48d538044",
+    ("ranks-toeplitz-rank-3-d3r16", True): "d5a492cc62d39564aa91719213161bac815467c9ce0f4cf7f925c2b66f794bf0",
 }
 
 # (system, --json) -> sha256 of the concatenated stdout of
@@ -115,7 +115,7 @@ FIBER_SHA256 = {
 # sha256 of the whole stdout of ``verify --all --json`` at the default budget
 # and at N=1024: the cell labels do not change with N, so both runs print the
 # same bytes (the certificates behind them are frozen in test_verify.py)
-VERIFY_ALL_JSON_SHA256 = "ee01b0b5a7c422e6d161e4865e8a19e89a70593b190cc02a8cdfb43fbefcb484"
+VERIFY_ALL_JSON_SHA256 = "d819ef432f4c03882bb1ef0c1b563fa7ab24881c32650bc7fe61136d4be3a790"
 
 # case -> sha256 of the file that --cert writes
 CERT_SHA256 = {

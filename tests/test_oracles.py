@@ -687,7 +687,7 @@ def test_clique_rows_check_only_pairs_the_search_reads(monkeypatch):
             for g in (0, 13)
         ],
         (
-            ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+            ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16)),
             CenteredWord(doubling_skeleton(16).prefix(4096)[1000 - 40 : 1000 + 41], -40),
         ),
     ],
@@ -719,7 +719,7 @@ class _FiniteWordSystem:
 INDEX_SYSTEMS = [
     system_for("thue-morse"),
     system_for("ternary-morse"),
-    ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+    ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16)),
     sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)}),
     _FiniteWordSystem("0001000110"),
 ]
@@ -824,7 +824,9 @@ def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):
 
     monkeypatch.setattr(BlockPairs, "__init__", recording_init)
     budget = SearchBudget(N=32)
-    for system in (TM_SYS, system_for("ternary-morse")):
+    # a Toeplitz system is counted through the substitution its skeleton repeats
+    toeplitz = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16))
+    for system in (TM_SYS, system_for("ternary-morse"), toeplitz):
         scans = sensitivity_scan(system, 3, budget.K, budget)
         block_scans = block_sensitivity_scan(system, 3, 1, 2, budget)
         assert len(built) == 2
@@ -836,9 +838,6 @@ def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):
         plain = _WithoutBlockCounter(system)
         assert sensitivity_scan(plain, 3, budget.K, budget) == scans
         assert block_sensitivity_scan(plain, 3, 1, 2, budget) == block_scans
-    toeplitz = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096)
-    sensitivity_scan(toeplitz, 3, budget.K, budget)
-    assert built == []
 
 
 def test_oracles_import_nothing_from_the_system_modules():
@@ -883,7 +882,7 @@ def _scanned_systems() -> list:
     tern = Substitution(("012", "120", "201"))
     return [
         tm,
-        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096),
+        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16)),
         sliding_block_factor(
             SubstitutionSystem("ternary-morse", tern),
             {w: str((int(w[0]) + int(w[1])) % 3) for w in language(tern, 2)},

@@ -1,10 +1,12 @@
-"""Toeplitz skeletons: validation, generated sequences, censuses."""
+"""Toeplitz skeletons: validation, generated sequences, the substitutions they repeat, censuses."""
 
-import functools
+import json
 
 import pytest
 
 from shiftrank.catalog import system_for
+from shiftrank.cli import main
+from shiftrank.substitution import RegimeError
 from shiftrank.toeplitz import (
     Stage,
     ToeplitzSkeleton,
@@ -19,24 +21,22 @@ FULL_FILL = ToeplitzSkeleton((Stage(2, ((0, "0"), (1, "1"))),))
 
 
 def test_doubling_skeleton_is_period_doubling_sequence():
-    system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096)
     # independent generation through the substitution 0 -> 01, 1 -> 00
     w = "0"
     while len(w) < 4096:
         w = "".join("01" if c == "0" else "00" for c in w)
-    assert system.prefix == w[:4096]
+    assert doubling_skeleton(16).prefix(4096) == w[:4096]
 
 
 def test_prefix_positions_eventually_periodic():
-    system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096)
-    assert toeplitz_property(system.prefix, [2**k for k in range(1, 13)], 4096)
+    prefix = doubling_skeleton(16).prefix(4096)
+    assert toeplitz_property(prefix, [2**k for k in range(1, 13)], 4096)
 
 
 def test_rank_family_property_and_alphabet():
-    sk = rank_family_skeleton(3, depth=10)
-    system = ToeplitzSystem("toeplitz-rank-3", sk, prefix_length=4096)
-    assert set(system.prefix) == set("012")
-    assert toeplitz_property(system.prefix, [3**k for k in range(1, 9)], 4096)
+    prefix = rank_family_skeleton(3, depth=10).prefix(4096)
+    assert set(prefix) == set("012")
+    assert toeplitz_property(prefix, [3**k for k in range(1, 9)], 4096)
 
 
 def test_skeleton_conflicts_rejected():
@@ -51,7 +51,7 @@ def test_skeleton_conflicts_rejected():
 def test_full_fill_is_periodic_and_all_ranks_one():
     sk = FULL_FILL
     assert sk.periodic
-    system = ToeplitzSystem("degenerate", sk, prefix_length=64)
+    system = ToeplitzSystem("degenerate", sk)
     report = system.rank_report()
     assert (report.r_c.value, report.r_m.value, report.r_M.value) == (1, 1, 1)
 
@@ -120,83 +120,11 @@ def test_rank_family_censuses_hit_their_targets():
 
 
 def test_language_from_prefix_is_factor_closed():
-    system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=4096)
+    system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16))
     for n in (2, 4, 7):
         shorter = set(system.language(n - 1))
         for w in system.language(n):
             assert w[:-1] in shorter and w[1:] in shorter
-
-
-@functools.cache
-def _residue_window_count(system, period, residue, radius):
-    """Reference: distinct windows of a residue class, sliced off the prefix."""
-    p = system.prefix
-    positions = range(residue, len(p) - radius, period)
-    return len({p[pos - radius : pos + radius + 1] for pos in positions if pos >= radius})
-
-
-def _per_policy_census(system, policy, radius, min_samples=4):
-    """Reference: the walk for one extreme at a time, ``policy`` "min" or "max"."""
-    periods = system.skeleton.periods
-    best, stable_flag = None, False
-
-    def occurrences(period, residue):
-        return max(0, (system.prefix_length - residue) // period)
-
-    def walk(level, residue, history):
-        nonlocal best, stable_flag
-        period = periods[level]
-        count = _residue_window_count(system, period, residue, radius)
-        history = history + (count,)
-        deeper_ok = (
-            level + 1 < len(periods) and occurrences(periods[level + 1], residue) >= min_samples
-        )
-        stabilized = len(history) >= 3 and len(set(history[-3:])) == 1
-        if stabilized or not deeper_ok:
-            if count > 0:
-                if best is None or (count > best if policy == "max" else count < best):
-                    best, stable_flag = count, stabilized
-                elif count == best:
-                    stable_flag = stable_flag or stabilized
-            return
-        nxt = periods[level + 1]
-        for lift in range(residue, nxt, period):
-            if occurrences(nxt, lift) >= 1:
-                walk(level + 1, lift, history)
-
-    for r in range(periods[0]):
-        walk(0, r, ())
-    return best, stable_flag
-
-
-@pytest.mark.parametrize(
-    "system",
-    [
-        ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16), prefix_length=1 << 13),
-        ToeplitzSystem("toeplitz-rank-3", rank_family_skeleton(3, depth=8), prefix_length=1 << 12),
-    ],
-    ids=lambda system: system.name,
-)
-@pytest.mark.parametrize("radius", [1, 4, 16, 32, 64])
-def test_one_walk_gives_both_extremes(system, radius):
-    assert system._census_extremes(radius) == (
-        _per_policy_census(system, "min", radius),
-        _per_policy_census(system, "max", radius),
-    )
-
-
-@pytest.mark.parametrize("name", ["toeplitz-doubling", "toeplitz-rank-2", "toeplitz-rank-3"])
-def test_interned_census_matches_sliced_windows(name):
-    # every radius on a short prefix, where the windows reach both ends of
-    # it, and the catalog's own prefix at the extreme radii
-    system = system_for(name)
-    short = ToeplitzSystem(name, system.skeleton, prefix_length=1 << 12)
-    cases = [(short, r) for r in range(1, 65)] + [(system, r) for r in (1, 2, 63, 64)]
-    for toeplitz, radius in cases:
-        assert toeplitz._census_extremes(radius) == (
-            _per_policy_census(toeplitz, "min", radius),
-            _per_policy_census(toeplitz, "max", radius),
-        ), radius
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -206,3 +134,66 @@ def test_language_rejects_lengths_below_one(n):
     with pytest.raises(ValueError, match="length must be positive"):
         system.language(n)
     assert system.language(1) == ("0", "1")
+
+
+def test_catalog_skeletons_repeat_their_substitutions():
+    rules = {name: system_for(name).skeleton.substitution().rules for name in CATALOG_TOEPLITZ}
+    assert rules["toeplitz-doubling"] == ("0100", "0101")
+    assert rules["toeplitz-rank-2"] == ("1010", "1011")
+    # three stages of period 3 rotate the symbols back: one hole mod 27, at 26
+    head = system_for("toeplitz-rank-3").skeleton.prefix(26)
+    assert rules["toeplitz-rank-3"] == tuple(head + a for a in "012")
+
+
+def test_periodic_skeleton_repeats_its_period_for_every_letter():
+    assert FULL_FILL.substitution().rules == ("01", "01")
+
+
+@pytest.mark.parametrize(
+    "sk",
+    [
+        # one stage leaves the odd residues as one hole, and no stage repeats it
+        ToeplitzSkeleton((Stage(2, ((0, "0"),)),)),
+        # the doubling rule with its third symbol flipped: no p sees its stages dilated
+        ToeplitzSkeleton(
+            tuple(Stage(2**k, ((2 ** (k - 1) - 1, sym),)) for k, sym in enumerate("0111", 1))
+        ),
+    ],
+    ids=["one-stage", "not-repeating"],
+)
+def test_skeleton_that_does_not_repeat_is_refused(sk):
+    with pytest.raises(RegimeError, match="does not repeat"):
+        sk.substitution()
+    with pytest.raises(RegimeError):
+        ToeplitzSystem("refused", sk)
+
+
+def _windows(text: str, n: int) -> tuple[str, ...]:
+    return tuple(sorted({text[i : i + n] for i in range(len(text) - n + 1)}))
+
+
+@pytest.mark.parametrize("name", CATALOG_TOEPLITZ)
+def test_language_is_the_windows_of_a_long_prefix(name):
+    system = system_for(name)
+    prefix = system.skeleton.prefix(2**15)
+    # a window starts a length-64 window or lies in the last 63 symbols
+    longest, tail = _windows(prefix, 64), prefix[-63:]
+    for n in range(1, 65):
+        windows = {w[:n] for w in longest} | set(_windows(tail, n))
+        assert system.language(n) == tuple(sorted(windows)), n
+
+
+def test_rank_3_language_keeps_the_words_a_short_prefix_drops():
+    # a 2^15 prefix holds 6,563 of the 6,564 words of length 2,188
+    system = system_for("toeplitz-rank-3")
+    words = system.language(2188)
+    assert len(words) == 6564
+    assert words == _windows(system.skeleton.prefix(59048), 2188)
+
+
+def test_ranks_read_the_census_depth(capsys):
+    assert main(["ranks", "toeplitz-doubling", "--depth", "3", "--radius", "16", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for rank in ("r_m", "r_M"):
+        assert doc[rank]["evidence"]["branch_depth"] == 3
+        assert doc[rank]["evidence"]["radius"] == 16
