@@ -9,13 +9,20 @@ Every universally quantified negative ("no tuple exists") is reported as an
 exhausted budget, never as a refutation.  Every witness carries enough data
 to replay its defining inequality with window operations alone.
 
+The cylinder scans, ``sensitivity_scan`` and ``block_sensitivity_scan``, and
+``cylinder_scans``, which runs both for ``verify``, read one cylinder's
+extensions at a time.  A system that offers ``cylinders``, as every
+substitution and Toeplitz system does, builds each group only when a scan
+reaches it, so a scan holds its largest group, not the whole length-(2 R + 1)
+table; a factor system's groups come from that table.  The point and cover
+probes read the bounded cache ``_indexed_extension_groups`` instead.
+
 The searches bound their tuples by distinct-block counts, which come from one
-of two counters.  The cylinder scans, ``sensitivity_scan`` and
-``block_sensitivity_scan``, which ``cylinder_scans`` runs for ``verify`` from
-one extension table, read the system's ``block_counter`` when it has one:
-for a constant-length substitution, and for a Toeplitz system through the
-substitution its skeleton repeats, that is the block-pair automaton
-``substitution.BlockPairs``, which counts without reading an extension.
+of two counters.  The cylinder scans read the system's ``block_counter`` when
+it has one: for a constant-length substitution, and for a Toeplitz system
+through the substitution its skeleton repeats, that is the block-pair
+automaton ``substitution.BlockPairs``, which counts without reading an
+extension.
 Everything else is cut from the extensions by the segment kernel
 ``_SegmentBlocks``: the counts of the factor systems' cylinder scans, the
 run-blocks and cores of every run scan, and every block of the point and
@@ -40,12 +47,18 @@ class ShiftSystem(Protocol):
     """Anything with a name, a spec hash, and an enumerable language.
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
-    a scan-length table lives as long as the grouping built from it: the
-    cylinder list of one scan or one ``cylinder_scans`` call, or an entry of
-    the bounded ``_indexed_extension_groups``.
+    a scan-length table lives as long as the grouping built from it: an
+    entry of the bounded ``_indexed_extension_groups``, or the cylinder list
+    of one scan of a system without ``cylinders``.
 
-    A system may also offer ``block_counter(central, width)``, a function
-    that counts, for a length-``central`` word u and a displacement e, the
+    A system may also offer ``cylinders(L, radius)``, which yields each
+    radius-L cylinder word in language order with its radius-``radius``
+    extensions, sorted, and builds each group only when it is reached
+    (``substitution.LanguageTable.cylinders``).  The cylinder scans read it
+    instead of grouping the whole table; see ``_cylinder_groups``.
+
+    And it may offer ``block_counter(central, width)``, a function that
+    counts, for a length-``central`` word u and a displacement e, the
     length-``width`` words occurring e after u (``substitution.BlockPairs``
     for constant-length substitutions).  The cylinder scans read it instead
     of their extensions' blocks; see ``_cylinder_counts``.
@@ -126,8 +139,8 @@ def _extension_groups(
 # first ladder radius, so the four exact-regime catalog systems at the point
 # and cover radii fill 8 entries.  A grouping holds every word of its
 # length-(2 radius + 1) table, and no system keeps the table itself, so the
-# bound also bounds the long tables the probes hold; the per-cylinder scans
-# group uncached, and their tables go with the scan.
+# bound also bounds the long tables the probes hold.  The cylinder scans
+# never read it: they take one group at a time from ``_cylinder_groups``.
 _indexed_extension_groups = functools.lru_cache(maxsize=8)(_extension_groups)
 
 
@@ -166,29 +179,42 @@ def scan_radius(budget: SearchBudget, K: int, B: int = 0) -> int:
 def _cylinders(system: ShiftSystem, L: int, radius: int) -> list[tuple[str, tuple[str, ...]]]:
     """Every radius-``L`` cylinder word with its radius-``radius`` extensions, in language order.
 
-    Not cached: the list lives as long as its caller holds it, one scan or
-    one ``cylinder_scans`` call.
+    Grouped from the whole length-(2 radius + 1) table and not cached: the
+    list lives as long as its caller holds it.
     """
     groups = _extension_groups(system, radius, L)
     return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
 
 
-def _trimmed(
-    cylinders: list[tuple[str, tuple[str, ...]]], lo: int, width: int
+def _cylinder_groups(
+    system: ShiftSystem, L: int, radius: int
 ) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """Each cylinder with the distinct length-``width`` trims at ``lo`` of its words, sorted.
+    """``_cylinders``, one group at a time, holding none it has handed out.
 
-    Empties ``cylinders`` as it goes, dropping each word once trimmed.
+    From the system's ``cylinders`` when it has one, which builds each group
+    only when it is reached, so no more than one group need be held at once.
+    Otherwise the groups are popped off the whole-table ``_cylinders``.
+    """
+    if hasattr(system, "cylinders"):
+        return system.cylinders(L, radius)
+    cylinders = _cylinders(system, L, radius)
+    cylinders.reverse()
+    return (cylinders.pop() for _ in range(len(cylinders)))
+
+
+def _trimmed(words: list[str], lo: int, width: int) -> tuple[str, ...]:
+    """The distinct length-``width`` trims at ``lo`` of ``words``, sorted.
+
+    For one cylinder's wide extensions this is its narrower extensions; see
+    ``cylinder_scans``.  Empties ``words`` as it goes, dropping each word
+    once trimmed, so the wide and the trimmed words of a cylinder are not
+    all held at once.
     """
     trim = operator.itemgetter(slice(lo, lo + width))
-    cylinders.reverse()
-    while cylinders:
-        u, exts = cylinders.pop()
-        exts = list(exts)  # the list is the words' last holder
-        trims = set()
-        while exts:
-            trims.add(trim(exts.pop()))
-        yield u, tuple(sorted(trims))
+    trims = set()
+    while words:
+        trims.add(trim(words.pop()))
+    return tuple(sorted(trims))
 
 
 def _cylinder_counts(
@@ -336,35 +362,41 @@ def _require_scale(K: int) -> None:
         raise ValueError(f"scale exponent must be non-negative, got K={K}")
 
 
-def sensitivity_scan(
-    system: ShiftSystem,
-    m_cap: int,
-    K: int,
-    budget: SearchBudget,
-    m_min: int = 2,
-    cylinders: Iterable[tuple[str, tuple[str, ...]]] | None = None,
-) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
+def _sensitivity_scanner(
+    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
+) -> Callable[[str, Sequence[str]], dict[int, dict]]:
+    """A function from a cylinder and its extensions to ``sensitivity_scan``'s entries for it.
 
-    The cylinders with their extensions come from ``cylinders`` when given,
-    so that one table serves both of verify's scans (``cylinder_scans``),
-    and the block counts from the system's ``block_counter`` when it has one.
+    Every cylinder it scans shares one block counter, the system's
+    ``block_counter`` when it has one.
     """
     _require_scale(K)
     radius = scan_radius(budget, K)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
-    scans = {}
-    if cylinders is None:
-        cylinders = _cylinders(system, budget.L, radius)
-    for u, exts in cylinders:
+
+    def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
         count_at = counts(u) if counts else None
         _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at)
-        scans[u] = {
+        return {
             m: _witness(u, exts, idxs, radius, g, K)
             for m, (g, idxs) in raw.items()
             if m >= m_min
         }
-    return scans
+
+    return scan
+
+
+def sensitivity_scan(
+    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
+) -> dict[str, dict[int, dict]]:
+    """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
+
+    The cylinders' extensions are read one group at a time
+    (``_cylinder_groups``).
+    """
+    scan = _sensitivity_scanner(system, m_cap, K, budget, m_min)
+    groups = _cylinder_groups(system, budget.L, scan_radius(budget, K))
+    return {u: scan(u, exts) for u, exts in groups}
 
 
 @dataclass(frozen=True)
@@ -667,19 +699,14 @@ def _run_scan(
     return best, witnesses
 
 
-def block_sensitivity_scan(
-    system: ShiftSystem,
-    m_cap: int,
-    K: int,
-    B: int,
-    budget: SearchBudget,
-    m_min: int = 2,
-    cylinders: Iterable[tuple[str, tuple[str, ...]]] | None = None,
-) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
+def _block_scanner(
+    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
+) -> Callable[[str, Sequence[str]], dict[int, dict]]:
+    """A function from a cylinder and its extensions to ``block_sensitivity_scan``'s entries.
 
-    Extensions and center counts come as in ``sensitivity_scan``; the
-    run-blocks and cores are always cut from the extensions.
+    Center counts come as in ``_sensitivity_scanner``; the run-blocks and
+    cores are always cut from the extensions.  Every cylinder it scans
+    shares one clique finder.
     """
     _require_scale(K)
     if B < 0:
@@ -688,19 +715,30 @@ def block_sensitivity_scan(
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
-    scans = {}
-    if cylinders is None:
-        cylinders = _cylinders(system, budget.L, radius)
-    for u, exts in cylinders:
+
+    def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
         starts = (h - B for h in shifts(budget.N))
         center_count = counts(u) if counts else None
         _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
-        scans[u] = {
+        return {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
             if m >= m_min
         }
-    return scans
+
+    return scan
+
+
+def block_sensitivity_scan(
+    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
+) -> dict[str, dict[int, dict]]:
+    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
+
+    The extensions are read as in ``sensitivity_scan``.
+    """
+    scan = _block_scanner(system, m_cap, K, B, budget, m_min)
+    groups = _cylinder_groups(system, budget.L, scan_radius(budget, K, B))
+    return {u: scan(u, exts) for u, exts in groups}
 
 
 def cylinder_scans(
@@ -708,35 +746,27 @@ def cylinder_scans(
 ) -> tuple[dict[str, dict[int, dict]], dict[str, dict[int, dict]]]:
     """``sensitivity_scan`` at scale ``budget.K`` and ``block_sensitivity_scan`` at ``block_K``.
 
-    Both read one length-(2 radius + 1) table, at the wider of their radii,
-    and the wider scan runs first.  A radius-r extension of u is a central
-    trim of some wider extension of u, because the language is factorial and
-    extendable, and every such trim is one, so the narrower scan reads the
-    distinct trims, sorted: u's extensions at r, in language order.  Each
-    wide word is dropped once trimmed, so the wide and the trimmed words are
-    never all held at once.
+    Both read one cylinder's extensions at a time, at the wider of their
+    radii, and the wider scan reads each group first.  A radius-r extension
+    of u is a central trim of some wider extension of u, because the
+    language is factorial and extendable, and every such trim is one, so
+    the narrower scan then reads the group's distinct trims, sorted: u's
+    extensions at r, in language order.  Each wide word is dropped once
+    trimmed, and the group before the next is built, so at most one
+    cylinder's wide and trimmed words are held at once.
     """
-    sens_radius = scan_radius(budget, budget.K)
-    block_radius = scan_radius(budget, block_K, budget.B)
-    radius = max(sens_radius, block_radius)
-    cylinders = _cylinders(system, budget.L, radius)
-
-    def at(r: int) -> Iterable[tuple[str, tuple[str, ...]]]:
-        return cylinders if r == radius else _trimmed(cylinders, radius - r, 2 * r + 1)
-
-    def sens():
-        return sensitivity_scan(system, m_cap, budget.K, budget, cylinders=at(sens_radius))
-
-    def block():
-        return block_sensitivity_scan(
-            system, m_cap, block_K, budget.B, budget, cylinders=at(block_radius)
-        )
-
-    if block_radius >= sens_radius:
-        block_scans = block()
-        return sens(), block_scans
-    sens_scans = sens()
-    return sens_scans, block()
+    sens = _sensitivity_scanner(system, m_cap, budget.K, budget)
+    block = _block_scanner(system, m_cap, block_K, budget.B, budget)
+    (r, narrow), (radius, wide) = sorted(
+        [(scan_radius(budget, budget.K), sens), (scan_radius(budget, block_K, budget.B), block)],
+        key=operator.itemgetter(0),
+    )
+    scans: dict[Callable, dict[str, dict[int, dict]]] = {sens: {}, block: {}}
+    for u, exts in _cylinder_groups(system, budget.L, radius):
+        scans[wide][u] = wide(u, exts)
+        exts = list(exts)  # the list is the words' last holder
+        scans[narrow][u] = narrow(u, _trimmed(exts, radius - r, 2 * r + 1))
+    return scans[sens], scans[block]
 
 
 def block_m_sensitivity_test(

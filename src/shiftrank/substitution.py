@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, _first_mismatch, shift_window, sym_char
@@ -127,6 +127,15 @@ def incidence_matrix(s: Substitution) -> list[list[int]]:
     return [[img.count(sym_char(j)) for j in range(s.alphabet_size)] for img in s.rules]
 
 
+# ``LanguageTable._windows`` reads the length-n words off the images of
+# words under a power whose shortest letter image is SOURCE_SPAN to
+# (n - 1) / SOURCE_SPAN long, or, without one (always below n = 65), off the
+# letter images and seams.  At n = 1047, over the catalog's substitutions and
+# the first 40 criterion-5 systems, that cuts the window starts from 535k to
+# 186k, for 181k distinct words; span 4 gives 196k.
+SOURCE_SPAN = 8
+
+
 class LanguageTable:
     """Admissible words of each length, one sorted tuple per length.
 
@@ -147,11 +156,29 @@ class LanguageTable:
     reader asks for, such as the census's 2 * radius + 1, is derived from
     the shortest longer one the memo holds.
 
-    Exactness argument: once the image of every letter under the k-th power
-    has length >= n, any admissible length-n word sits inside the image of an
-    admissible two-letter word, and conversely every factor of such an image
-    is admissible.  The two-letter words are computed by a monotone closure,
-    so no stabilization heuristic is involved.
+    Exactness argument.  Write theta^j(y) for the image of a word y under
+    the j-th power and l_j for the length of the shortest letter image under
+    it, and take m with (m - 1) l_j >= n - 1.  The admissible length-n words
+    are exactly the windows theta^j(y)[r : r + n] of the admissible length-m
+    words y that start inside theta^j(y[0]):
+
+    - each is admissible, because the substitution maps admissible words to
+      admissible words;
+    - each admissible word x occurs in some theta^K(a) = theta^j(z) with
+      z = theta^(K - j)(a) admissible, so x starts inside the image of a
+      letter of z, and z extends to the right as far as needed.  The m
+      letters of z from that one on are an admissible y, and the m - 1 after
+      the first have an image at least n - 1 long, so x is a window of
+      theta^j(y).
+
+    The same argument at length m, with a power d where l_d >= m - 1, reads
+    the length-m words off the two-letter words, which a monotone closure
+    computes, so no stabilization heuristic is involved.  Two words y that
+    share a prefix give the same windows inside its image, so in sorted
+    order each y skips the starts whose windows lie inside the image of the
+    prefix it shares with the word before it.  At the least power whose
+    shortest image has length >= n, m = 2 and these are the letter images,
+    each once, and the seams between the images of each two-letter word.
 
     A length shorter than one already memoised is derived, not built from
     letter images: the table is exactly the language of the subshift, which
@@ -187,16 +214,60 @@ class LanguageTable:
             self._pairs = frozenset(pairs)
         return self._pairs
 
-    def _images_covering(self, n: int) -> tuple[str, ...]:
-        """Letter images under the least power whose shortest image has length >= n."""
-        images = tuple(self._letters)
-        k = 0
-        while min(map(len, images)) < n:
-            k += 1
-            if k > 64:
+    def _images_covering(self, n: int) -> tuple[list[tuple[str, ...]], list[int]]:
+        """Letter images under each power, up to the least whose shortest image has length >= n.
+
+        Returned with the shortest image's length at each power.
+        """
+        powers, shortest = [tuple(self._letters)], [1]
+        while shortest[-1] < n:
+            if len(powers) > 64:
                 raise RegimeError("substitution images grow too slowly to cover the request")
-            images = tuple(map(self._image, images))
-        return images
+            powers.append(tuple(map(self._image, powers[-1])))
+            shortest.append(min(map(len, powers[-1])))
+        return powers, shortest
+
+    def _windows(self, n: int) -> tuple[str, list[int]]:
+        """A text and the starts of its length-n windows, which are exactly the admissible words.
+
+        The windows of the images of the length-m words (see the exactness
+        argument on the class) are laid out one image after another, each
+        cut to the stretch its kept starts read.
+        """
+        if len(self._letters) == 1:  # the only point is the constant word
+            return self._letters * n, [0]
+        if n == 1:  # a primitive substitution's images use every letter
+            return self._letters, list(range(len(self._letters)))
+        # a primitive substitution on two or more letters is no permutation,
+        # so some image is longer than one letter and the powers cover n
+        powers, shortest = self._images_covering(n)
+        # the words are read off the images of the length-m words under the
+        # j-th power (see SOURCE_SPAN)
+        top = (n - 1) / SOURCE_SPAN
+        fits = [i for i, length in enumerate(shortest) if SOURCE_SPAN <= length <= top]
+        j = fits[-1] if fits else len(powers) - 1
+        m = -(-(n - 1) // shortest[j]) + 1
+        contexts = self._two_letter_words()
+        if m > 2:  # the length-m words, off the two-letter words under the d-th power
+            d = next(i for i, length in enumerate(shortest) if length >= m - 1)
+            inner = dict(zip(self._letters, powers[d]))
+            blocks = ((inner[a] + inner[b], len(inner[a])) for a, b in contexts)
+            contexts = {block[i : i + m] for block, size in blocks for i in range(size)}
+        outer = {ord(c): image for c, image in zip(self._letters, powers[j])}
+        sizes = dict(zip(self._letters, map(len, powers[j])))
+        pieces, starts, base, previous = [], [], 0, ""
+        for y in sorted(contexts):
+            # the windows inside the image of the prefix y shares with the
+            # previous context were taken there
+            shared = _first_mismatch(previous, y)
+            lo = max(0, sum(map(sizes.__getitem__, y[:shared])) - n + 1) if shared else 0
+            size = sizes[y[0]]
+            if lo < size:
+                pieces.append(y.translate(outer)[lo : size + n - 1])
+                starts.extend(range(base, base + size - lo))
+                base += size + n - 1 - lo
+            previous = y
+        return "".join(pieces), starts
 
     def build(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted, without memoising them."""
@@ -207,26 +278,29 @@ class LanguageTable:
         longer = min((m for m in self._cache if m > n), default=None)
         if longer is not None:
             return _prefixes(self._cache[longer], n)
-        if n == 1:  # a primitive substitution's images use every letter
-            return tuple(self._letters)
-        if len(self._letters) == 1:  # the only point is the constant word
-            return (self._letters * n,)
-        # a primitive substitution on two or more letters is no permutation,
-        # so some image is longer than one letter and the powers cover n
-        images = dict(zip(self._letters, self._images_covering(n)))
-        seeds = self._two_letter_words()  # nonempty: some image has two letters
-        # A length-n window of a seed's block theta^k(a) theta^k(b) lies
-        # inside one letter's image or crosses the seam, and the crossing
-        # ones are the windows of theta^k(a)[1-n:] + theta^k(b)[:n-1]: take
-        # each letter's inner windows once, and per seed only the seam's.
-        found = set()
-        for c in {c for pair in seeds for c in pair}:
-            img = images[c]
-            found.update(img[i : i + n] for i in range(len(img) - n + 1))
-        for a, b in seeds:
-            seam = images[a][1 - n :] + images[b][: n - 1]
-            found.update(seam[i : i + n] for i in range(n - 1))
-        return tuple(sorted(found))
+        return _cut(*self._windows(n), n)
+
+    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Each length-(2 L + 1) word, in order, with the length-(2 radius + 1) words centred on it.
+
+        Each group is the sorted tuple that grouping ``build(2 radius + 1)``
+        by central word gives, but only one group is built at a time.  The
+        windows are ``build``'s, and a window's central word is read at its
+        start before the window is cut, so the index holds only the starts
+        of each central word's windows.  A group's windows are cut,
+        deduplicated and sorted when its turn comes.
+        """
+        if not 0 <= L <= radius:
+            raise ValueError(f"cylinder radius {L} outside [0, {radius}]")
+        n = 2 * radius + 1
+        text, starts = self._windows(n)
+        lo, k = radius - L, 2 * L + 1
+        centres = [text[g + lo : g + lo + k] for g in starts]
+        # a stable sort groups the starts by central word, in language order
+        order = sorted(range(len(starts)), key=centres.__getitem__)
+        groups = itertools.groupby(order, centres.__getitem__)
+        index = {u: list(map(starts.__getitem__, group)) for u, group in groups}
+        return ((u, _cut(text, index.pop(u), n)) for u in sorted(index))
 
     def words(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted and memoised."""
@@ -238,6 +312,11 @@ class LanguageTable:
         words = self.words(len(word))
         i = bisect.bisect_left(words, word)
         return i < len(words) and words[i] == word
+
+
+def _cut(text: str, starts: list[int], n: int) -> tuple[str, ...]:
+    """The distinct length-n windows of ``text`` at ``starts``, sorted."""
+    return tuple(sorted({text[g : g + n] for g in starts}))
 
 
 def _prefixes(words: tuple[str, ...], n: int) -> tuple[str, ...]:
@@ -465,6 +544,8 @@ def seed_pairs(s: Substitution) -> tuple[SeedPair, ...]:
 def seed_window(s: Substitution, seed: SeedPair, radius: int, shift: int = 0) -> CenteredWord:
     """Window of the seed's fixed point on [shift-radius, shift+radius], recentred at shift."""
     q = s.require_constant_length()
+    if q == 1:  # a primitive substitution of length 1 has one letter: the point is constant
+        return CenteredWord(seed.a * (2 * radius + 1), -radius)
     k = seed.power
     while q**k <= radius + abs(shift):
         k += seed.power
@@ -616,6 +697,14 @@ class SubstitutionSystem:
     def language(self, n: int) -> tuple[str, ...]:
         """The length-n words, built per call and not kept (see ``LanguageTable``)."""
         return language(self.substitution, n)
+
+    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Each radius-L cylinder word with its radius-``radius`` extensions, one group at a time.
+
+        The groups come in language order, each built only when reached; see
+        ``LanguageTable.cylinders``.
+        """
+        return self.substitution.table.cylinders(L, radius)
 
     def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
         """``BlockPairs(...).count`` for words of these lengths, or None below constant length 2.

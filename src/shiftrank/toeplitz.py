@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .ranks import (
     CENSUS_DEPTH,
@@ -219,6 +219,10 @@ class ToeplitzSystem:
     def language(self, n: int) -> tuple[str, ...]:
         """The length-n words of ``sigma``, built per call and not kept."""
         return self.sigma.language(n)
+
+    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """``sigma``'s extension groups; see ``SubstitutionSystem.cylinders``."""
+        return self.sigma.cylinders(L, radius)
 
     def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
         """``sigma``'s block counter; see ``SubstitutionSystem.block_counter``."""

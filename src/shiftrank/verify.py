@@ -97,8 +97,8 @@ def verify_system(
     coincidence rank only rules out in the limit, while at scale one the
     searches track the rank on every reference system.
 
-    Both scans come from ``oracles.cylinder_scans``, which reads one
-    extension table for the two.
+    Both scans come from ``oracles.cylinder_scans``, which reads each
+    cylinder's extensions once for the two.
     """
     budget = budget or SearchBudget()
     ranks = rank_report(system, depth_max, radius_max)

@@ -175,6 +175,15 @@ def test_one_letter_identity_is_the_constant_word(capsys):
     assert {cell["label"] for cell in report["cells"]} == {"CONSISTENT"}
 
 
+@pytest.mark.parametrize("command", ["point", "cover"])
+def test_one_letter_identity_probes_its_constant_point(command):
+    # the probes read a seed window, which expanded the seed until it grew;
+    # under 0 -> 0 it never grows, so the child runs under a timeout
+    proc = _run_module("shiftrank", command, "0->0", "--m", "2", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _run_module("shiftrank", command, "0->00", "--m", "2").stdout
+
+
 def test_sensitivity_and_replay_roundtrip(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -269,13 +278,13 @@ def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _run_module(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     # the child process must find the package this process imported, also
     # when pytest put it on sys.path through its own `pythonpath` setting
     paths = [str(Path(shiftrank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     return subprocess.run(
-        [sys.executable, "-m", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 

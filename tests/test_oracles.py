@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import operator
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -37,7 +38,13 @@ from shiftrank.oracles import (
     sensitivity_scan,
 )
 from shiftrank.ranks import sliding_block_factor
-from shiftrank.substitution import BlockPairs, Substitution, SubstitutionSystem, language
+from shiftrank.substitution import (
+    BlockPairs,
+    LanguageTable,
+    Substitution,
+    SubstitutionSystem,
+    language,
+)
 from shiftrank.toeplitz import ToeplitzSystem, doubling_skeleton
 from shiftrank.verdicts import VerdictStatus
 from shiftrank.verify import BLOCK_SCALE
@@ -768,9 +775,12 @@ def test_trimmed_grouping_matches_direct_grouping(name, N):
     radius = oracles.scan_radius(budget, budget.K)
     wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
     assert wide > radius
-    trimmed = _trimmed(_cylinders(system, budget.L, wide), wide - radius, 2 * radius + 1)
+    trimmed = [
+        (u, _trimmed(list(exts), wide - radius, 2 * radius + 1))
+        for u, exts in _cylinders(system, budget.L, wide)
+    ]
     direct = _cylinders(system, budget.L, radius)
-    assert list(trimmed) == direct
+    assert trimmed == direct
 
 
 class _Counted(str):
@@ -792,15 +802,24 @@ class _CountedWords:
         return tuple(map(_Counted, self.system.language(n)))
 
 
-def test_a_narrower_read_drops_each_wide_word_once_trimmed():
-    wide, narrow = 40, 30
-    cylinders = _cylinders(_CountedWords(TM_SYS), 2, wide)
-    sizes = [len(exts) for _, exts in cylinders]
+def test_a_narrower_read_drops_each_wide_word_once_trimmed(monkeypatch):
+    budget = SearchBudget(N=16)
+    wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
+    system = _CountedWords(TM_SYS)
+    sizes = [len(exts) for _, exts in _cylinders(system, budget.L, wide)]
+    gc.collect()
     _Counted.deleted.clear()
     dropped = []
-    for _, exts in _trimmed(cylinders, wide - narrow, 2 * narrow + 1):
-        assert exts
+    trimmed = oracles._trimmed
+
+    def counting(words, lo, width):
+        trims = trimmed(words, lo, width)
+        assert trims
         dropped.append(_Counted.deleted[2 * wide + 1])
+        return trims
+
+    monkeypatch.setattr(oracles, "_trimmed", counting)
+    oracles.cylinder_scans(system, 3, budget, BLOCK_SCALE)
     # a cylinder's wide words are all gone once its trims are handed out, so
     # the wide and the trimmed table are never held together
     assert dropped == list(itertools.accumulate(sizes))
@@ -812,6 +831,44 @@ class _WithoutBlockCounter:
     def __init__(self, system):
         self.name = system.name
         self.language = system.language
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "toeplitz-doubling"])
+def test_cylinder_scans_build_no_table_of_a_scan_length(monkeypatch, name):
+    system = system_for(name)
+    budget = SearchBudget(N=64)
+    # the whole-table grouping, counted by the segment kernel
+    expected = oracles.cylinder_scans(_WithoutBlockCounter(system), 5, budget, BLOCK_SCALE)
+    radii = (budget.K, 0), (BLOCK_SCALE, budget.B)
+    scan_lengths = {2 * oracles.scan_radius(budget, K, B) + 1 for K, B in radii}
+    build = LanguageTable.build
+
+    def guarded(self, n):
+        assert n not in scan_lengths, f"built the length-{n} table"
+        return build(self, n)
+
+    monkeypatch.setattr(LanguageTable, "build", guarded)
+    assert oracles.cylinder_scans(system, 5, budget, BLOCK_SCALE) == expected
+
+
+def test_cylinder_scans_hold_far_less_than_the_whole_table():
+    # a fresh system, so no other test's memoised tables count; both peaks are
+    # traced allocations, so they are the same on every run
+    system = SubstitutionSystem("ternary-morse", Substitution(("012", "120", "201")))
+    budget = SearchBudget(N=1024)
+    wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        oracles.cylinder_scans(system, 5, budget, BLOCK_SCALE)
+        scans = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _cylinders(system, budget.L, wide)
+        table = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert scans < table / 3, (scans, table)
 
 
 def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):

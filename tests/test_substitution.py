@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftrank import catalog, ranks, substitution
+from shiftrank import catalog, oracles, ranks, substitution
 from shiftrank.substitution import (
     APERIODICITY_N_MAX,
     LanguageTable,
@@ -243,6 +243,29 @@ def test_derived_tables_match_pairwise_windows_on_criterion_5_sample():
         table = LanguageTable(s)
         for n in range(49, 0, -1):
             assert table.words(n) == _pairwise_words(s, n), (s.rules, n)
+
+
+# (L, radius): short radii, the point and cover probes' 258 and 267, and
+# verify's 516 and 523 at N = 512
+CYLINDER_RADII = [(0, 1), (1, 1), (2, 16), (2, 258), (2, 267), (2, 516), (2, 523)]
+
+
+def test_cylinder_groups_match_the_whole_table_grouping():
+    subs = [Substitution.from_text("\n".join(rules)) for rules in CATALOG_RULES]
+    subs += [
+        catalog.system_for(name).sigma.substitution
+        for name in catalog.names()
+        if catalog.get(name).kind == "toeplitz"
+    ]
+    # the catalog's trivial-1 is 0 -> 00; 0 -> 0 presents the same point
+    subs.append(Substitution(("0",)))
+    subs += [Substitution.from_text(";".join(rules)) for rules in NON_CONSTANT_RULES]
+    subs += catalog.random_exact_substitutions(40)
+    for s in subs:
+        system = SubstitutionSystem("s", s)
+        for L, radius in CYLINDER_RADII:
+            grouped = oracles._cylinders(system, L, radius)
+            assert list(system.cylinders(L, radius)) == grouped, (s.rules, L, radius)
 
 
 @pytest.fixture
