@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, _first_mismatch, shift_window, sym_char
@@ -128,12 +128,14 @@ def incidence_matrix(s: Substitution) -> list[list[int]]:
 
 
 # ``LanguageTable._windows`` reads the length-n words off the images of
-# words under a power whose shortest letter image is SOURCE_SPAN to
+# words under a power whose shortest letter image is SOURCE_SPAN**2 to
 # (n - 1) / SOURCE_SPAN long, or, without one (always below n = 65), off the
-# letter images and seams.  At n = 1047, over the catalog's substitutions and
-# the first 40 criterion-5 systems, that cuts the window starts from 535k to
-# 186k, for 181k distinct words; span 4 gives 196k.
-SOURCE_SPAN = 8
+# letter images and seams.  A shorter image repeats fewer windows, but each
+# image costs a few microseconds to lay out.  At n = 1047, over the catalog's
+# substitutions and the first 40 criterion-5 systems, the window starts fall
+# from 535k to 196k, for 181k distinct words, and building the tables from
+# 8.8 to 4.8 ms per system; below n = 129 it is within 5% either way.
+SOURCE_SPAN = 4
 
 
 class LanguageTable:
@@ -227,24 +229,24 @@ class LanguageTable:
             shortest.append(min(map(len, powers[-1])))
         return powers, shortest
 
-    def _windows(self, n: int) -> tuple[str, list[int]]:
-        """A text and the starts of its length-n windows, which are exactly the admissible words.
+    def _windows(self, n: int) -> tuple[str, list[range]]:
+        """A text and runs of starts of its length-n windows: exactly the admissible words.
 
-        The windows of the images of the length-m words (see the exactness
-        argument on the class) are laid out one image after another, each
-        cut to the stretch its kept starts read.
+        The images of the length-m words (see the exactness argument on the
+        class) are laid out one after another, each cut to the stretch its
+        kept starts read, and each gives one run.
         """
         if len(self._letters) == 1:  # the only point is the constant word
-            return self._letters * n, [0]
+            return self._letters * n, [range(1)]
         if n == 1:  # a primitive substitution's images use every letter
-            return self._letters, list(range(len(self._letters)))
+            return self._letters, [range(len(self._letters))]
         # a primitive substitution on two or more letters is no permutation,
         # so some image is longer than one letter and the powers cover n
         powers, shortest = self._images_covering(n)
         # the words are read off the images of the length-m words under the
         # j-th power (see SOURCE_SPAN)
         top = (n - 1) / SOURCE_SPAN
-        fits = [i for i, length in enumerate(shortest) if SOURCE_SPAN <= length <= top]
+        fits = [i for i, length in enumerate(shortest) if SOURCE_SPAN**2 <= length <= top]
         j = fits[-1] if fits else len(powers) - 1
         m = -(-(n - 1) // shortest[j]) + 1
         contexts = self._two_letter_words()
@@ -255,19 +257,21 @@ class LanguageTable:
             contexts = {block[i : i + m] for block, size in blocks for i in range(size)}
         outer = {ord(c): image for c, image in zip(self._letters, powers[j])}
         sizes = dict(zip(self._letters, map(len, powers[j])))
-        pieces, starts, base, previous = [], [], 0, ""
+        pieces, runs, base, previous = [], [], 0, ""
         for y in sorted(contexts):
-            # the windows inside the image of the prefix y shares with the
-            # previous context were taken there
-            shared = _first_mismatch(previous, y)
-            lo = max(0, sum(map(sizes.__getitem__, y[:shared])) - n + 1) if shared else 0
             size = sizes[y[0]]
+            lo = 0
+            if previous[:1] == y[:1]:
+                # the windows inside the image of the prefix y shares with the
+                # previous context were taken there
+                shared = sum(map(sizes.__getitem__, y[: _first_mismatch(previous, y)]))
+                lo = max(0, shared - n + 1)
             if lo < size:
                 pieces.append(y.translate(outer)[lo : size + n - 1])
-                starts.extend(range(base, base + size - lo))
+                runs.append(range(base, base + size - lo))
                 base += size + n - 1 - lo
             previous = y
-        return "".join(pieces), starts
+        return "".join(pieces), runs
 
     def build(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted, without memoising them."""
@@ -278,7 +282,8 @@ class LanguageTable:
         longer = min((m for m in self._cache if m > n), default=None)
         if longer is not None:
             return _prefixes(self._cache[longer], n)
-        return _cut(*self._windows(n), n)
+        text, runs = self._windows(n)
+        return _cut(text, itertools.chain.from_iterable(runs), n)
 
     def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
         """Each length-(2 L + 1) word, in order, with the length-(2 radius + 1) words centred on it.
@@ -293,7 +298,8 @@ class LanguageTable:
         if not 0 <= L <= radius:
             raise ValueError(f"cylinder radius {L} outside [0, {radius}]")
         n = 2 * radius + 1
-        text, starts = self._windows(n)
+        text, runs = self._windows(n)
+        starts = list(itertools.chain.from_iterable(runs))
         lo, k = radius - L, 2 * L + 1
         centres = [text[g + lo : g + lo + k] for g in starts]
         # a stable sort groups the starts by central word, in language order
@@ -314,7 +320,7 @@ class LanguageTable:
         return i < len(words) and words[i] == word
 
 
-def _cut(text: str, starts: list[int], n: int) -> tuple[str, ...]:
+def _cut(text: str, starts: Iterable[int], n: int) -> tuple[str, ...]:
     """The distinct length-n windows of ``text`` at ``starts``, sorted."""
     return tuple(sorted({text[g : g + n] for g in starts}))
 
