@@ -133,8 +133,9 @@ def incidence_matrix(s: Substitution) -> list[list[int]]:
 # letter images and seams.  A shorter image repeats fewer windows, but each
 # image costs a few microseconds to lay out.  At n = 1047, over the catalog's
 # substitutions and the first 40 criterion-5 systems, the window starts fall
-# from 535k to 196k, for 181k distinct words, and building the tables from
-# 8.8 to 4.8 ms per system; below n = 129 it is within 5% either way.
+# from 535k to 196k, for 181k distinct words, and a table's build from 8.1 to
+# 4.5 ms (Python 3.11 on 2 vCPUs); below n = 129 builds stay within 5
+# microseconds of the letter images and seams alone.
 SOURCE_SPAN = 4
 
 
@@ -147,9 +148,11 @@ class LanguageTable:
     its table at once.  ``build(n)`` makes the length-n tuple and keeps
     nothing; ``words(n)`` memoises it.  The memo serves the readers that
     revisit lengths: ``seed_pairs`` and the digit-path census.  The protocol
-    read ``SubstitutionSystem.language``, which the oracles and the CLI use
+    read ``SubstitutionSystem.language``, which the probes and the CLI use
     for their scan-length tables, goes through ``build``, so such a table
-    lives only as long as the caller holds it.
+    lives only as long as the caller holds it.  The cylinder scans read
+    ``cylinders`` instead, which holds the words of one central word at a
+    time.
 
     The regime gate reads one length, ``APERIODICITY_N_MAX + 1``, once:
     ``aperiodicity_check`` memoises it and counts every shorter complexity

@@ -177,8 +177,8 @@ def test_one_letter_identity_is_the_constant_word(capsys):
 
 @pytest.mark.parametrize("command", ["point", "cover"])
 def test_one_letter_identity_probes_its_constant_point(command):
-    # the probes read a seed window, which expanded the seed until it grew;
-    # under 0 -> 0 it never grows, so the child runs under a timeout
+    # expanding the seed of 0 -> 0 never grows its window, so the child runs
+    # under a timeout and a hang fails the test
     proc = _run_module("shiftrank", command, "0->0", "--m", "2", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _run_module("shiftrank", command, "0->00", "--m", "2").stdout

@@ -821,7 +821,7 @@ def test_a_narrower_read_drops_each_wide_word_once_trimmed(monkeypatch):
     monkeypatch.setattr(oracles, "_trimmed", counting)
     oracles.cylinder_scans(system, 3, budget, BLOCK_SCALE)
     # a cylinder's wide words are all gone once its trims are handed out, so
-    # the wide and the trimmed table are never held together
+    # its wide and trimmed words are never all held together
     assert dropped == list(itertools.accumulate(sizes))
 
 
