@@ -65,18 +65,40 @@ class _Ledger:
         return ok
 
 
-def _shifted(
-    windows: list[CenteredWord], g: int, ledger: _Ledger, label: str
-) -> list[CenteredWord | None]:
-    """Each window shifted by g, or None where the window does not hold g.
+def _holding(windows: list[CenteredWord], g: int, ledger: _Ledger, label: str) -> list[bool]:
+    """Whether each window holds the shift g.
 
     A window short of g is a failure but not a check: the pairs it belongs
     to are skipped at g, not counted.
     """
-    for i, w in enumerate(windows):
-        if not w.covers(g, g):
+    held = [w.covers(g, g) for w in windows]
+    for i, ok in enumerate(held):
+        if not ok:
             ledger.failures.append(f"{label}: window {i} does not hold the shift {g}")
-    return [shift_window(w, g) if w.covers(g, g) else None for w in windows]
+    return held
+
+
+def _shifted(
+    windows: list[CenteredWord], g: int, ledger: _Ledger, label: str
+) -> list[CenteredWord | None]:
+    """Each window shifted by g, or None where the window does not hold g (``_holding``)."""
+    held = _holding(windows, g, ledger, label)
+    return [shift_window(w, g) if ok else None for w, ok in zip(windows, held)]
+
+
+def _separated_at(a: CenteredWord, b: CenteredWord, g: int, K: int) -> bool:
+    """Whether the pair differs within K of the shift g: its symbols on the overlap near g.
+
+    The points shifted by g differ at some |n| <= K of their overlap exactly
+    when the windows differ somewhere on [max(lefts, g - K), min(rights,
+    g + K)], so this is ``scale_of_difference`` of the shifted pair being at
+    most K, without shifting or bisecting.
+    """
+    lo = max(a.left, b.left, g - K)
+    hi = min(a.right, b.right, g + K)
+    if lo > hi:  # the windows both hold g, so only K < 0 leaves nothing to compare
+        return False
+    return a.symbols[lo - a.left : hi - a.left + 1] != b.symbols[lo - b.left : hi - b.left + 1]
 
 
 def _replay_entry(entry: dict, m: int, K: int, shifts, ledger: _Ledger) -> None:
@@ -95,13 +117,12 @@ def _replay_entry(entry: dict, m: int, K: int, shifts, ledger: _Ledger) -> None:
     for i, w in enumerate(windows):
         ok = w.covers(-half, half) and w.central(half) == cylinder
         ledger.check(ok, "window {} does not carry the cylinder {!r}", i, cylinder)
+    reason = "{}: pair ({},{}) not separated at shift {}"
     for g in shifts:
-        shifted = _shifted(windows, g, ledger, label)
-        for (i, a), (j, b) in combinations(enumerate(shifted), 2):
-            if a is not None and b is not None:
-                d = scale_of_difference(a, b)
-                reason = "{}: pair ({},{}) not separated at shift {}"
-                ledger.check(d is not None and d <= K, reason, label, i, j, g)
+        held = _holding(windows, g, ledger, label)
+        for (i, a), (j, b) in combinations(enumerate(windows), 2):
+            if held[i] and held[j]:
+                ledger.check(_separated_at(a, b, g, K), reason, label, i, j, g)
     _replay_scale_matrix(windows, entry["shift"], entry["scale_matrix"], ledger)
 
 

@@ -30,6 +30,14 @@ cover probes.  The probes keep the kernel because each ladder radius has its
 own central width and their scans exit early, so an automaton per stage
 costs more than it saves: one per stage made the probe-replay benchmark 3.4
 times slower.
+
+The block and cover tests ask for cliques of run-blocks pairwise separated
+at every center of a run (``_run_scan``).  Their finder builds all the
+separation rows of a block set at once, as bit masks from one grouping of
+the blocks per center, and bounds its branch and bound by a greedy
+colouring as well as by the candidate count.  Every scan reports witnesses
+only from a floor m_min up, m for the single-m tests and 2 for ``verify``,
+and its searches start their bounds there.
 """
 
 from __future__ import annotations
@@ -326,17 +334,20 @@ def _separation_scan(
     horizon: int,
     m_cap: int,
     count_at: Callable[[int], int] | None = None,
+    m_min: int = 1,
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best number of pairwise-separated extensions at a single shift.
 
     Extensions are separated at shift g exactly when their radius-K blocks
-    around coordinate g are pairwise distinct words.  Returns the best count
-    and, for each tuple size up to the cap, the first witnessing shift with
-    extension indices, in deterministic scan order.  ``count_at(lo)`` is the
+    around coordinate g are pairwise distinct words.  Returns the best count,
+    or m_min - 1 when no shift reaches m_min, and, for each tuple size from
+    m_min up to the cap, the first witnessing shift with extension indices,
+    in deterministic scan order.  The scan starts from the bound m_min - 1,
+    so it reads no block for a size below m_min.  ``count_at(lo)`` is the
     number of distinct blocks at string offset lo, from the extensions
     themselves unless given.
     """
-    best = 0
+    best = m_min - 1
     witnesses: dict[int, tuple[int, list[int]]] = {}
     width = 2 * K + 1
     if count_at is None:
@@ -376,12 +387,8 @@ def _sensitivity_scanner(
 
     def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
         count_at = counts(u) if counts else None
-        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at)
-        return {
-            m: _witness(u, exts, idxs, radius, g, K)
-            for m, (g, idxs) in raw.items()
-            if m >= m_min
-        }
+        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at, m_min)
+        return {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
 
     return scan
 
@@ -490,7 +497,7 @@ def m_equicontinuity_point_test(
     claim = f"failure of {m}-equicontinuity at scale 2^-{K} near the given point"
     stages = []
     for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
-        best, raw = _separation_scan(exts, radius, K, budget.N, m)
+        best, raw = _separation_scan(exts, radius, K, budget.N, m, m_min=m)
         if best < m:
             return exhausted(claim, verdict_class="consistent-up-to", clean_delta_radius=W)
         g, idxs = raw[m]
@@ -508,80 +515,113 @@ def m_equicontinuity_point_test(
 # ask for m extensions pairwise separated at every shift in a whole run.
 
 
-def _pair_separated_over_run(b1: str, b2: str, K: int) -> bool:
-    """Whether two run-blocks differ within distance K of every one of the centers.
+class _RunCliqueFinder:
+    """Max sets of run-blocks pairwise separated everywhere, for sizes from m_min up.
 
     A run-block spans its centers plus K symbols on each side, so the
-    radius-K windows around the centers are exactly its (2K+1)-windows: the
-    pair is separated iff the mismatch mask has no run of 2K+1 zero bytes.
-    """
-    mask = bytes(map(operator.ne, b1, b2))
-    return bytes(2 * K + 1) not in mask
-
-
-class _RunCliqueFinder:
-    """Max sets of run-blocks pairwise separated everywhere, with caching.
-
-    Pair separation depends only on the two block strings, and the clique
-    answer only on the set of available blocks, so both memoize well across
-    run positions and cylinders.
+    radius-K windows around the centers are exactly its (2K+1)-windows, and
+    two blocks are separated over the run iff their windows differ at every
+    center.  The clique answer depends only on the set of available blocks,
+    so it memoizes well across run positions and cylinders; the cache lives
+    as long as the finder, which is one scan call.
     """
 
-    def __init__(self, K: int, m_cap: int):
+    def __init__(self, K: int, m_cap: int, m_min: int = 1):
         self.K = K
         self.m_cap = m_cap
-        self._pairs: dict[tuple[str, str], bool] = {}
+        self.m_min = m_min
         self._cliques: dict[tuple[str, ...], tuple[int, tuple[int, ...]]] = {}
 
-    def _separated(self, b1: str, b2: str) -> bool:
-        key = (b1, b2) if b1 < b2 else (b2, b1)
-        cached = self._pairs.get(key)
-        if cached is None:
-            cached = _pair_separated_over_run(key[0], key[1], self.K)
-            self._pairs[key] = cached
-        return cached
+    def _rows(self, blocks: tuple[str, ...]) -> list[int]:
+        """Row v: the bits of the blocks separated from block v at every center.
+
+        At each center the blocks are grouped by their (2K+1)-window, one
+        bit mask per distinct window, so ``close[v]``, the OR of v's groups,
+        holds exactly the blocks that share a window with v somewhere (v
+        included), and row v is its complement.
+        """
+        n = len(blocks)
+        close = [0] * n
+        span = 2 * self.K + 1
+        for c in range(len(blocks[0]) - span + 1 if blocks else 0):
+            windows = list(map(operator.itemgetter(slice(c, c + span)), blocks))
+            groups: dict[str, int] = {}
+            for v, w in enumerate(windows):
+                groups[w] = groups.get(w, 0) | 1 << v
+            for v, w in enumerate(windows):
+                close[v] |= groups[w]
+        full = (1 << n) - 1
+        return [full ^ c for c in close]
 
     def best(self, blocks: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
         """The largest set of pairwise separated blocks (size capped), by index.
 
-        Carraghan-Pardalos branch and bound: expand the lowest candidate v,
-        then search the candidates after v that are separated from it.  So
-        every candidate set the search forms holds only blocks after the
-        vertex it expands, and the search never reads the lower half of the
-        adjacency matrix.  Row v is therefore built when v is first
-        expanded, and only against the blocks after v; blocks never expanded
-        get no row and cost no pair check.
+        Carraghan-Pardalos branch and bound, from the bound m_min - 1: expand
+        the lowest candidate v, then search the candidates after v that are
+        separated from it.  A set with no clique of m_min blocks answers
+        (m_min - 1, ()).
+
+        Besides the candidate count, ``grow`` bounds a node by a greedy
+        colouring of its candidates (Tomita and Seki 2003): classes of
+        pairwise unseparated blocks, each filled highest index first.  No
+        clique has two members in one class, so the candidates a node has
+        yet to expand hold no clique larger than the number of classes that
+        still meet them.  Filled highest first, a block's class depends only
+        on the candidates above it, so that number falls as the lowest
+        candidates are expanded.
+
+        Neither bound changes the answer.  Let d = min(clique number, m_cap)
+        and let P be the first node of depth d in the unpruned depth-first
+        order, d >= m_min.  Before P every node is shallower, so the best
+        size stays below d.  When an ancestor A of P comes to expand P's
+        next member, P's other remaining members are among A's candidates
+        and form a clique, so both of A's bounds are at least d - depth(A)
+        and neither prunes on the way to P.  P is therefore reached and
+        recorded, and nothing after it is deeper (at m_cap the search
+        stops), so the answer is P: the members an unpruned search from the
+        bound 0 finds, whatever the floor and however many other subtrees
+        the bounds cut.
         """
         cached = self._cliques.get(blocks)
         if cached is not None:
             return cached
-        n = len(blocks)
-        separated = self._separated
-        rows: list[int | None] = [None] * n  # bits j > v separated from v
-        best_size = 0
+        rows = self._rows(blocks)
+        best_size = self.m_min - 1
         best_members: tuple[int, ...] = ()
 
         def grow(members: list[int], cand: int) -> bool:
             nonlocal best_size, best_members
-            if len(members) > best_size:
-                best_size = len(members)
+            depth = len(members)
+            if depth > best_size:
+                best_size = depth
                 best_members = tuple(members)
                 if best_size >= self.m_cap:
                     return True
+            if depth + cand.bit_count() <= best_size:
+                return False
+            classes = []  # colour classes, each independent: no pair in it separated
+            rest = cand
+            while rest:
+                free, cls = rest, 0
+                while free:
+                    u = free.bit_length() - 1
+                    cls |= 1 << u
+                    free &= ~(rows[u] | 1 << u)
+                classes.append(cls)
+                rest ^= cls
+            top = len(classes)
             while cand:
-                if len(members) + cand.bit_count() <= best_size:
+                while not classes[top - 1] & cand:
+                    top -= 1
+                if depth + top <= best_size:
                     return False
                 v = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                row = rows[v]
-                if row is None:
-                    b = blocks[v]
-                    row = rows[v] = sum(1 << j for j in range(v + 1, n) if separated(b, blocks[j]))
-                if grow(members + [v], cand & row):
+                if grow(members + [v], cand & rows[v]):
                     return True
             return False
 
-        grow([], (1 << n) - 1)
+        grow([], (1 << len(blocks)) - 1)
         result = (best_size, best_members)
         self._cliques[blocks] = result
         return result
@@ -604,6 +644,13 @@ def _run_scan(
     with the run start.  ``center_count(p)`` is the number of distinct
     (2K+1)-blocks at string offset p, from the extensions unless given.
 
+    Witnesses are made only for the sizes from the finder's floor m_min up,
+    and the best size is exact only there: below m_min it reads as some
+    size below m_min.  The finder answers m_min - 1 for a block set with no
+    clique of m_min, so once a start is solved ``best`` is at least
+    m_min - 1, and the bounds below skip every start that cannot reach the
+    floor.
+
     A clique's members show pairwise distinct radius-K blocks at every center
     of their run, so its size is at most the number of distinct (2K+1)-blocks
     at each center.  A start with some center holding at most ``best`` of them
@@ -621,6 +668,16 @@ def _run_scan(
     the most of that side's next runs, and one side's blocker never overwrites
     the other's.  Which center rules a start out changes no skip.
 
+    Each side also keeps a clean stretch: its last read run's trailing part
+    from the leading end down to the blocker, if one was found, or the whole
+    run.  Every center in it holds more than ``best`` blocks, and the side's
+    next run that the blockers let through starts past the blocker and past
+    the last read start, so it overlaps the stretch at its trailing end, and
+    only its centers beyond the stretch are read.  The first center found
+    holding at most ``best`` blocks is therefore the one a full search from
+    the leading end would find.  A larger ``best`` can rule out a clean
+    center, so the stretches are dropped whenever ``best`` grows.
+
     Cutting a clique's run-blocks down to any stretch of its centers leaves
     a clique, so the largest clique over a stretch bounds the run's.  The
     stretches are aligned cores: with C = ``centers`` and step S, core k
@@ -629,13 +686,14 @@ def _run_scan(
     [lo, lo + S - 1] and so ends by lo + C - 1.  Once ``best`` is positive,
     a start whose core has no clique larger than ``best`` is skipped before
     its run-blocks are built.  S consecutive start offsets share a core; each
-    core is solved once per call by the same finder, whose pair and clique
-    caches take blocks of either width.
+    core is solved once per call by the same finder, whose clique cache
+    takes blocks of either width.
     """
     best = 0
     witnesses: dict[int, tuple[int, list[int]]] = {}
     if not exts:
         return best, witnesses
+    floor = finder.m_min - 1
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
     if center_count is None:
@@ -665,20 +723,28 @@ def _run_scan(
 
     first = None
     above = below = -1  # the blockers of the starts at or above the first start, and below it
+    # how far each side's clean stretch reaches toward its next runs: up to
+    # clean_above above the first start, down to clean_below below it
+    unclean = (-1, len(exts[0]))
+    clean_above, clean_below = unclean
     for a in starts:
         lo = radius + a - K
+        hi = lo + centers - 1
         # center j of the run reads its radius-K blocks at string offset lo + j
-        run = range(lo, lo + centers)
-        if above in run or below in run:
+        if lo <= above <= hi or lo <= below <= hi:
             continue  # best never falls, so a center that ruled out a start still does
         if first is None:
             first = a
         if best:
-            is_above = a >= first
-            leading = reversed(run) if is_above else run
-            low = next((p for p in leading if count_at(p) <= best), None)
+            if a >= first:
+                unread = range(hi, max(clean_above, lo - 1), -1)
+                clean_above = hi
+            else:
+                unread = range(lo, min(clean_below, hi + 1))
+                clean_below = lo
+            low = next((p for p in unread if count_at(p) <= best), None)
             if low is not None:
-                if is_above:
+                if a >= first:
                     above = low
                 else:
                     below = low
@@ -688,12 +754,14 @@ def _run_scan(
         blocks = tuple(sorted(distinct.at(lo)))
         size, members = finder.best(blocks)
         if size > best:
-            block_of = operator.itemgetter(slice(lo, lo + width))
-            first_idx = _first_indices(map(block_of, exts), len(blocks))
-            for m in range(best + 1, min(size, m_cap) + 1):
-                idxs = sorted(first_idx[blocks[v]] for v in members[:m])
-                witnesses[m] = (a, idxs)
+            sizes = range(max(best, floor) + 1, min(size, m_cap) + 1)
+            if sizes:
+                block_of = operator.itemgetter(slice(lo, lo + width))
+                first_idx = _first_indices(map(block_of, exts), len(blocks))
+                for m in sizes:
+                    witnesses[m] = (a, sorted(first_idx[blocks[v]] for v in members[:m]))
             best = size
+            clean_above, clean_below = unclean
             if best >= m_cap:
                 break
     return best, witnesses
@@ -706,14 +774,14 @@ def _block_scanner(
 
     Center counts come as in ``_sensitivity_scanner``; the run-blocks and
     cores are always cut from the extensions.  Every cylinder it scans
-    shares one clique finder.
+    shares one clique finder, floored at m_min.
     """
     _require_scale(K)
     if B < 0:
         raise ValueError(f"block half-length must be non-negative, got B={B}")
     radius = scan_radius(budget, K, B)
     centers = 2 * B + 1
-    finder = _RunCliqueFinder(K, m_cap)
+    finder = _RunCliqueFinder(K, m_cap, m_min)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
 
     def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
@@ -723,7 +791,6 @@ def _block_scanner(
         return {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
-            if m >= m_min
         }
 
     return scan
@@ -802,7 +869,7 @@ def cover_m_equicontinuity_test(
             f"horizon N={N} holds {2 * N + 1} shifts, fewer than the 2B+2 = {centers} of one run"
         )
     radius = N + B + K + 1
-    finder = _RunCliqueFinder(K, m)
+    finder = _RunCliqueFinder(K, m, m_min=m)
     claim = (
         f"cover {m}-equicontinuity at scale 2^-{K} with gap bound {2 * B + 1} near the given point"
     )

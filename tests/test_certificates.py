@@ -3,8 +3,15 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from shiftrank.certificates import _REPLAYERS, certificate_json, load_certificate, replay
+from shiftrank.certificates import (
+    _REPLAYERS,
+    _separated_at,
+    certificate_json,
+    load_certificate,
+    replay,
+)
 from shiftrank.oracles import (
     SearchBudget,
     block_m_sensitivity_test,
@@ -13,6 +20,7 @@ from shiftrank.oracles import (
     m_sensitivity_test,
 )
 from shiftrank.substitution import Substitution, SubstitutionSystem
+from shiftrank.words import CenteredWord, scale_of_difference, shift_window
 
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
 
@@ -332,3 +340,34 @@ def test_canonical_json_is_deterministic():
         m_sensitivity_test(TM_SYS, 2, 2, SearchBudget(L=2, N=64, K=2)).aggregate.certificate
     )
     assert a == b
+
+
+@st.composite
+def pairs_holding_a_shift(draw):
+    """Two windows of independent lefts and lengths over a common word, edited, a shift both hold, and K.
+
+    The windows overlap in part, at least at the origin, and the edits land
+    anywhere in their union, so a difference may fall inside the overlap
+    near the shift, beyond K of it, or outside the overlap.
+    """
+    left_a, left_b = draw(st.integers(-12, 0)), draw(st.integers(-12, 0))
+    right_a, right_b = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    lo, hi = min(left_a, left_b), max(right_a, right_b)
+    base = draw(st.text(alphabet="01", min_size=hi - lo + 1, max_size=hi - lo + 1))
+    edited = list(base)
+    for n in draw(st.lists(st.integers(lo, hi), max_size=3)):
+        edited[n - lo] = "1" if edited[n - lo] == "0" else "0"
+    a = CenteredWord(base[left_a - lo : right_a - lo + 1], left_a)
+    b = CenteredWord("".join(edited)[left_b - lo : right_b - lo + 1], left_b)
+    g = draw(st.integers(max(left_a, left_b), min(right_a, right_b)))
+    return a, b, g, draw(st.integers(0, 4))
+
+
+@given(pairs_holding_a_shift())
+@example((CenteredWord("0110", -1), CenteredWord("1011", -2), 1, 0))  # K = 0, equal at g
+@example((CenteredWord("0110", -1), CenteredWord("1010", -2), 1, 0))  # K = 0, differing at g
+@example((CenteredWord("000", -1), CenteredWord("00001", -2), 0, 1))  # differing beyond the overlap
+def test_replay_separation_is_the_shifted_scale(case):
+    a, b, g, K = case
+    d = scale_of_difference(shift_window(a, g), shift_window(b, g))
+    assert _separated_at(a, b, g, K) == (d is not None and d <= K)

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import operator
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -25,7 +26,6 @@ from shiftrank.oracles import (
     _ladder_extensions,
     _RunCliqueFinder,
     _SegmentBlocks,
-    _pair_separated_over_run,
     _run_scan,
     _separation_scan,
     _trimmed,
@@ -352,6 +352,47 @@ def test_single_m_tests_build_witnesses_only_for_m(monkeypatch, name, test, witn
 # -- scan kernels against the per-extension loops ----------------------------------
 
 
+def _pair_separated_over_run(b1, b2, K):
+    """Reference: whether two run-blocks differ within distance K of every center.
+
+    A run-block spans its centers plus K symbols on each side, so the
+    radius-K windows around the centers are exactly its (2K+1)-windows: the
+    pair is separated iff the mismatch mask has no run of 2K+1 zero bytes.
+    """
+    mask = bytes(map(operator.ne, b1, b2))
+    return bytes(2 * K + 1) not in mask
+
+
+def _eager_best(K, m_cap, blocks):
+    """Reference: the whole adjacency matrix, both halves, built before the search."""
+    n = len(blocks)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _pair_separated_over_run(blocks[i], blocks[j], K):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    best_size, best_members = 0, ()
+
+    def grow(members, cand):
+        nonlocal best_size, best_members
+        if len(members) > best_size:
+            best_size, best_members = len(members), tuple(members)
+            if best_size >= m_cap:
+                return True
+        while cand:
+            if len(members) + cand.bit_count() <= best_size:
+                return False
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if grow(members + [v], cand & adj[v]):
+                return True
+        return False
+
+    grow([], (1 << n) - 1)
+    return best_size, best_members
+
+
 def _prefix_sum_separated(b1, b2, K, centers):
     """Reference: a prefix-sum count of mismatches around every center."""
     pref = [0]
@@ -398,18 +439,18 @@ def _dict_separation_scan(exts, radius, K, horizon, m_cap):
     return best, witnesses
 
 
-class _PrefixSumFinder(_RunCliqueFinder):
-    def __init__(self, K, centers, m_cap):
-        super().__init__(K, m_cap)
-        self.centers = centers
+def _matches_above_floor(got, want, m_min):
+    """Whether a scan floored at m_min reports a reference scan's answer from m_min up.
 
-    def _separated(self, b1, b2):
-        return _prefix_sum_separated(b1, b2, self.K, self.centers)
+    The floored best is exact once it reaches m_min and below m_min otherwise.
+    """
+    (best, witnesses), (want_best, want_witnesses) = got, want
+    above = {m: w for m, w in want_witnesses.items() if m >= m_min}
+    return (best == want_best if want_best >= m_min else best < m_min) and witnesses == above
 
 
 def _dict_run_scan(exts, radius, K, centers, starts, m_cap):
-    """Reference: the first-index dict built at every run start."""
-    finder = _PrefixSumFinder(K, centers, m_cap)
+    """Reference: the first-index dict built at every run start, solved on the whole matrix."""
     best, witnesses, width = 0, {}, centers + 2 * K
     for a in starts:
         lo = radius + a - K
@@ -417,7 +458,7 @@ def _dict_run_scan(exts, radius, K, centers, starts, m_cap):
         for idx, w in enumerate(exts):
             first_idx.setdefault(w[lo : lo + width], idx)
         blocks = tuple(sorted(first_idx))
-        size, members = finder.best(blocks)
+        size, members = _eager_best(K, m_cap, blocks)
         if size > best:
             for m in range(best + 1, min(size, m_cap) + 1):
                 witnesses[m] = (a, sorted(first_idx[blocks[v]] for v in members[:m]))
@@ -443,18 +484,29 @@ def test_scans_match_per_extension_loops(name):
     cover_centers = 2 * cover_B + 2
     cover_starts = range(-N, N - cover_centers + 2)
     cover_finder = _RunCliqueFinder(cover_K, m_cap)
+    # floored as verify's block scan and as a single-m test at m = 4
+    floored = [(m_min, _RunCliqueFinder(K, m_cap, m_min)) for m_min in (2, 4)]
+    cover_floored = [(m_min, _RunCliqueFinder(cover_K, m_cap, m_min)) for m_min in (2, 4)]
     for u in system.language(2 * L + 1):
         exts = extensions(system, u, sep_radius)
-        assert _separation_scan(exts, sep_radius, K, N, m_cap) == _dict_separation_scan(
-            exts, sep_radius, K, N, m_cap
-        )
+        want = _dict_separation_scan(exts, sep_radius, K, N, m_cap)
+        assert _separation_scan(exts, sep_radius, K, N, m_cap) == want
+        for m_min in (2, 4):
+            got = _separation_scan(exts, sep_radius, K, N, m_cap, m_min=m_min)
+            assert _matches_above_floor(got, want, m_min)
         exts = extensions(system, u, run_radius)
         starts = [h - B for h in shifts(N)]
-        got = _run_scan(exts, run_radius, K, centers, starts, m_cap, finder)
-        assert got == _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
+        want = _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
+        assert _run_scan(exts, run_radius, K, centers, starts, m_cap, finder) == want
+        for m_min, floor_finder in floored:
+            got = _run_scan(exts, run_radius, K, centers, starts, m_cap, floor_finder)
+            assert _matches_above_floor(got, want, m_min)
         exts = extensions(system, u, cover_radius)
         run = (exts, cover_radius, cover_K, cover_centers, cover_starts, m_cap)
-        assert _run_scan(*run, cover_finder) == _dict_run_scan(*run)
+        want = _dict_run_scan(*run)
+        assert _run_scan(*run, cover_finder) == want
+        for m_min, floor_finder in cover_floored:
+            assert _matches_above_floor(_run_scan(*run, floor_finder), want, m_min)
 
 
 def _flipped(base: str, flips: list[int]) -> str:
@@ -507,11 +559,12 @@ def test_run_scan_matches_reference_with_warm_finder():
     ruled_out = []  # starts the cores ruled out, per example
 
     # two cases where a core rules out a start that the center counts pass
-    @example(((2, 4, 9, 2), [("0", [[], [45], [42, 59], [50]])]), True)
-    @example(((2, 5, 3, 3), [("0", [[130], [159], [194], [28], []])]), False)
-    @given(run_scan_cases, st.booleans())
-    def check(case, cover_style):
+    @example(((2, 4, 9, 2), [("0", [[], [45], [42, 59], [50]])]), True, 1)
+    @example(((2, 5, 3, 3), [("0", [[130], [159], [194], [28], []])]), False, 1)
+    @given(run_scan_cases, st.booleans(), st.integers(1, 5))
+    def check(case, cover_style, m_min):
         (K, B, N, m_cap), sets = case
+        m_min = min(m_min, m_cap)
         if cover_style:  # increasing starts over runs of 2B+2 centers
             centers, radius = 2 * B + 2, N + B + K + 1
             starts = list(range(-N, N - centers + 2))
@@ -521,11 +574,14 @@ def test_run_scan_matches_reference_with_warm_finder():
         # shared: later sets meet a warm cache
         finder = _FullRunCounter(K, m_cap, centers)
         blind = _FullRunCounter(K, m_cap, centers, blind=True)
+        floored = _RunCliqueFinder(K, m_cap, m_min)
         for symbol, flip_lists in sets:
             exts = [_flipped(symbol * (2 * radius + 1), flips) for flips in flip_lists]
             want = _dict_run_scan(exts, radius, K, centers, starts, m_cap)
             assert _run_scan(exts, radius, K, centers, starts, m_cap, finder) == want
             assert _run_scan(exts, radius, K, centers, starts, m_cap, blind) == want
+            got = _run_scan(exts, radius, K, centers, starts, m_cap, floored)
+            assert _matches_above_floor(got, want, m_min)
         ruled_out.append(blind.full - finder.full)
 
     check()
@@ -596,36 +652,6 @@ def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
     assert len(solved) <= 5
 
 
-def _eager_best(K, m_cap, blocks):
-    """Reference: the whole adjacency matrix, both halves, built before the search."""
-    n = len(blocks)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pair_separated_over_run(blocks[i], blocks[j], K):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best_size, best_members = 0, ()
-
-    def grow(members, cand):
-        nonlocal best_size, best_members
-        if len(members) > best_size:
-            best_size, best_members = len(members), tuple(members)
-            if best_size >= m_cap:
-                return True
-        while cand:
-            if len(members) + cand.bit_count() <= best_size:
-                return False
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if grow(members + [v], cand & adj[v]):
-                return True
-        return False
-
-    grow([], (1 << n) - 1)
-    return best_size, best_members
-
-
 # K, m_cap and a set of run-blocks of 1 to 6 centers: each block a constant
 # word with a few flipped symbols, so that pairs are separated at some
 # centers and not at others
@@ -639,13 +665,17 @@ clique_cases = st.tuples(
 )
 
 
-@given(clique_cases)
-def test_clique_finder_matches_the_whole_matrix_search(case):
+@given(clique_cases, st.integers(1, 5))
+def test_clique_finder_matches_the_whole_matrix_search(case, m_min):
     K, m_cap, centers, symbol, flip_lists = case
+    m_min = min(m_min, m_cap)
     base = symbol * (centers + 2 * K)
     blocks = tuple(sorted({_flipped(base, flips) for flips in flip_lists}))
-    finder = _RunCliqueFinder(K, m_cap)
-    assert finder.best(blocks) == _eager_best(K, m_cap, blocks)
+    size, members = _eager_best(K, m_cap, blocks)
+    assert _RunCliqueFinder(K, m_cap).best(blocks) == (size, members)
+    # a floored finder answers the same clique from the floor up, and only the floor below it
+    floored = _RunCliqueFinder(K, m_cap, m_min).best(blocks)
+    assert floored == ((size, members) if size >= m_min else (m_min - 1, ()))
 
 
 @pytest.mark.parametrize("cover_style", [True, False], ids=["increasing", "zigzag"])
@@ -663,24 +693,29 @@ def test_run_scan_matches_reference_on_empty_extension_sets(cover_style):
     assert _run_scan((), radius, K, centers, starts, m_cap, finder) == want
 
 
-def test_clique_rows_check_only_pairs_the_search_reads(monkeypatch):
-    lookups = 0
-    separated = _RunCliqueFinder._separated
-
-    def counting_separated(self, b1, b2):
-        nonlocal lookups
-        lookups += 1
-        return separated(self, b1, b2)
-
-    monkeypatch.setattr(_RunCliqueFinder, "_separated", counting_separated)
+def test_clique_search_expands_few_nodes_where_no_clique_exists():
+    # ternary-morse at m = 5 and seed shift 41: the last stage has no
+    # 5-clique, so its searches run to exhaustion.  Counted as calls of the
+    # search's ``grow``, the candidate-count bound from 0 alone expanded
+    # 17,068 nodes.
     budget = SearchBudget()
-    radius = budget.N + budget.K + 4 + max(budget.ladder)
-    for name in ("thue-morse", "ternary-morse", "keane-morse-011"):
-        system = system_for(name)
-        x = seed_point(system, 0, radius)
-        cover_m_equicontinuity_test(system, x, 3, budget.K, budget)
-    # the whole adjacency matrix of every solved block set made 1,451
-    assert lookups <= 700
+    system = system_for("ternary-morse")
+    x = seed_point(system, 0, budget.N + budget.K + 4 + max(budget.ladder), shift=41)
+    nodes = 0
+
+    def count_grow(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "grow" and code.co_filename == oracles.__file__:
+            nodes += 1
+
+    sys.setprofile(count_grow)
+    try:
+        verdict = cover_m_equicontinuity_test(system, x, 5, budget.K, budget)
+    finally:
+        sys.setprofile(None)
+    assert verdict.witnessed
+    assert 0 < nodes <= 1000
 
 
 @pytest.mark.parametrize(
