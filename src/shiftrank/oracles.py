@@ -9,13 +9,16 @@ Every universally quantified negative ("no tuple exists") is reported as an
 exhausted budget, never as a refutation.  Every witness carries enough data
 to replay its defining inequality with window operations alone.
 
-The cylinder scans, ``sensitivity_scan`` and ``block_sensitivity_scan``, and
-``cylinder_scans``, which runs both for ``verify``, read one cylinder's
-extensions at a time.  A system that offers ``cylinders``, as every
-substitution and Toeplitz system does, builds each group only when a scan
-reaches it, so a scan holds its largest group, not the whole length-(2 R + 1)
-table; a factor system's groups come from that table.  The point and cover
-probes read the bounded cache ``_indexed_extension_groups`` instead.
+The cylinder scans, ``sensitivity_scan`` and ``block_sensitivity_scan``, are
+the only drivers that scan every cylinder: the single-m tests, and with them
+the CLI, run them, and so does ``verify``.  Each is one loop over
+``_cylinder_groups``, which yields one cylinder's extensions at a time, and
+drops each group before the next is built.  A system that offers
+``cylinders``, as every substitution and Toeplitz system does, builds each
+group only when a scan reaches it, so a scan holds its largest group, not the
+whole length-(2 R + 1) table; a factor system's groups come from that table,
+grouped by ``_cylinders``.  The point and cover probes read the same groups,
+kept whole in the bounded cache ``_indexed_extension_groups``.
 
 The searches bound their tuples by distinct-block counts, which come from one
 of two counters.  The cylinder scans read the system's ``block_counter`` when
@@ -55,15 +58,16 @@ class ShiftSystem(Protocol):
     """Anything with a name, a spec hash, and an enumerable language.
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
-    a scan-length table lives as long as the grouping built from it: an
-    entry of the bounded ``_indexed_extension_groups``, or the cylinder list
-    of one scan of a system without ``cylinders``.
+    a scan-length table of a system without ``cylinders`` lives as long as
+    the grouping ``_cylinders`` builds from it: an entry of the bounded
+    ``_indexed_extension_groups``, or the cylinder list of one scan.
 
     A system may also offer ``cylinders(L, radius)``, which yields each
     radius-L cylinder word in language order with its radius-``radius``
     extensions, sorted, and builds each group only when it is reached
-    (``substitution.LanguageTable.cylinders``).  The cylinder scans read it
-    instead of grouping the whole table; see ``_cylinder_groups``.
+    (``substitution.LanguageTable.cylinders``).  The cylinder scans and the
+    probes' cache read it instead of grouping the whole table; see
+    ``_cylinder_groups``.
 
     And it may offer ``block_counter(central, width)``, a function that
     counts, for a length-``central`` word u and a displacement e, the
@@ -128,28 +132,49 @@ def _central_span(central: str, radius: int) -> slice:
     return slice(radius - half, radius + half + 1)
 
 
-def _extension_groups(
-    system: ShiftSystem, radius: int, half: int
-) -> dict[str, tuple[str, ...]]:
-    """The radius-``radius`` windows grouped by their radius-``half`` central word.
+def _cylinders(system: ShiftSystem, L: int, radius: int) -> list[tuple[str, tuple[str, ...]]]:
+    """Every radius-``L`` cylinder word with its radius-``radius`` extensions, in language order.
 
-    One pass over the length-(2 radius + 1) table; each group keeps
-    language order.
+    Grouped in one pass over the whole length-(2 radius + 1) table, each
+    group in language order, and not cached: the list lives as long as its
+    caller holds it.
     """
-    lo, hi = radius - half, radius + half + 1
+    lo, hi = radius - L, radius + L + 1
     groups: dict[str, list[str]] = {}
     for w in system.language(2 * radius + 1):
         groups.setdefault(w[lo:hi], []).append(w)
-    return {u: tuple(ws) for u, ws in groups.items()}
+    return [(u, tuple(groups.get(u, ()))) for u in system.language(2 * L + 1)]
+
+
+def _cylinder_groups(
+    system: ShiftSystem, L: int, radius: int
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """``_cylinders``, one group at a time, holding none it has handed out.
+
+    From the system's ``cylinders`` when it has one, which builds each group
+    only when it is reached, so no more than one group need be held at once.
+    Otherwise the groups are popped off the whole-table ``_cylinders``.
+    """
+    if hasattr(system, "cylinders"):
+        return system.cylinders(L, radius)
+    cylinders = _cylinders(system, L, radius)
+    cylinders.reverse()
+    return (cylinders.pop() for _ in range(len(cylinders)))
 
 
 # A point or cover test reads one grouping per (system, radius), at the
 # first ladder radius, so the four exact-regime catalog systems at the point
-# and cover radii fill 8 entries.  A grouping holds every word of its
-# length-(2 radius + 1) table, and no system keeps the table itself, so the
-# bound also bounds the long tables the probes hold.  The cylinder scans
-# never read it: they take one group at a time from ``_cylinder_groups``.
-_indexed_extension_groups = functools.lru_cache(maxsize=8)(_extension_groups)
+# and cover radii fill 8 entries.  A grouping holds every extension of its
+# radius, and no system keeps a table of that length, so the bound also
+# bounds the long tables the probes hold.  The groups come from
+# ``_cylinder_groups``, as the cylinder scans' do, but the scans never read
+# this cache: they drop each group before the next is built.
+@functools.lru_cache(maxsize=8)
+def _indexed_extension_groups(
+    system: ShiftSystem, radius: int, half: int
+) -> dict[str, tuple[str, ...]]:
+    """The radius-``radius`` windows grouped by their radius-``half`` central word."""
+    return dict(_cylinder_groups(system, half, radius))
 
 
 def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
@@ -182,47 +207,6 @@ def _ladder_extensions(
 def scan_radius(budget: SearchBudget, K: int, B: int = 0) -> int:
     """The window radius of a sensitivity scan (B = 0) or of a block scan of half-length B."""
     return budget.L + budget.N + B + K
-
-
-def _cylinders(system: ShiftSystem, L: int, radius: int) -> list[tuple[str, tuple[str, ...]]]:
-    """Every radius-``L`` cylinder word with its radius-``radius`` extensions, in language order.
-
-    Grouped from the whole length-(2 radius + 1) table and not cached: the
-    list lives as long as its caller holds it.
-    """
-    groups = _extension_groups(system, radius, L)
-    return [(u, groups.get(u, ())) for u in system.language(2 * L + 1)]
-
-
-def _cylinder_groups(
-    system: ShiftSystem, L: int, radius: int
-) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """``_cylinders``, one group at a time, holding none it has handed out.
-
-    From the system's ``cylinders`` when it has one, which builds each group
-    only when it is reached, so no more than one group need be held at once.
-    Otherwise the groups are popped off the whole-table ``_cylinders``.
-    """
-    if hasattr(system, "cylinders"):
-        return system.cylinders(L, radius)
-    cylinders = _cylinders(system, L, radius)
-    cylinders.reverse()
-    return (cylinders.pop() for _ in range(len(cylinders)))
-
-
-def _trimmed(words: list[str], lo: int, width: int) -> tuple[str, ...]:
-    """The distinct length-``width`` trims at ``lo`` of ``words``, sorted.
-
-    For one cylinder's wide extensions this is its narrower extensions; see
-    ``cylinder_scans``.  Empties ``words`` as it goes, dropping each word
-    once trimmed, so the wide and the trimmed words of a cylinder are not
-    all held at once.
-    """
-    trim = operator.itemgetter(slice(lo, lo + width))
-    trims = set()
-    while words:
-        trims.add(trim(words.pop()))
-    return tuple(sorted(trims))
 
 
 def _cylinder_counts(
@@ -373,37 +357,26 @@ def _require_scale(K: int) -> None:
         raise ValueError(f"scale exponent must be non-negative, got K={K}")
 
 
-def _sensitivity_scanner(
-    system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
-) -> Callable[[str, Sequence[str]], dict[int, dict]]:
-    """A function from a cylinder and its extensions to ``sensitivity_scan``'s entries for it.
-
-    Every cylinder it scans shares one block counter, the system's
-    ``block_counter`` when it has one.
-    """
-    _require_scale(K)
-    radius = scan_radius(budget, K)
-    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
-
-    def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
-        count_at = counts(u) if counts else None
-        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at, m_min)
-        return {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
-
-    return scan
-
-
 def sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, budget: SearchBudget, m_min: int = 2
 ) -> dict[str, dict[int, dict]]:
     """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
 
     The cylinders' extensions are read one group at a time
-    (``_cylinder_groups``).
+    (``_cylinder_groups``), and each group is dropped before the next is
+    built.  Every cylinder shares one block counter, the system's
+    ``block_counter`` when it has one.
     """
-    scan = _sensitivity_scanner(system, m_cap, K, budget, m_min)
-    groups = _cylinder_groups(system, budget.L, scan_radius(budget, K))
-    return {u: scan(u, exts) for u, exts in groups}
+    _require_scale(K)
+    radius = scan_radius(budget, K)
+    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
+    scans = {}
+    for u, exts in _cylinder_groups(system, budget.L, radius):
+        count_at = counts(u) if counts else None
+        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at, m_min)
+        scans[u] = {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
+        del exts
+    return scans
 
 
 @dataclass(frozen=True)
@@ -767,14 +740,14 @@ def _run_scan(
     return best, witnesses
 
 
-def _block_scanner(
+def block_sensitivity_scan(
     system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
-) -> Callable[[str, Sequence[str]], dict[int, dict]]:
-    """A function from a cylinder and its extensions to ``block_sensitivity_scan``'s entries.
+) -> dict[str, dict[int, dict]]:
+    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
 
-    Center counts come as in ``_sensitivity_scanner``; the run-blocks and
-    cores are always cut from the extensions.  Every cylinder it scans
-    shares one clique finder, floored at m_min.
+    The extensions are read, and the center counts come, as in
+    ``sensitivity_scan``; the run-blocks and cores are always cut from the
+    extensions.  Every cylinder shares one clique finder, floored at m_min.
     """
     _require_scale(K)
     if B < 0:
@@ -783,57 +756,17 @@ def _block_scanner(
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap, m_min)
     counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
-
-    def scan(u: str, exts: Sequence[str]) -> dict[int, dict]:
+    scans = {}
+    for u, exts in _cylinder_groups(system, budget.L, radius):
         starts = (h - B for h in shifts(budget.N))
         center_count = counts(u) if counts else None
         _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
-        return {
+        scans[u] = {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
         }
-
-    return scan
-
-
-def block_sensitivity_scan(
-    system: ShiftSystem, m_cap: int, K: int, B: int, budget: SearchBudget, m_min: int = 2
-) -> dict[str, dict[int, dict]]:
-    """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
-
-    The extensions are read as in ``sensitivity_scan``.
-    """
-    scan = _block_scanner(system, m_cap, K, B, budget, m_min)
-    groups = _cylinder_groups(system, budget.L, scan_radius(budget, K, B))
-    return {u: scan(u, exts) for u, exts in groups}
-
-
-def cylinder_scans(
-    system: ShiftSystem, m_cap: int, budget: SearchBudget, block_K: int
-) -> tuple[dict[str, dict[int, dict]], dict[str, dict[int, dict]]]:
-    """``sensitivity_scan`` at scale ``budget.K`` and ``block_sensitivity_scan`` at ``block_K``.
-
-    Both read one cylinder's extensions at a time, at the wider of their
-    radii, and the wider scan reads each group first.  A radius-r extension
-    of u is a central trim of some wider extension of u, because the
-    language is factorial and extendable, and every such trim is one, so
-    the narrower scan then reads the group's distinct trims, sorted: u's
-    extensions at r, in language order.  Each wide word is dropped once
-    trimmed, and the group before the next is built, so at most one
-    cylinder's wide and trimmed words are held at once.
-    """
-    sens = _sensitivity_scanner(system, m_cap, budget.K, budget)
-    block = _block_scanner(system, m_cap, block_K, budget.B, budget)
-    (r, narrow), (radius, wide) = sorted(
-        [(scan_radius(budget, budget.K), sens), (scan_radius(budget, block_K, budget.B), block)],
-        key=operator.itemgetter(0),
-    )
-    scans: dict[Callable, dict[str, dict[int, dict]]] = {sens: {}, block: {}}
-    for u, exts in _cylinder_groups(system, budget.L, radius):
-        scans[wide][u] = wide(u, exts)
-        exts = list(exts)  # the list is the words' last holder
-        scans[narrow][u] = narrow(u, _trimmed(exts, radius - r, 2 * r + 1))
-    return scans[sens], scans[block]
+        del exts
+    return scans
 
 
 def block_m_sensitivity_test(

@@ -148,10 +148,10 @@ class LanguageTable:
     its table at once.  ``build(n)`` makes the length-n tuple and keeps
     nothing; ``words(n)`` memoises it.  The memo serves the readers that
     revisit lengths: ``seed_pairs`` and the digit-path census.  The protocol
-    read ``SubstitutionSystem.language``, which the probes and the CLI use
-    for their scan-length tables, goes through ``build``, so such a table
-    lives only as long as the caller holds it.  The cylinder scans read
-    ``cylinders`` instead, which holds the words of one central word at a
+    read ``SubstitutionSystem.language``, which the CLI's ``language``
+    command uses, goes through ``build``, so such a table lives only as long
+    as the caller holds it.  The cylinder scans and the probes read
+    ``cylinders`` instead, which builds the words of one central word at a
     time.
 
     The regime gate reads one length, ``APERIODICITY_N_MAX + 1``, once:

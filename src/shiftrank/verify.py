@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracles import SearchBudget, cylinder_scans, sensitivity_report
+from .oracles import SearchBudget, block_sensitivity_scan, sensitivity_report, sensitivity_scan
 from .ranks import (
     CENSUS_DEPTH,
     CENSUS_RADIUS,
@@ -97,13 +97,15 @@ def verify_system(
     coincidence rank only rules out in the limit, while at scale one the
     searches track the rank on every reference system.
 
-    Both scans come from ``oracles.cylinder_scans``, which reads each
-    cylinder's extensions once for the two.
+    The scans are ``oracles.sensitivity_scan`` and ``block_sensitivity_scan``,
+    which the CLI's ``sensitivity`` and ``block`` commands run too, each run
+    once for the tuple sizes 2..m_max.
     """
     budget = budget or SearchBudget()
     ranks = rank_report(system, depth_max, radius_max)
     profile = predict_profile(ranks, m_max)
-    sens_scans, block_scans = cylinder_scans(system, m_max, budget, BLOCK_SCALE)
+    sens_scans = sensitivity_scan(system, m_max, budget.K, budget)
+    block_scans = block_sensitivity_scan(system, m_max, BLOCK_SCALE, budget.B, budget)
     cells = []
     for m in range(2, m_max + 1):
         row = profile.row(m)

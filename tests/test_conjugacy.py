@@ -17,7 +17,7 @@ lands.
 import pytest
 
 from shiftrank import catalog
-from shiftrank.oracles import SearchBudget, cylinder_scans
+from shiftrank.oracles import SearchBudget, block_sensitivity_scan, sensitivity_scan
 from shiftrank.ranks import coincidence_rank, maximal_rank, minimal_rank
 from shiftrank.substitution import Substitution, SubstitutionSystem
 from shiftrank.verify import BLOCK_SCALE
@@ -75,10 +75,13 @@ def test_scans_agree_on_a_substitution_and_its_square(systems, L):
     # the same language gives the same witnesses; the square's blocks are
     # counted by its own block-pair automaton, at q²
     budget = SearchBudget(L=L, N=16, B=1)
-    differ = [
-        s.rules
-        for s in systems
-        if cylinder_scans(SubstitutionSystem("s", s), 2, budget, BLOCK_SCALE)
-        != cylinder_scans(SubstitutionSystem("s", _square(s)), 2, budget, BLOCK_SCALE)
-    ]
+
+    def scans(s):
+        system = SubstitutionSystem("s", s)
+        return (
+            sensitivity_scan(system, 2, budget.K, budget),
+            block_sensitivity_scan(system, 2, BLOCK_SCALE, budget.B, budget),
+        )
+
+    differ = [s.rules for s in systems if scans(s) != scans(_square(s))]
     assert differ == []

@@ -28,7 +28,6 @@ from shiftrank.oracles import (
     _SegmentBlocks,
     _run_scan,
     _separation_scan,
-    _trimmed,
     block_m_sensitivity_test,
     block_sensitivity_scan,
     cover_m_equicontinuity_test,
@@ -804,15 +803,19 @@ CATALOG_SCAN_SYSTEMS = [
 @pytest.mark.parametrize("name", CATALOG_SCAN_SYSTEMS)
 @pytest.mark.parametrize("N", [256, 1024])
 def test_trimmed_grouping_matches_direct_grouping(name, N):
-    # verify's two radii at the default budget: the block scan's is the wider
+    # verify's two radii at the default budget: the block scan's is the wider.
+    # The language is factorial and extendable, so the central trims of a
+    # cylinder's wide groups, one group at a time, are its narrow extensions
+    # in the whole-table grouping
     system = system_for(name)
     budget = SearchBudget(N=N)
     radius = oracles.scan_radius(budget, budget.K)
     wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
     assert wide > radius
+    trim = operator.itemgetter(slice(wide - radius, wide + radius + 1))
     trimmed = [
-        (u, _trimmed(list(exts), wide - radius, 2 * radius + 1))
-        for u, exts in _cylinders(system, budget.L, wide)
+        (u, tuple(sorted(set(map(trim, exts)))))
+        for u, exts in oracles._cylinder_groups(system, budget.L, wide)
     ]
     direct = _cylinders(system, budget.L, radius)
     assert trimmed == direct
@@ -827,37 +830,42 @@ class _Counted(str):
         _Counted.deleted[len(self)] += 1
 
 
-class _CountedWords:
-    """A system's language with every word a ``_Counted``."""
+class _CountedGroups:
+    """A system's cylinder groups with every extension a ``_Counted``.
+
+    ``held`` records, each time a group is about to be built and once after
+    the last, how many extensions handed out so far are still alive.
+    """
 
     def __init__(self, system):
         self.system = system
+        self.held = []
 
-    def language(self, n):
-        return tuple(map(_Counted, self.system.language(n)))
+    def cylinders(self, L, radius):
+        n = 2 * radius + 1
+        handed = _Counted.deleted[n]
+        for u, exts in self.system.cylinders(L, radius):
+            self.held.append(handed - _Counted.deleted[n])
+            group = tuple(map(_Counted, exts))
+            handed += len(group)
+            yield u, group
+            del group
+        self.held.append(handed - _Counted.deleted[n])
 
 
-def test_a_narrower_read_drops_each_wide_word_once_trimmed(monkeypatch):
+def test_cylinder_scans_drop_each_group_before_the_next():
     budget = SearchBudget(N=16)
-    wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
-    system = _CountedWords(TM_SYS)
-    sizes = [len(exts) for _, exts in _cylinders(system, budget.L, wide)]
-    gc.collect()
-    _Counted.deleted.clear()
-    dropped = []
-    trimmed = oracles._trimmed
-
-    def counting(words, lo, width):
-        trims = trimmed(words, lo, width)
-        assert trims
-        dropped.append(_Counted.deleted[2 * wide + 1])
-        return trims
-
-    monkeypatch.setattr(oracles, "_trimmed", counting)
-    oracles.cylinder_scans(system, 3, budget, BLOCK_SCALE)
-    # a cylinder's wide words are all gone once its trims are handed out, so
-    # its wide and trimmed words are never all held together
-    assert dropped == list(itertools.accumulate(sizes))
+    for scan in (
+        lambda system: sensitivity_scan(system, 3, budget.K, budget),
+        lambda system: block_sensitivity_scan(system, 3, BLOCK_SCALE, budget.B, budget),
+    ):
+        tern = system_for("ternary-morse")
+        system = _CountedGroups(tern)
+        gc.collect()
+        scan(system)
+        # no word of cylinder k's group is alive when group k + 1 is built
+        assert len(system.held) == len(tern.language(2 * budget.L + 1)) + 1
+        assert system.held == [0] * len(system.held)
 
 
 class _WithoutBlockCounter:
@@ -868,12 +876,20 @@ class _WithoutBlockCounter:
         self.language = system.language
 
 
+def _verify_scans(system, budget):
+    """The two cylinder scans ``verify_system`` runs, at m_max 5."""
+    return (
+        sensitivity_scan(system, 5, budget.K, budget),
+        block_sensitivity_scan(system, 5, BLOCK_SCALE, budget.B, budget),
+    )
+
+
 @pytest.mark.parametrize("name", ["thue-morse", "toeplitz-doubling"])
 def test_cylinder_scans_build_no_table_of_a_scan_length(monkeypatch, name):
     system = system_for(name)
     budget = SearchBudget(N=64)
     # the whole-table grouping, counted by the segment kernel
-    expected = oracles.cylinder_scans(_WithoutBlockCounter(system), 5, budget, BLOCK_SCALE)
+    expected = _verify_scans(_WithoutBlockCounter(system), budget)
     radii = (budget.K, 0), (BLOCK_SCALE, budget.B)
     scan_lengths = {2 * oracles.scan_radius(budget, K, B) + 1 for K, B in radii}
     build = LanguageTable.build
@@ -883,27 +899,64 @@ def test_cylinder_scans_build_no_table_of_a_scan_length(monkeypatch, name):
         return build(self, n)
 
     monkeypatch.setattr(LanguageTable, "build", guarded)
-    assert oracles.cylinder_scans(system, 5, budget, BLOCK_SCALE) == expected
+    assert _verify_scans(system, budget) == expected
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "toeplitz-doubling"])
+def test_probes_build_no_table_of_a_scan_length(monkeypatch, name):
+    budget = SearchBudget(N=64)
+    K, m = 1, 2
+    # the point test's radius and the cover test's
+    scan_lengths = {2 * (budget.N + K) + 1, 2 * (budget.N + budget.B + K + 1) + 1}
+
+    def probes():
+        _indexed_extension_groups.cache_clear()  # so each run groups afresh
+        system = system_for(name)
+        W = max(budget.ladder)
+        x = CenteredWord(system.language(2 * W + 1)[0], -W)
+        return (
+            m_equicontinuity_point_test(system, x, m, K, budget),
+            cover_m_equicontinuity_test(system, x, m, K, budget),
+        )
+
+    expected = probes()
+    build = LanguageTable.build
+
+    def guarded(self, n):
+        assert n not in scan_lengths, f"built the length-{n} table"
+        return build(self, n)
+
+    monkeypatch.setattr(LanguageTable, "build", guarded)
+    assert probes() == expected
 
 
 def test_cylinder_scans_hold_far_less_than_the_whole_table():
-    # a fresh system, so no other test's memoised tables count; both peaks are
-    # traced allocations, so they are the same on every run
+    # a fresh system, so no other test's memoised tables count; every peak is
+    # a traced allocation, so it is the same on every run
     system = SubstitutionSystem("ternary-morse", Substitution(("012", "120", "201")))
     budget = SearchBudget(N=1024)
-    wide = oracles.scan_radius(budget, BLOCK_SCALE, budget.B)
+    scans = [
+        (budget.K, 0, lambda: sensitivity_scan(system, 5, budget.K, budget)),
+        (
+            BLOCK_SCALE,
+            budget.B,
+            lambda: block_sensitivity_scan(system, 5, BLOCK_SCALE, budget.B, budget),
+        ),
+    ]
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        oracles.cylinder_scans(system, 5, budget, BLOCK_SCALE)
-        scans = tracemalloc.get_traced_memory()[1] - before
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        _cylinders(system, budget.L, wide)
-        table = tracemalloc.get_traced_memory()[1] - before
+        for K, B, scan in scans:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            scan()
+            held = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _cylinders(system, budget.L, oracles.scan_radius(budget, K, B))
+            table = tracemalloc.get_traced_memory()[1] - before
+            assert held < table / 3, (K, B, held, table)
     finally:
         tracemalloc.stop()
-    assert scans < table / 3, (scans, table)
 
 
 def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):

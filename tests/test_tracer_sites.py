@@ -19,8 +19,6 @@ STALE = {
     "shiftrank.catalog:aperiodicity_check",
     "shiftrank.ranks:lift_state",
     "shiftrank.ranks:base_windows",
-    "shiftrank.verify:sensitivity_scan",
-    "shiftrank.verify:block_sensitivity_scan",
 }
 
 

@@ -129,8 +129,8 @@ def test_verify_wide_certificates_are_frozen():
     ids=["sensitivity-radius-wider", "block-radius-wider"],
 )
 def test_cells_match_the_public_scans_run_apart(budget, sensitivity_wider):
-    # verify_system reads one grouping for both scans; each scan run on its
-    # own builds its own
+    # verify_system grades the two public scans, whichever of their radii is
+    # the wider
     wider = scan_radius(budget, budget.K) > scan_radius(budget, BLOCK_SCALE, budget.B)
     assert wider is sensitivity_wider
     m_max = 4
@@ -150,9 +150,9 @@ def test_cells_match_the_public_scans_run_apart(budget, sensitivity_wider):
         assert [cell.verdict for cell in cells] == expected, name
 
 
-def test_verify_imports_only_the_joint_scan_entry_from_oracles():
-    # the scan radii, the shared extension table and the scan order live in
-    # oracles.cylinder_scans; verify grades what it returns
+def test_verify_imports_only_the_scan_drivers_from_oracles():
+    # the scan radii and the extension groups live in the two oracles
+    # drivers; verify grades what they return
     tree = ast.parse(Path(verify.__file__).read_text())
     imported = []
     for node in ast.walk(tree):
@@ -164,4 +164,9 @@ def test_verify_imports_only_the_joint_scan_entry_from_oracles():
                 imported += [name for name in names if name == "oracles"]
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if "oracles" in a.name.split(".")]
-    assert sorted(imported) == ["SearchBudget", "cylinder_scans", "sensitivity_report"]
+    assert sorted(imported) == [
+        "SearchBudget",
+        "block_sensitivity_scan",
+        "sensitivity_report",
+        "sensitivity_scan",
+    ]
