@@ -17,8 +17,12 @@ drops each group before the next is built.  A system that offers
 ``cylinders``, as every substitution and Toeplitz system does, builds each
 group only when a scan reaches it, so a scan holds its largest group, not the
 whole length-(2 R + 1) table; a factor system's groups come from that table,
-grouped by ``_cylinders``.  The point and cover probes read the same groups,
-kept whole in the bounded cache ``_indexed_extension_groups``.
+grouped by ``_cylinders``.  The point and cover probes read the same groups
+through the bounded cache ``_indexed_extension_groups``, whose entries hold
+no window: each is a text and, per central word, the sorted starts of its
+extensions in it, so the cache's bound of 8 entries bounds texts and starts.
+A probe cuts the windows of its first ladder stage out of the text when it
+reaches the stage, and drops them when it returns.
 
 The searches bound their tuples by distinct-block counts, which come from one
 of two counters.  The cylinder scans read the system's ``block_counter`` when
@@ -59,15 +63,22 @@ class ShiftSystem(Protocol):
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
     a scan-length table of a system without ``cylinders`` lives as long as
-    the grouping ``_cylinders`` builds from it: an entry of the bounded
-    ``_indexed_extension_groups``, or the cylinder list of one scan.
+    the grouping ``_cylinders`` builds from it: the cylinder list of one
+    scan, or, joined into one text, an entry of the bounded
+    ``_indexed_extension_groups``.
 
     A system may also offer ``cylinders(L, radius)``, which yields each
     radius-L cylinder word in language order with its radius-``radius``
     extensions, sorted, and builds each group only when it is reached
-    (``substitution.LanguageTable.cylinders``).  The cylinder scans and the
-    probes' cache read it instead of grouping the whole table; see
-    ``_cylinder_groups``.
+    (``substitution.LanguageTable.cylinders``).  The cylinder scans read it
+    instead of grouping the whole table; see ``_cylinder_groups``.
+
+    With it a system offers ``cylinder_starts(L, radius)``: a text, and per
+    cylinder word the starts in it of the same extensions, in the same
+    order (``substitution.LanguageTable.cylinder_starts``).  An entry of the
+    probes' cache is exactly that: the table's window text, tens of KB at
+    the default budget, and starts, with no window of the scan length, so
+    the cache's bound of 8 entries bounds texts and starts.
 
     And it may offer ``block_counter(central, width)``, a function that
     counts, for a length-``central`` word u and a displacement e, the
@@ -162,25 +173,43 @@ def _cylinder_groups(
     return (cylinders.pop() for _ in range(len(cylinders)))
 
 
-# A point or cover test reads one grouping per (system, radius), at the
-# first ladder radius, so the four exact-regime catalog systems at the point
-# and cover radii fill 8 entries.  A grouping holds every extension of its
-# radius, and no system keeps a table of that length, so the bound also
-# bounds the long tables the probes hold.  The groups come from
-# ``_cylinder_groups``, as the cylinder scans' do, but the scans never read
-# this cache: they drop each group before the next is built.
+# A point or cover test reads one entry per (system, radius), at the first
+# ladder radius, so the four exact-regime catalog systems at the point and
+# cover radii fill 8 entries.  An entry holds no window: it is a text and,
+# per central word, the starts of its extensions in that text, and
+# ``extensions`` cuts one group's windows when a test asks for it.  So the
+# bound of 8 bounds texts and starts.  For a substitution or Toeplitz system
+# the text is the table's window text (``LanguageTable.cylinder_starts``):
+# at the default budget an entry of a catalog system takes 35-190 KB, its
+# windows as strings 0.45-2.3 MB.  A factor system has no such text, so its
+# entry joins its ``_cylinders`` groups, with starts at strides of
+# 2 radius + 1.  The scans never read this cache: they drop each group
+# before the next is built.
 @functools.lru_cache(maxsize=8)
 def _indexed_extension_groups(
     system: ShiftSystem, radius: int, half: int
-) -> dict[str, tuple[str, ...]]:
-    """The radius-``radius`` windows grouped by their radius-``half`` central word."""
-    return dict(_cylinder_groups(system, half, radius))
+) -> tuple[str, dict[str, Sequence[int]]]:
+    """A text, and per radius-``half`` central word the starts of its radius-``radius`` windows.
+
+    The starts of a word are in window order, one per distinct window.
+    """
+    if hasattr(system, "cylinder_starts"):
+        return system.cylinder_starts(half, radius)
+    n = 2 * radius + 1
+    groups = _cylinders(system, half, radius)
+    starts, base = {}, 0
+    for u, exts in groups:
+        starts[u] = range(base, base + len(exts) * n, n)
+        base += len(exts) * n
+    return "".join(w for _, exts in groups for w in exts), starts
 
 
 def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
-    """Admissible radius-``radius`` windows whose central word is ``central``."""
+    """Admissible radius-``radius`` windows whose central word is ``central``, in language order."""
     _central_span(central, radius)  # raises on an even or too wide central word
-    return _indexed_extension_groups(system, radius, len(central) // 2).get(central, ())
+    text, starts = _indexed_extension_groups(system, radius, len(central) // 2)
+    n = 2 * radius + 1
+    return tuple(text[g : g + n] for g in starts.get(central, ()))
 
 
 def _ladder_extensions(
@@ -188,10 +217,12 @@ def _ladder_extensions(
 ) -> Iterator[tuple[int, str, tuple[str, ...]]]:
     """Each ladder radius W with x.central(W) and its ``extensions`` at ``radius``.
 
-    The ladder increases, and a window carrying x.central(W) carries the
-    central words of every smaller radius, so each stage after the first
-    filters the previous stage's extensions, in language order, instead of
-    the whole language table.
+    The first stage's windows are cut out of the cached text when the stage
+    is reached, and live as long as the caller iterates.  The ladder
+    increases, and a window carrying x.central(W) carries the central words
+    of every smaller radius, so each stage after the first filters the
+    previous stage's extensions, in language order, instead of the whole
+    language table.
     """
     exts = None
     for W in ladder:

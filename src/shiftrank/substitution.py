@@ -150,9 +150,9 @@ class LanguageTable:
     revisit lengths: ``seed_pairs`` and the digit-path census.  The protocol
     read ``SubstitutionSystem.language``, which the CLI's ``language``
     command uses, goes through ``build``, so such a table lives only as long
-    as the caller holds it.  The cylinder scans and the probes read
-    ``cylinders`` instead, which builds the words of one central word at a
-    time.
+    as the caller holds it.  The cylinder scans read ``cylinders`` instead,
+    which builds the words of one central word at a time, and the probes
+    read ``cylinder_starts``, which keeps only the text they are cut from.
 
     The regime gate reads one length, ``APERIODICITY_N_MAX + 1``, once:
     ``aperiodicity_check`` memoises it and counts every shorter complexity
@@ -288,28 +288,53 @@ class LanguageTable:
         text, runs = self._windows(n)
         return _cut(text, itertools.chain.from_iterable(runs), n)
 
-    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Each length-(2 L + 1) word, in order, with the length-(2 radius + 1) words centred on it.
+    def _central_index(self, L: int, radius: int) -> tuple[str, dict[str, list[int]]]:
+        """``_windows(2 radius + 1)``'s text, with the starts of each central word's windows.
 
-        Each group is the sorted tuple that grouping ``build(2 radius + 1)``
-        by central word gives, but only one group is built at a time.  The
-        windows are ``build``'s, and a window's central word is read at its
-        start before the window is cut, so the index holds only the starts
-        of each central word's windows.  A group's windows are cut,
-        deduplicated and sorted when its turn comes.
+        A window's length-(2 L + 1) central word is read at its start, so no
+        window is cut.  The central words come in language order; the starts
+        of one may repeat a window.
         """
         if not 0 <= L <= radius:
             raise ValueError(f"cylinder radius {L} outside [0, {radius}]")
-        n = 2 * radius + 1
-        text, runs = self._windows(n)
+        text, runs = self._windows(2 * radius + 1)
         starts = list(itertools.chain.from_iterable(runs))
         lo, k = radius - L, 2 * L + 1
         centres = [text[g + lo : g + lo + k] for g in starts]
         # a stable sort groups the starts by central word, in language order
         order = sorted(range(len(starts)), key=centres.__getitem__)
         groups = itertools.groupby(order, centres.__getitem__)
-        index = {u: list(map(starts.__getitem__, group)) for u, group in groups}
-        return ((u, _cut(text, index.pop(u), n)) for u in sorted(index))
+        return text, {u: list(map(starts.__getitem__, group)) for u, group in groups}
+
+    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Each length-(2 L + 1) word, in order, with the length-(2 radius + 1) words centred on it.
+
+        Each group is the sorted tuple that grouping ``build(2 radius + 1)``
+        by central word gives, but only one group is built at a time: the
+        index (``_central_index``) holds only starts, and a group's windows
+        are cut, deduplicated and sorted when its turn comes.
+
+        The probes' cache (``oracles._indexed_extension_groups``) keeps every
+        group of up to 8 (system, radius, half), so it reads
+        ``cylinder_starts`` instead: an entry holds the text the windows are
+        cut from and their starts, and no window, so its bound of 8 bounds
+        texts and starts.
+        """
+        n = 2 * radius + 1
+        text, index = self._central_index(L, radius)
+        return ((u, _cut(text, index.pop(u), n)) for u in list(index))
+
+    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
+        """``cylinders`` as a text and, per central word, the starts of its group's windows.
+
+        Cutting ``text[g : g + 2 radius + 1]`` at each start of a word gives
+        exactly its group in ``cylinders``: the starts are sorted by window
+        and keep one start per distinct window.  Each group's windows are
+        cut, to sort them, and dropped before the next group's.
+        """
+        n = 2 * radius + 1
+        text, index = self._central_index(L, radius)
+        return text, {u: _window_starts(text, starts, n) for u, starts in index.items()}
 
     def words(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted and memoised."""
@@ -326,6 +351,12 @@ class LanguageTable:
 def _cut(text: str, starts: Iterable[int], n: int) -> tuple[str, ...]:
     """The distinct length-n windows of ``text`` at ``starts``, sorted."""
     return tuple(sorted({text[g : g + n] for g in starts}))
+
+
+def _window_starts(text: str, starts: Iterable[int], n: int) -> tuple[int, ...]:
+    """One start per distinct length-n window of ``text`` at ``starts``, in window order."""
+    start_of = {text[g : g + n]: g for g in starts}
+    return tuple(map(start_of.__getitem__, sorted(start_of)))
 
 
 def _prefixes(words: tuple[str, ...], n: int) -> tuple[str, ...]:
@@ -714,6 +745,10 @@ class SubstitutionSystem:
         ``LanguageTable.cylinders``.
         """
         return self.substitution.table.cylinders(L, radius)
+
+    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
+        """The same groups as starts into one text; see ``LanguageTable.cylinder_starts``."""
+        return self.substitution.table.cylinder_starts(L, radius)
 
     def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
         """``BlockPairs(...).count`` for words of these lengths, or None below constant length 2.

@@ -224,6 +224,10 @@ class ToeplitzSystem:
         """``sigma``'s extension groups; see ``SubstitutionSystem.cylinders``."""
         return self.sigma.cylinders(L, radius)
 
+    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
+        """``sigma``'s extension groups as starts; see ``SubstitutionSystem.cylinder_starts``."""
+        return self.sigma.cylinder_starts(L, radius)
+
     def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
         """``sigma``'s block counter; see ``SubstitutionSystem.block_counter``."""
         return self.sigma.block_counter(central, width)

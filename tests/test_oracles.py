@@ -52,6 +52,7 @@ from shiftrank.words import CenteredWord, scale_of_difference, shift_window, shi
 TM_SYS = SubstitutionSystem("thue-morse", Substitution(("01", "10")))
 PD_SYS = SubstitutionSystem("period-doubling", Substitution(("01", "00")))
 ONE_SYS = SubstitutionSystem("trivial-1", Substitution(("00",)))
+TM_XOR = sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)})
 
 
 def seed_point(system, index, radius, shift=0):
@@ -731,6 +732,8 @@ def test_clique_search_expands_few_nodes_where_no_clique_exists():
             ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16)),
             CenteredWord(doubling_skeleton(16).prefix(4096)[1000 - 40 : 1000 + 41], -40),
         ),
+        # a factor system, whose cached groups are packed into one text
+        (TM_XOR, CenteredWord(TM_XOR.language(81)[7], -40)),
     ],
     ids=lambda v: getattr(v, "name", None),
 )
@@ -761,7 +764,7 @@ INDEX_SYSTEMS = [
     system_for("thue-morse"),
     system_for("ternary-morse"),
     ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16)),
-    sliding_block_factor(TM_SYS, {w: str(int(w[0]) ^ int(w[1])) for w in TM_SYS.language(2)}),
+    TM_XOR,
     _FiniteWordSystem("0001000110"),
 ]
 
@@ -928,6 +931,30 @@ def test_probes_build_no_table_of_a_scan_length(monkeypatch, name):
 
     monkeypatch.setattr(LanguageTable, "build", guarded)
     assert probes() == expected
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "ternary-morse"])
+def test_probe_cache_holds_no_window(name):
+    system, budget = system_for(name), SearchBudget()
+    half = budget.ladder[0]
+    # the point test's radius and the cover test's
+    for radius in (budget.N + budget.K, budget.N + budget.B + budget.K + 1):
+        n = 2 * radius + 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entry = _indexed_extension_groups.__wrapped__(system, radius, half)
+            held = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            groups = dict(oracles._cylinder_groups(system, half, radius))
+            strings = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < strings / 8, (radius, held, strings)
+        assert n not in _held_word_lengths(entry), radius
+        # the entry still gives every group
+        text, starts = entry
+        assert {u: tuple(text[g : g + n] for g in starts[u]) for u in starts} == groups
 
 
 def test_cylinder_scans_hold_far_less_than_the_whole_table():
