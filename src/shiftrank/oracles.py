@@ -29,7 +29,12 @@ of two counters.  The cylinder scans read the system's ``block_counter`` when
 it has one: for a constant-length substitution, and for a Toeplitz system
 through the substitution its skeleton repeats, that is the block-pair
 automaton ``substitution.BlockPairs``, which counts without reading an
-extension.
+extension and hands out, per displacement, one row of counts over every
+cylinder word.  Each scan builds one automaton.  The separation scan reads
+it in one pass over the shifts for all cylinders (``_rises``), and then
+reads each group only to cut its witnesses at the shifts where its count
+rose; the block scan reads a cylinder's column of the rows at each center
+its run scan asks for.
 Everything else is cut from the extensions by the segment kernel
 ``_SegmentBlocks``: the counts of the factor systems' cylinder scans, the
 run-blocks and cores of every run scan, and every block of the point and
@@ -80,11 +85,12 @@ class ShiftSystem(Protocol):
     the default budget, and starts, with no window of the scan length, so
     the cache's bound of 8 entries bounds texts and starts.
 
-    And it may offer ``block_counter(central, width)``, a function that
-    counts, for a length-``central`` word u and a displacement e, the
-    length-``width`` words occurring e after u (``substitution.BlockPairs``
-    for constant-length substitutions).  The cylinder scans read it instead
-    of their extensions' blocks; see ``_cylinder_counts``.
+    And it may offer ``block_counter(central, width)``, an object whose
+    ``words`` are the length-``central`` words, sorted, and whose ``row(e)``
+    counts, for each of them in that order, the length-``width`` words
+    occurring e after it (``substitution.BlockPairs`` for constant-length
+    substitutions).  The cylinder scans read it instead of their extensions'
+    blocks; see ``sensitivity_scan`` and ``block_sensitivity_scan``.
     """
 
     name: str
@@ -240,22 +246,9 @@ def scan_radius(budget: SearchBudget, K: int, B: int = 0) -> int:
     return budget.L + budget.N + B + K
 
 
-def _cylinder_counts(
-    system: ShiftSystem, L: int, width: int, radius: int
-) -> Callable[[str], Callable[[int], int]] | None:
-    """Per cylinder word u, the distinct width-``width`` blocks at each string offset.
-
-    The offsets are those of u's radius-``radius`` extensions, and the count
-    comes from the system's ``block_counter``: u sits at offset radius - L,
-    so the block at offset lo is displaced lo - (radius - L) from it.  None
-    when the system offers no counter, and the scan counts its extensions'
-    blocks with ``_SegmentBlocks``.
-    """
-    count = system.block_counter(2 * L + 1, width) if hasattr(system, "block_counter") else None
-    if count is None:
-        return None
-    origin = radius - L
-    return lambda u: lambda lo: count(u, lo - origin)
+def _block_counter(system: ShiftSystem, L: int, K: int):
+    """The system's ``block_counter`` for radius-L cylinder words and radius-K blocks, or None."""
+    return system.block_counter(2 * L + 1, 2 * K + 1) if hasattr(system, "block_counter") else None
 
 
 def _witness(
@@ -343,13 +336,7 @@ def _first_indices(blocks: Iterable[str], limit: int) -> dict[str, int]:
 
 
 def _separation_scan(
-    exts: Sequence[str],
-    radius: int,
-    K: int,
-    horizon: int,
-    m_cap: int,
-    count_at: Callable[[int], int] | None = None,
-    m_min: int = 1,
+    exts: Sequence[str], radius: int, K: int, horizon: int, m_cap: int, m_min: int = 1
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best number of pairwise-separated extensions at a single shift.
 
@@ -358,28 +345,78 @@ def _separation_scan(
     or m_min - 1 when no shift reaches m_min, and, for each tuple size from
     m_min up to the cap, the first witnessing shift with extension indices,
     in deterministic scan order.  The scan starts from the bound m_min - 1,
-    so it reads no block for a size below m_min.  ``count_at(lo)`` is the
-    number of distinct blocks at string offset lo, from the extensions
-    themselves unless given.
+    so it reads no block for a size below m_min.  The counts are the
+    extensions' own, by the segment kernel.
+    """
+    best = m_min - 1
+    rises = []
+    count_at = _SegmentBlocks(exts, 2 * K + 1).count
+    for g in shifts(horizon):
+        count = count_at(radius + g - K)
+        if count > best:
+            rises.append((g, count))
+            best = count
+            if best >= m_cap:
+                break
+    return best, _separation_witnesses(exts, radius, K, m_cap, m_min, rises)
+
+
+def _rises(
+    counter, shift: int, horizon: int, m_cap: int, m_min: int
+) -> dict[str, list[tuple[int, int]]]:
+    """Per cylinder word, each (g, count) where its separation scan's count rises.
+
+    One pass over ``shifts(horizon)`` for every cylinder word at once: the
+    counter's row at displacement g + ``shift`` holds each word's count at
+    shift g.  A word is done once its count reaches m_cap, and the pass
+    once every word is.  A row met before raises no count: when it was
+    first met, each word reached its count there or was already done, and
+    neither is undone.  So each word rises at the same shifts to the same
+    counts as in ``_separation_scan``.
+    """
+    words = counter.words
+    best = [m_min - 1] * len(words)
+    rises: list[list[tuple[int, int]]] = [[] for _ in words]
+    seen = set()
+    for g in shifts(horizon):
+        row = counter.row(g + shift)
+        if row in seen:
+            continue
+        seen.add(row)
+        for i, count in enumerate(row):
+            if best[i] < count and best[i] < m_cap:
+                best[i] = count
+                rises[i].append((g, count))
+        if min(best) >= m_cap:
+            break
+    return dict(zip(words, rises))
+
+
+def _separation_witnesses(
+    exts: Sequence[str],
+    radius: int,
+    K: int,
+    m_cap: int,
+    m_min: int,
+    rises: Iterable[tuple[int, int]],
+) -> dict[int, tuple[int, list[int]]]:
+    """The separation scan's witnesses, cut at each (g, count) of ``_rises``.
+
+    Each new size up to the count, capped, is witnessed at g by the first
+    extensions to show distinct radius-K blocks there.
     """
     best = m_min - 1
     witnesses: dict[int, tuple[int, list[int]]] = {}
     width = 2 * K + 1
-    if count_at is None:
-        count_at = _SegmentBlocks(exts, width).count
-    for g in shifts(horizon):
+    for g, count in rises:
         start = radius + g - K
-        count = count_at(start)
-        if count > best:
-            block_of = operator.itemgetter(slice(start, start + width))
-            top = min(count, m_cap)
-            first_indices = list(_first_indices(map(block_of, exts), top).values())
-            for m in range(best + 1, top + 1):
-                witnesses[m] = (g, sorted(first_indices[:m]))
-            best = count
-            if best >= m_cap:
-                break
-    return best, witnesses
+        block_of = operator.itemgetter(slice(start, start + width))
+        top = min(count, m_cap)
+        first_indices = list(_first_indices(map(block_of, exts), top).values())
+        for m in range(best + 1, top + 1):
+            witnesses[m] = (g, sorted(first_indices[:m]))
+        best = count
+    return witnesses
 
 
 def _require_scale(K: int) -> None:
@@ -393,18 +430,26 @@ def sensitivity_scan(
 ) -> dict[str, dict[int, dict]]:
     """Each cylinder's witness entries for tuple sizes m_min..m_cap, from the separation scan.
 
-    The cylinders' extensions are read one group at a time
+    A system with a ``block_counter`` is counted for every cylinder in one
+    pass over the shifts (``_rises``), and only then are its extensions
+    read, to cut each cylinder's witnesses at the shifts that pass found;
+    any other system's cylinders are scanned one by one
+    (``_separation_scan``).  The extensions are read one group at a time
     (``_cylinder_groups``), and each group is dropped before the next is
-    built.  Every cylinder shares one block counter, the system's
-    ``block_counter`` when it has one.
+    built.
     """
     _require_scale(K)
     radius = scan_radius(budget, K)
-    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
+    counter = _block_counter(system, budget.L, K)
+    # a cylinder word sits at offset radius - L, so shift g's block is displaced g + L - K
+    rises = None if counter is None else _rises(counter, budget.L - K, budget.N, m_cap, m_min)
+    del counter  # the automaton is dropped before any group is built
     scans = {}
     for u, exts in _cylinder_groups(system, budget.L, radius):
-        count_at = counts(u) if counts else None
-        _, raw = _separation_scan(exts, radius, K, budget.N, m_cap, count_at, m_min)
+        if rises is None:
+            raw = _separation_scan(exts, radius, K, budget.N, m_cap, m_min)[1]
+        else:
+            raw = _separation_witnesses(exts, radius, K, m_cap, m_min, rises[u])
         scans[u] = {m: _witness(u, exts, idxs, radius, g, K) for m, (g, idxs) in raw.items()}
         del exts
     return scans
@@ -636,17 +681,20 @@ def _run_scan(
     radius: int,
     K: int,
     centers: int,
-    starts: Iterable[int],
+    starts: tuple[range, range],
     m_cap: int,
     finder: _RunCliqueFinder,
     center_count: Callable[[int], int] | None = None,
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best clique of extensions pairwise separated at every shift of a run.
 
-    ``starts`` enumerates the first shift of each candidate run of
-    ``centers`` consecutive shifts; returns witnesses keyed by tuple size,
-    with the run start.  ``center_count(p)`` is the number of distinct
-    (2K+1)-blocks at string offset p, from the extensions unless given.
+    ``starts`` = (up, down) holds the first shifts of the candidate runs of
+    ``centers`` consecutive shifts: ``up`` counts up by one from the first
+    start and ``down`` down by one below it, taken in the order up[0],
+    up[1], down[0], up[2], down[1], ..., one side going on alone once the
+    other ends.  Returns witnesses keyed by tuple size, with the run start.
+    ``center_count(p)`` is the number of distinct (2K+1)-blocks at string
+    offset p, from the extensions unless given.
 
     Witnesses are made only for the sizes from the finder's floor m_min up,
     and the best size is exact only there: below m_min it reads as some
@@ -663,14 +711,14 @@ def _run_scan(
     solving its clique, changes no result.  An empty extension set has only
     the empty clique; otherwise every center shows at least one block, so no
     count rules a start out while ``best`` is 0, and none is read until the
-    first solved start has made ``best`` positive.  Each side of the first
-    start keeps a blocker, the center that ruled out that side's last skipped
-    start, which is tried first.  In the scans' orders, increasing and zigzag
-    (0, 1, -1, 2, ...), starts increase at or above the first start and
-    decrease below it, so a run's centers are searched from its leading end,
-    right to left above and left to right below: the center found stays inside
-    the most of that side's next runs, and one side's blocker never overwrites
-    the other's.  Which center rules a start out changes no skip.
+    first solved start has made ``best`` positive.  Each side keeps a
+    blocker, the center that ruled out that side's last skipped start.  A
+    side's starts move one way, so a run's centers are searched from its
+    leading end, right to left above and left to right below: the center
+    found lies in the most of that side's next runs.  ``best`` never falls,
+    so the side's cursor jumps past every run holding it; the other side's
+    blocker is checked at each start a cursor lands on.  Which center rules
+    a start out changes no skip.
 
     Each side also keeps a clean stretch: its last read run's trailing part
     from the leading end down to the blocker, if one was found, or the whole
@@ -700,15 +748,10 @@ def _run_scan(
     floor = finder.m_min - 1
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
-    if center_count is None:
-        center_count = _SegmentBlocks(exts, 2 * K + 1).count
-    counts: dict[int, int] = {}  # string offset -> distinct (2K+1)-blocks there
-
-    def count_at(p: int) -> int:
-        count = counts.get(p)
-        if count is None:
-            count = counts[p] = center_count(p)
-        return count
+    # string offset -> distinct (2K+1)-blocks there, each read once per call
+    count_at = functools.lru_cache(maxsize=None)(
+        center_count or _SegmentBlocks(exts, 2 * K + 1).count
+    )
 
     # Core step S, at least 1 for the one-center runs of B = 0.  A smaller
     # S makes longer cores, which rule out more starts, but each core serves
@@ -725,33 +768,42 @@ def _run_scan(
             size = core_sizes[k] = finder.best(tuple(sorted(cores.at(k * step))))[0]
         return size
 
-    first = None
-    above = below = -1  # the blockers of the starts at or above the first start, and below it
+    up, down = starts
+    offset = radius - K  # the string offset of run start 0
+    cursor = [0, 0]  # the next start of each side: up[cursor[0]], down[cursor[1]]
+    blocker = [-1, -1]
     # how far each side's clean stretch reaches toward its next runs: up to
-    # clean_above above the first start, down to clean_below below it
-    unclean = (-1, len(exts[0]))
-    clean_above, clean_below = unclean
-    for a in starts:
-        lo = radius + a - K
+    # clean[0] above the first start, down to clean[1] below it
+    unclean = [-1, len(exts[0])]
+    clean = unclean[:]
+    while True:
+        above, below = cursor
+        side = 0 if above < len(up) and (above <= below + 1 or below >= len(down)) else 1
+        if cursor[side] >= len(starts[side]):
+            break
+        a = starts[side][cursor[side]]
+        cursor[side] += 1
+        lo = offset + a
         hi = lo + centers - 1
         # center j of the run reads its radius-K blocks at string offset lo + j
-        if lo <= above <= hi or lo <= below <= hi:
+        if lo <= blocker[1 - side] <= hi:
             continue  # best never falls, so a center that ruled out a start still does
-        if first is None:
-            first = a
         if best:
-            if a >= first:
-                unread = range(hi, max(clean_above, lo - 1), -1)
-                clean_above = hi
+            if side == 0:
+                unread = range(hi, max(clean[0], lo - 1), -1)
+                clean[0] = hi
             else:
-                unread = range(lo, min(clean_below, hi + 1))
-                clean_below = lo
+                unread = range(lo, min(clean[1], hi + 1))
+                clean[1] = lo
             low = next((p for p in unread if count_at(p) <= best), None)
             if low is not None:
-                if a >= first:
-                    above = low
+                blocker[side] = low
+                # on to the side's first run without low: from offset low + 1
+                # above, ending at offset low - 1 below
+                if side == 0:
+                    cursor[0] = low + 1 - offset - up[0]
                 else:
-                    below = low
+                    cursor[1] = down[0] + offset + centers - low
                 continue
             if core_size(-(-lo // step)) <= best:
                 continue
@@ -765,7 +817,7 @@ def _run_scan(
                 for m in sizes:
                     witnesses[m] = (a, sorted(first_idx[blocks[v]] for v in members[:m]))
             best = size
-            clean_above, clean_below = unclean
+            clean = unclean[:]
             if best >= m_cap:
                 break
     return best, witnesses
@@ -776,9 +828,11 @@ def block_sensitivity_scan(
 ) -> dict[str, dict[int, dict]]:
     """Each cylinder's witness entries for sizes m_min..m_cap, separated across blocks [h-B, h+B].
 
-    The extensions are read, and the center counts come, as in
-    ``sensitivity_scan``; the run-blocks and cores are always cut from the
-    extensions.  Every cylinder shares one clique finder, floored at m_min.
+    The extensions are read one group at a time, as in ``sensitivity_scan``.
+    A cylinder's center counts come from its column of the system's
+    ``block_counter`` rows when it has one, and from its extensions
+    otherwise; the run-blocks and cores are always cut from the extensions.
+    Every cylinder shares one clique finder, floored at m_min.
     """
     _require_scale(K)
     if B < 0:
@@ -786,11 +840,17 @@ def block_sensitivity_scan(
     radius = scan_radius(budget, K, B)
     centers = 2 * B + 1
     finder = _RunCliqueFinder(K, m_cap, m_min)
-    counts = _cylinder_counts(system, budget.L, 2 * K + 1, radius)
+    counter = _block_counter(system, budget.L, K)
+    if counter is not None:
+        column = {u: j for j, u in enumerate(counter.words)}
+        row, origin = counter.row, radius - budget.L  # a cylinder word's string offset
+    # the run of shift h starts at h - B, for h = 0, 1, -1, 2, ... (see ``shifts``)
+    starts = (range(-B, budget.N - B + 1), range(-B - 1, -budget.N - B - 1, -1))
     scans = {}
     for u, exts in _cylinder_groups(system, budget.L, radius):
-        starts = (h - B for h in shifts(budget.N))
-        center_count = counts(u) if counts else None
+        center_count = None
+        if counter is not None:
+            center_count = lambda p, j=column[u]: row(p - origin)[j]
         _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
         scans[u] = {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
@@ -838,7 +898,7 @@ def cover_m_equicontinuity_test(
         f"cover {m}-equicontinuity at scale 2^-{K} with gap bound {2 * B + 1} near the given point"
     )
     falsifications = []
-    starts = range(-N, N - centers + 2)
+    starts = (range(-N, N - centers + 2), range(0))
     for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
         best, raw = _run_scan(exts, radius, K, centers, starts, m, finder)
         if best < m:

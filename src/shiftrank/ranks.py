@@ -131,7 +131,8 @@ def _census_rank(
     q = s.require_constant_length()
     if not s.regime.exact:
         raise RegimeError("census ranks require the exact regime")
-    small_depth, small_radius = max(1, depth_max - 1), max(q, radius_max // 2)
+    # the confirmation census is never wider than the estimate it confirms
+    small_depth, small_radius = max(1, depth_max - 1), min(radius_max, max(q, radius_max // 2))
     small_v, small_st = census_extreme(s, policy, small_depth, small_radius)
     big_v, big_st = census_extreme(s, policy, depth_max, radius_max)
     kind = (

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, _first_mismatch, shift_window, sym_char
@@ -370,7 +370,7 @@ def language(s: Substitution, n: int) -> tuple[str, ...]:
 
 
 class BlockPairs:
-    """How many length-``b`` words occur at each displacement from a length-``a`` word.
+    """How many length-``b`` words occur at each displacement from each length-``a`` word.
 
     T(e; a, b) is the set of pairs (x, y), |x| = a and |y| = b, such that
     some admissible word carries x at 0 and y at e.  For a primitive
@@ -384,20 +384,26 @@ class BlockPairs:
             for (x', y') in T(floor((r + e) / q); floor((r + a - 1) / q) + 1,
                               floor((r_y + b - 1) / q) + 1).
 
-    |e| and the lengths never grow down the recursion, and every branch
-    reaches |e| <= 1 and lengths <= 2, a span of at most 3.  So a node whose
-    span fits in ``base`` = 2 (a + b) is read directly off the length-``base``
-    table, with x and y at their offsets in each word.  The language is
-    factorial and extendable, so for a cylinder word u the number of y with
-    (u, y) in T(e; a, b) is exactly the number of distinct length-b blocks at
+    A node whose span, from min(0, e) to max(a, e + b), fits in ``base`` =
+    a + b is read directly off the length-``base`` table, with x and y at
+    their offsets in each word; the language is factorial and extendable, so
+    every pair of the node occurs in some word of that table.  Every other
+    node recurses, and the recursion ends: lengths never grow down it, for
+    |e| >= 2 each child displacement is smaller in absolute value, and a
+    node with |e| <= 1 spans at most max(a, b) + 1 <= a + b, so it is read
+    directly.  For a cylinder word u the number of y with (u, y) in
+    T(e; a, b) is exactly the number of distinct length-b blocks at
     displacement e among the extensions of u, however wide they are.
 
     A node is one int, bit x * |W_b| + y set for the pair of the x-th and y-th
     words of the sorted tables W_a and W_b, interned to a small id.  A node
     is keyed by the residue of e mod q, its lengths and its q children, and
     each child row's image is memoised, so once its children are known a
-    displacement costs a few dict lookups.  Everything lives as long as this
-    object, which is one scan call.
+    displacement costs a few dict lookups; a child already memoised is read
+    without a call.  ``row(e)`` hands out a top node's counts, one per word
+    of ``words``, as a tuple kept per node, so the displacements of one node
+    share one row.  Everything lives as long as this object, which is one
+    scan call.
     """
 
     def __init__(self, s: Substitution, a: int, b: int):
@@ -406,7 +412,7 @@ class BlockPairs:
             raise RegimeError("block pairs need a substitution of constant length at least 2")
         self._image = s.image
         self._a, self._b = a, b
-        self._base = 2 * (a + b)
+        self._base = a + b
         self._table = s.table.build(self._base)
         self._tables: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
         self._memo: dict[tuple[int, int], dict[int, int]] = {}  # (a, b) -> e -> node id
@@ -416,7 +422,13 @@ class BlockPairs:
         self._lifted: dict[tuple[int, ...], int] = {}
         self._cuts: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._rows: dict[tuple[int, int, int, int], int] = {}
+        self._plans: dict[tuple[int, int, int], list[tuple[int, int, int, dict]]] = {}
         self._counts: dict[int, tuple[int, ...]] = {}  # top node id -> y count per x
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The length-a words, sorted: the order of every ``row``."""
+        return self._words(self._a)[0]
 
     def _words(self, n: int) -> tuple[tuple[str, ...], dict[str, int]]:
         """The length-n words, sorted, with each word's index."""
@@ -458,11 +470,10 @@ class BlockPairs:
         return image
 
     def _node(self, e: int, a: int, b: int) -> int:
-        memo = self._memo.setdefault((a, b), {})
-        i = memo.get(e)
-        if i is not None:
-            return i
-        if max(a, e + b) - min(0, e) <= self._base:
+        """The id of T(e; a, b), which its caller has found unmemoised; memoised here."""
+        # the span max(a, e + b) - min(0, e) fits in base, solved for e: a and
+        # b never exceed base down the recursion
+        if a - self._base <= e <= self._base - b:
             x_ids, y_ids = self._words(a)[1], self._words(b)[1]
             nb = len(y_ids)
             ox, oy = max(0, -e), max(0, e)
@@ -471,17 +482,31 @@ class BlockPairs:
                 node |= 1 << (x_ids[w[ox : ox + a]] * nb + y_ids[w[oy : oy + b]])
             i = self._intern(node)
         else:
-            q = self._q
-            children = [e % q, a, b]
-            for r in range(q):
-                ey, ry = divmod(r + e, q)
-                children.append(self._node(ey, (r + a - 1) // q + 1, (ry + b - 1) // q + 1))
+            top, residue = divmod(e, self._q)
+            children = [residue, a, b]
+            plan = self._plans.get((residue, a, b)) or self._plan(residue, a, b)
+            for carry, a_pre, b_pre, memo in plan:
+                child = memo.get(top + carry)
+                children.append(self._node(top + carry, a_pre, b_pre) if child is None else child)
             key = tuple(children)
             i = self._lifted.get(key)
             if i is None:
                 i = self._lifted[key] = self._intern(self._lift(e, a, b, key[3:]))
-        memo[e] = i
+        self._memo[a, b][e] = i  # the top lengths' memo, or one a plan made
         return i
+
+    def _plan(self, residue: int, a: int, b: int) -> list[tuple[int, int, int, dict]]:
+        """Per cut r, child r's displacement less floor(e / q), its lengths and its memo.
+
+        They depend on e only through its residue mod q.
+        """
+        q, plan = self._q, []
+        for r in range(q):
+            carry, ry = divmod(residue + r, q)
+            lengths = ((r + a - 1) // q + 1, (ry + b - 1) // q + 1)
+            plan.append((carry, *lengths, self._memo.setdefault(lengths, {})))
+        self._plans[residue, a, b] = plan
+        return plan
 
     def _lift(self, e: int, a: int, b: int, children: tuple[int, ...]) -> int:
         q = self._q
@@ -501,8 +526,8 @@ class BlockPairs:
                     node |= self._row(row, b_pre, ry, b) << (cut[x] * nb)
         return node
 
-    def count(self, x: str, e: int) -> int:
-        """How many length-b words occur at displacement e from an occurrence of x."""
+    def row(self, e: int) -> tuple[int, ...]:
+        """Per word x of ``words``, how many length-b words occur at displacement e from x."""
         i = self._top.get(e)
         if i is None:
             i = self._node(e, self._a, self._b)
@@ -511,9 +536,9 @@ class BlockPairs:
             bits, nb = self._nodes[i], len(self._words(self._b)[0])
             full = (1 << nb) - 1
             counts = self._counts[i] = tuple(
-                ((bits >> (x * nb)) & full).bit_count() for x in range(len(self._words(self._a)[0]))
+                ((bits >> (x * nb)) & full).bit_count() for x in range(len(self.words))
             )
-        return counts[self._words(self._a)[1][x]]
+        return counts
 
 
 def expand(s: Substitution, w: CenteredWord, k: int, cut: int) -> CenteredWord:
@@ -750,15 +775,16 @@ class SubstitutionSystem:
         """The same groups as starts into one text; see ``LanguageTable.cylinder_starts``."""
         return self.substitution.table.cylinder_starts(L, radius)
 
-    def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
-        """``BlockPairs(...).count`` for words of these lengths, or None below constant length 2.
+    def block_counter(self, central: int, width: int) -> BlockPairs | None:
+        """``BlockPairs`` for words of these lengths, or None below constant length 2.
 
-        The scans read it in place of their extensions' blocks; see
-        ``oracles.sensitivity_scan``.
+        Its ``row(e)`` counts, for every length-``central`` word at once, the
+        length-``width`` words at displacement e.  The cylinder scans read it
+        in place of their extensions' blocks; see ``oracles.sensitivity_scan``.
         """
         if (self.substitution.constant_length or 0) < 2:
             return None
-        return BlockPairs(self.substitution, central, width).count
+        return BlockPairs(self.substitution, central, width)
 
     def seed_points(self) -> tuple[SeedPair, ...]:
         return seed_pairs(self.substitution)

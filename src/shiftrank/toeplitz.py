@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .ranks import (
     CENSUS_DEPTH,
@@ -28,7 +28,7 @@ from .ranks import (
     maximal_rank,
     minimal_rank,
 )
-from .substitution import RegimeError, Substitution, SubstitutionSystem
+from .substitution import BlockPairs, RegimeError, Substitution, SubstitutionSystem
 from .words import ALPHABET_CHARS
 
 
@@ -228,7 +228,7 @@ class ToeplitzSystem:
         """``sigma``'s extension groups as starts; see ``SubstitutionSystem.cylinder_starts``."""
         return self.sigma.cylinder_starts(L, radius)
 
-    def block_counter(self, central: int, width: int) -> Callable[[str, int], int] | None:
+    def block_counter(self, central: int, width: int) -> BlockPairs | None:
         """``sigma``'s block counter; see ``SubstitutionSystem.block_counter``."""
         return self.sigma.block_counter(central, width)
 

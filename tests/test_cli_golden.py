@@ -96,7 +96,7 @@ STDOUT_SHA256 = {
     ("ranks-toeplitz-rank-3", False): "338a923ad6a6296a0c6172532d9d725c48804a189134f4f5cc581a1545d3d284",
     ("ranks-toeplitz-rank-3", True): "5b1788b353756b87a91a71545d3c74291311921a77ae3adc35c70f943bb5eb09",
     ("ranks-toeplitz-rank-3-d3r16", False): "c1b3d5f59bd260a5ecafa090480009dd55dfd46cd71bf4a66056b5a48d538044",
-    ("ranks-toeplitz-rank-3-d3r16", True): "d5a492cc62d39564aa91719213161bac815467c9ce0f4cf7f925c2b66f794bf0",
+    ("ranks-toeplitz-rank-3-d3r16", True): "b2b82759e01b59b227ddf30b45107c76f17e77efefca384ad015b943da3b14a8",
 }
 
 # (system, --json) -> sha256 of the concatenated stdout of

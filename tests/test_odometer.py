@@ -243,7 +243,7 @@ def test_inadmissible_window_gives_empty_results():
 # -- block pairs ----------------------------------------------------------------
 
 # displacements of a block from a cylinder word: negative, overlapping the
-# word, and past the direct-table span 2 (a + b) of every width pair below
+# word, and past the direct-table span a + b of every width pair below
 DISPLACEMENTS = (-29, -17, -6, -3, -2, -1, 0, 1, 2, 4, 7, 11, 23, 31)
 
 
@@ -252,7 +252,7 @@ def _segment_counts(s, a, b):
 
     The count is the number of distinct length-b blocks at displacement e
     among the extensions of u, read by ``_SegmentBlocks``, the kernel the
-    probes and the Toeplitz scans count with.
+    probes count with.
     """
     radius = max(map(abs, DISPLACEMENTS)) + a + b
     origin = radius - a // 2  # where u starts in an extension
@@ -271,8 +271,9 @@ def test_block_pairs_match_segment_counts(a, b):
     ]
     for s in [*substitutions, *_small_primitive_systems()]:
         pairs = BlockPairs(s, a, b)
+        column = {u: j for j, u in enumerate(pairs.words)}
         for u, e, want in _segment_counts(s, a, b):
-            assert pairs.count(u, e) == want, (s.rules, u, e)
+            assert pairs.row(e)[column[u]] == want, (s.rules, u, e)
 
 
 def test_block_pairs_need_an_expanding_constant_length():

@@ -449,10 +449,39 @@ def _matches_above_floor(got, want, m_min):
     return (best == want_best if want_best >= m_min else best < m_min) and witnesses == above
 
 
+def _start_order(starts):
+    """The run starts that ``_run_scan``'s description (up, down) lists, in scan order.
+
+    up[0], up[1], down[0], up[2], down[1], ..., each side going on alone once
+    the other is used up.
+    """
+    up, down = starts
+    order = list(up[:1])
+    for pair in itertools.zip_longest(up[1:], down):
+        order += [a for a in pair if a is not None]
+    return order
+
+
+def _zigzag_starts(N, B):
+    """The block scan's start description: runs from h - B for h = 0, 1, -1, 2, ..."""
+    return range(-B, N - B + 1), range(-B - 1, -N - B - 1, -1)
+
+
+def _increasing_starts(N, centers):
+    """The cover test's start description: every run in the horizon, from the left."""
+    return range(-N, N - centers + 2), range(0)
+
+
+def test_start_descriptions_expand_to_the_scans_orders():
+    N, B = 7, 3
+    assert _start_order(_zigzag_starts(N, B)) == [h - B for h in shifts(N)]
+    assert _start_order(_increasing_starts(N, 2 * B + 2)) == list(range(-N, N - 2 * B))
+
+
 def _dict_run_scan(exts, radius, K, centers, starts, m_cap):
     """Reference: the first-index dict built at every run start, solved on the whole matrix."""
     best, witnesses, width = 0, {}, centers + 2 * K
-    for a in starts:
+    for a in _start_order(starts):
         lo = radius + a - K
         first_idx = {}
         for idx, w in enumerate(exts):
@@ -482,7 +511,7 @@ def test_scans_match_per_extension_loops(name):
     cover_K, cover_B = 2, 8
     cover_radius = N + cover_B + cover_K + 1
     cover_centers = 2 * cover_B + 2
-    cover_starts = range(-N, N - cover_centers + 2)
+    cover_starts = _increasing_starts(N, cover_centers)
     cover_finder = _RunCliqueFinder(cover_K, m_cap)
     # floored as verify's block scan and as a single-m test at m = 4
     floored = [(m_min, _RunCliqueFinder(K, m_cap, m_min)) for m_min in (2, 4)]
@@ -495,7 +524,7 @@ def test_scans_match_per_extension_loops(name):
             got = _separation_scan(exts, sep_radius, K, N, m_cap, m_min=m_min)
             assert _matches_above_floor(got, want, m_min)
         exts = extensions(system, u, run_radius)
-        starts = [h - B for h in shifts(N)]
+        starts = _zigzag_starts(N, B)
         want = _dict_run_scan(exts, run_radius, K, centers, starts, m_cap)
         assert _run_scan(exts, run_radius, K, centers, starts, m_cap, finder) == want
         for m_min, floor_finder in floored:
@@ -567,10 +596,10 @@ def test_run_scan_matches_reference_with_warm_finder():
         m_min = min(m_min, m_cap)
         if cover_style:  # increasing starts over runs of 2B+2 centers
             centers, radius = 2 * B + 2, N + B + K + 1
-            starts = list(range(-N, N - centers + 2))
+            starts = _increasing_starts(N, centers)
         else:  # zigzag starts over runs of 2B+1 centers, as the block scan
             centers, radius = 2 * B + 1, 1 + N + B + K
-            starts = [h - B for h in shifts(N)]
+            starts = _zigzag_starts(N, B)
         # shared: later sets meet a warm cache
         finder = _FullRunCounter(K, m_cap, centers)
         blind = _FullRunCounter(K, m_cap, centers, blind=True)
@@ -613,25 +642,25 @@ def test_zigzag_block_scan_keeps_one_blocker_per_side(monkeypatch):
     segment_reads = []
     reads = []
     at = _SegmentBlocks.at
-    count = BlockPairs.count
+    row = BlockPairs.row
 
     def counting_at(self, lo):
         if self._width == 2 * K + 1:
             segment_reads.append(lo)
         return at(self, lo)
 
-    def counting_count(self, x, e):
+    def counting_row(self, e):
         reads.append(e)
-        return count(self, x, e)
+        return row(self, e)
 
     monkeypatch.setattr(_SegmentBlocks, "at", counting_at)
-    monkeypatch.setattr(BlockPairs, "count", counting_count)
+    monkeypatch.setattr(BlockPairs, "row", counting_row)
     block_sensitivity_scan(system_for("ternary-morse"), 5, K, budget.B, budget)
-    # a substitution's center counts come from its block pairs, not its
-    # extensions; one blocker shared by both sides of the zigzag made 14,022
-    # center reads
+    # a substitution's center counts come from its block pairs' rows, one
+    # row read per center, not from its extensions; one blocker shared by
+    # both sides of the zigzag made 14,022 center reads
     assert segment_reads == []
-    assert len(reads) <= 3500
+    assert 0 < len(reads) <= 3500
 
 
 def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
@@ -683,10 +712,10 @@ def test_run_scan_matches_reference_on_empty_extension_sets(cover_style):
     K, B, N, m_cap = 2, 3, 20, 4
     if cover_style:
         centers, radius = 2 * B + 2, N + B + K + 1
-        starts = list(range(-N, N - centers + 2))
+        starts = _increasing_starts(N, centers)
     else:
         centers, radius = 2 * B + 1, 1 + N + B + K
-        starts = [h - B for h in shifts(N)]
+        starts = _zigzag_starts(N, B)
     want = _dict_run_scan((), radius, K, centers, starts, m_cap)
     assert want == (0, {})
     finder = _RunCliqueFinder(K, m_cap)
@@ -998,6 +1027,7 @@ def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):
     budget = SearchBudget(N=32)
     # a Toeplitz system is counted through the substitution its skeleton repeats
     toeplitz = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16))
+    witnessed = 0  # cylinders with a witness at m_min = m_cap
     for system in (TM_SYS, system_for("ternary-morse"), toeplitz):
         scans = sensitivity_scan(system, 3, budget.K, budget)
         block_scans = block_sensitivity_scan(system, 3, 1, 2, budget)
@@ -1006,10 +1036,21 @@ def test_scans_count_a_substitution_by_block_pairs_and_drop_them(monkeypatch):
         assert [ref() for ref in built] == [None, None]  # nothing outlives the scan
         built.clear()
         # the same witnesses as the segment kernel, which a system without a
-        # block counter is counted by
+        # block counter is counted by, cylinder by cylinder; at m_min =
+        # m_cap too, where the one pass over the shifts starts from m_cap - 1
         plain = _WithoutBlockCounter(system)
         assert sensitivity_scan(plain, 3, budget.K, budget) == scans
         assert block_sensitivity_scan(plain, 3, 1, 2, budget) == block_scans
+        for m in (3, 5):
+            for scan in (
+                lambda target: sensitivity_scan(target, m, budget.K, budget, m_min=m),
+                lambda target: block_sensitivity_scan(target, m, 1, 2, budget, m_min=m),
+            ):
+                top = scan(system)
+                assert top == scan(plain)
+                witnessed += sum(map(bool, top.values()))
+        built.clear()
+    assert witnessed > 0
 
 
 def test_oracles_import_nothing_from_the_system_modules():

@@ -80,6 +80,18 @@ def test_census_records_the_confirmation_run_it_made(census):
     assert est.evidence["confirmation"]["radius"] == 3
 
 
+@pytest.mark.parametrize("census", [minimal_rank, maximal_rank])
+def test_confirmation_census_is_no_wider_than_the_estimate(census):
+    # toeplitz-rank-3 repeats a substitution of length q = 27, above the
+    # radius 16, where the radius max(q, radius_max // 2) confirmed a
+    # radius-16 estimate at radius 27
+    s = system_for("toeplitz-rank-3").sigma.substitution
+    assert s.constant_length == 27
+    est = census(s, depth_max=3, radius_max=16)
+    assert est.evidence["confirmation"]["branch_depth"] == 2
+    assert est.evidence["confirmation"]["radius"] == 16
+
+
 def test_period_doubling_census_ranks():
     # derived once by the census and frozen: smallest fiber 1, largest 2
     assert minimal_rank(PD).value == 1

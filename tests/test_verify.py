@@ -2,11 +2,13 @@
 
 import ast
 import hashlib
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from shiftrank import catalog, verify
+from shiftrank import catalog, oracles, verify
 from shiftrank.certificates import certificate_json
 from shiftrank.oracles import (
     SearchBudget,
@@ -15,6 +17,7 @@ from shiftrank.oracles import (
     sensitivity_report,
     sensitivity_scan,
 )
+from shiftrank.substitution import BlockPairs
 from shiftrank.verdicts import exhausted, witnessed
 from shiftrank.verify import (
     BLOCK_SCALE,
@@ -148,6 +151,48 @@ def test_cells_match_the_public_scans_run_apart(budget, sensitivity_wider):
             )
         cells = verify_system(system, m_max, budget).cells
         assert [cell.verdict for cell in cells] == expected, name
+
+
+def test_verify_scans_pay_once_per_displacement(monkeypatch):
+    # verify_system on the verify = yes systems at N=512, m_max 5, as the
+    # verify-wide benchmark runs it.  When the scans read the block-pair
+    # automaton one (cylinder, shift) at a time, it ran _node 60,740 times,
+    # and the run scan visited 74,010 starts, 63,518 of them only to reject
+    # a start that a blocker had already ruled out.  Reading each
+    # displacement's row once, and jumping each side's cursor past its
+    # blocker, makes 21,678 and 10,746.
+    node_calls = 0
+    node = BlockPairs._node
+
+    def counted(self, *args):
+        nonlocal node_calls
+        node_calls += 1
+        return node(self, *args)
+
+    monkeypatch.setattr(BlockPairs, "_node", counted)
+    # a start is examined where the run scan takes it off a side's cursor
+    source, first = inspect.getsourcelines(oracles._run_scan)
+    take = next(first + k for k, line in enumerate(source) if "a = starts[side]" in line)
+    starts = 0
+
+    def in_run_scan(frame, event, arg):
+        nonlocal starts
+        starts += event == "line" and frame.f_lineno == take
+        return in_run_scan
+
+    def tracer(frame, event, arg):
+        return in_run_scan if frame.f_code is oracles._run_scan.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for name in catalog.names():
+            if catalog.get(name).verify:
+                verify_system(catalog.system_for(name), 5, SearchBudget(N=512))
+    finally:
+        sys.settrace(previous)
+    assert 0 < node_calls <= 22000
+    assert 0 < starts <= 11000
 
 
 def test_verify_imports_only_the_scan_drivers_from_oracles():
