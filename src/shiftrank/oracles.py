@@ -43,6 +43,23 @@ own central width and their scans exit early, so an automaton per stage
 costs more than it saves: one per stage made the probe-replay benchmark 3.4
 times slower.
 
+Probes of one system at many points meet the same ladder words again, so
+they share a second bounded cache, ``_probe_memo``: per system, for up to 8
+systems, a dict of what their scans found, in ints and short words only.
+Under the key (u, K) it holds, per ladder word u, the number of distinct
+(2K+1)-blocks among u's extensions at each block center, as one byte per
+center (``_center_counts``).  That number does not depend on the window
+radius: the language is factorial and extendable, so the radius-R windows
+carrying u, cut down to a smaller radius, are exactly the smaller radius's
+windows carrying u, and a center inside both windows shows the same blocks
+in both.  So the point test (radius N + K) and the cover test (radius N + B
++ K + 1) read and fill the same counts.  Under the key (u, radius, K, run
+length, m_cap, m_min) it holds each core's clique size and each solved
+run's clique, as its size, member blocks and number of distinct run-blocks
+(``_run_scan``).  Each call still cuts its witnesses from its own
+extensions, so a warm memo changes no verdict or certificate.  The cylinder
+scans pass a fresh memo per cylinder.
+
 The block and cover tests ask for cliques of run-blocks pairwise separated
 at every center of a run (``_run_scan``).  Their finder builds all the
 separation rows of a block set at once, as bit masks from one grouping of
@@ -210,6 +227,16 @@ def _indexed_extension_groups(
     return "".join(w for _, exts in groups for w in exts), starts
 
 
+# The probes' memo grows with the ladder words probed, not with the calls:
+# after the 128 jobs of a seed-1 probe-replay round the four systems' memos
+# held about 395 KB (tracemalloc): 229 count arrays of about 530 bytes, and
+# the cores and 330 solved runs of 264 cover stages.
+@functools.lru_cache(maxsize=8)
+def _probe_memo(system: ShiftSystem) -> dict:
+    """The point and cover tests' memo of ``system``, empty at first; see the module docstring."""
+    return {}
+
+
 def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
     """Admissible radius-``radius`` windows whose central word is ``central``, in language order."""
     _central_span(central, radius)  # raises on an even or too wide central word
@@ -324,6 +351,54 @@ class _SegmentBlocks:
         return len(self.at(lo))
 
 
+def _read_through(
+    table: bytearray, origin: int, compute: Callable[[int], int]
+) -> Callable[[int], int]:
+    """``compute``, memoised in ``table``: byte i - origin holds compute(i) + 1 once known, else 0.
+
+    A value above 254 does not fit a byte, so it is computed at every read.
+    """
+
+    def read(i: int) -> int:
+        known = table[i - origin]
+        if known:
+            return known - 1
+        value = compute(i)
+        if value < 255:
+            table[i - origin] = value + 1
+        return value
+
+    return read
+
+
+def _center_counts(
+    memo: dict,
+    word: str,
+    exts: Sequence[str],
+    radius: int,
+    K: int,
+    count: Callable[[int], int] | None = None,
+) -> Callable[[int], int]:
+    """The number of distinct (2K+1)-blocks of ``exts`` at a string offset, read through ``memo``.
+
+    ``memo[word, K]`` holds the counts by block center: the block at offset
+    p of a radius-``radius`` window is centered at coordinate p + K -
+    radius, and byte c + H of the array, H = its length // 2, is for center
+    c.  The array reaches at least the window's centers, radius - K each
+    side, and grows both ways when a wider window asks.  ``count(p)``
+    counts at offset p, from ``exts`` by the segment kernel unless given.
+    """
+    half = radius - K
+    counts = memo.get((word, K))
+    if counts is None:
+        counts = memo[word, K] = bytearray(2 * half + 1)
+    elif len(counts) < 2 * half + 1:
+        pad = bytearray(half - len(counts) // 2)
+        counts = memo[word, K] = pad + counts + pad
+    count = count or _SegmentBlocks(exts, 2 * K + 1).count
+    return _read_through(counts, half - len(counts) // 2, count)
+
+
 def _first_indices(blocks: Iterable[str], limit: int) -> dict[str, int]:
     """The first ``limit`` distinct blocks with their first indices; reads no block past them."""
     first: dict[str, int] = {}
@@ -336,7 +411,14 @@ def _first_indices(blocks: Iterable[str], limit: int) -> dict[str, int]:
 
 
 def _separation_scan(
-    exts: Sequence[str], radius: int, K: int, horizon: int, m_cap: int, m_min: int = 1
+    exts: Sequence[str],
+    radius: int,
+    K: int,
+    horizon: int,
+    m_cap: int,
+    m_min: int = 1,
+    memo: dict | None = None,
+    word: str = "",
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best number of pairwise-separated extensions at a single shift.
 
@@ -346,11 +428,13 @@ def _separation_scan(
     m_min up to the cap, the first witnessing shift with extension indices,
     in deterministic scan order.  The scan starts from the bound m_min - 1,
     so it reads no block for a size below m_min.  The counts are the
-    extensions' own, by the segment kernel.
+    extensions' own, by the segment kernel, read through ``memo``'s counts
+    of the ladder word ``word`` (``_center_counts``); the witnesses are cut
+    from ``exts`` on every call.
     """
     best = m_min - 1
     rises = []
-    count_at = _SegmentBlocks(exts, 2 * K + 1).count
+    count_at = _center_counts({} if memo is None else memo, word, exts, radius, K)
     for g in shifts(horizon):
         count = count_at(radius + g - K)
         if count > best:
@@ -544,9 +628,10 @@ def m_equicontinuity_point_test(
     _require_scale(K)
     radius = budget.N + K
     claim = f"failure of {m}-equicontinuity at scale 2^-{K} near the given point"
+    memo = _probe_memo(system)
     stages = []
     for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
-        best, raw = _separation_scan(exts, radius, K, budget.N, m, m_min=m)
+        best, raw = _separation_scan(exts, radius, K, budget.N, m, m, memo, central)
         if best < m:
             return exhausted(claim, verdict_class="consistent-up-to", clean_delta_radius=W)
         g, idxs = raw[m]
@@ -684,6 +769,8 @@ def _run_scan(
     starts: tuple[range, range],
     m_cap: int,
     finder: _RunCliqueFinder,
+    memo: dict | None = None,
+    word: str = "",
     center_count: Callable[[int], int] | None = None,
 ) -> tuple[int, dict[int, tuple[int, list[int]]]]:
     """Best clique of extensions pairwise separated at every shift of a run.
@@ -695,6 +782,13 @@ def _run_scan(
     other ends.  Returns witnesses keyed by tuple size, with the run start.
     ``center_count(p)`` is the number of distinct (2K+1)-blocks at string
     offset p, from the extensions unless given.
+
+    The scan reads and fills ``memo`` (see the module docstring): the
+    center counts of the ladder word ``word``, and, per word, radius, K, run
+    length and finder cap and floor, each core's clique size and each solved
+    run's size, member blocks and number of distinct run-blocks, which is
+    all that cutting its witnesses from ``exts`` needs.  These are facts of
+    the word's extensions, so a memo filled by other calls changes no result.
 
     Witnesses are made only for the sizes from the finder's floor m_min up,
     and the best size is exact only there: below m_min it reads as some
@@ -738,20 +832,18 @@ def _run_scan(
     [lo, lo + S - 1] and so ends by lo + C - 1.  Once ``best`` is positive,
     a start whose core has no clique larger than ``best`` is skipped before
     its run-blocks are built.  S consecutive start offsets share a core; each
-    core is solved once per call by the same finder, whose clique cache
-    takes blocks of either width.
+    core is solved once per memo, by the finder, whose clique cache takes
+    blocks of either width.
     """
     best = 0
     witnesses: dict[int, tuple[int, list[int]]] = {}
     if not exts:
         return best, witnesses
+    memo = {} if memo is None else memo
     floor = finder.m_min - 1
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
-    # string offset -> distinct (2K+1)-blocks there, each read once per call
-    count_at = functools.lru_cache(maxsize=None)(
-        center_count or _SegmentBlocks(exts, 2 * K + 1).count
-    )
+    count_at = _center_counts(memo, word, exts, radius, K, center_count)
 
     # Core step S, at least 1 for the one-center runs of B = 0.  A smaller
     # S makes longer cores, which rule out more starts, but each core serves
@@ -760,13 +852,14 @@ def _run_scan(
     # 2,243 without cores.
     step = max(1, centers // 3)
     cores = _SegmentBlocks(exts, centers - step + 1 + 2 * K)
-    core_sizes: dict[int, int] = {}  # core index -> its largest clique (capped)
-
-    def core_size(k: int) -> int:
-        size = core_sizes.get(k)
-        if size is None:
-            size = core_sizes[k] = finder.best(tuple(sorted(cores.at(k * step))))[0]
-        return size
+    # core index -> its largest clique (capped), run offset -> its solved clique
+    core_sizes, runs = memo.setdefault(
+        (word, radius, K, centers, finder.m_cap, finder.m_min),
+        (bytearray(len(exts[0]) // step + 1), {}),
+    )
+    core_size = _read_through(
+        core_sizes, 0, lambda k: finder.best(tuple(sorted(cores.at(k * step))))[0]
+    )
 
     up, down = starts
     offset = radius - K  # the string offset of run start 0
@@ -807,15 +900,19 @@ def _run_scan(
                 continue
             if core_size(-(-lo // step)) <= best:
                 continue
-        blocks = tuple(sorted(distinct.at(lo)))
-        size, members = finder.best(blocks)
+        solved = runs.get(lo)
+        if solved is None:
+            blocks = tuple(sorted(distinct.at(lo)))
+            size, members = finder.best(blocks)
+            solved = runs[lo] = (size, tuple(blocks[v] for v in members), len(blocks))
+        size, members, block_count = solved
         if size > best:
             sizes = range(max(best, floor) + 1, min(size, m_cap) + 1)
             if sizes:
                 block_of = operator.itemgetter(slice(lo, lo + width))
-                first_idx = _first_indices(map(block_of, exts), len(blocks))
+                first_idx = _first_indices(map(block_of, exts), block_count)
                 for m in sizes:
-                    witnesses[m] = (a, sorted(first_idx[blocks[v]] for v in members[:m]))
+                    witnesses[m] = (a, sorted(first_idx[b] for b in members[:m]))
             best = size
             clean = unclean[:]
             if best >= m_cap:
@@ -832,7 +929,8 @@ def block_sensitivity_scan(
     A cylinder's center counts come from its column of the system's
     ``block_counter`` rows when it has one, and from its extensions
     otherwise; the run-blocks and cores are always cut from the extensions.
-    Every cylinder shares one clique finder, floored at m_min.
+    Every cylinder shares one clique finder, floored at m_min, and has a
+    fresh memo, which keeps each count it reads for the rest of its run scan.
     """
     _require_scale(K)
     if B < 0:
@@ -851,7 +949,7 @@ def block_sensitivity_scan(
         center_count = None
         if counter is not None:
             center_count = lambda p, j=column[u]: row(p - origin)[j]
-        _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, center_count)
+        _, raw = _run_scan(exts, radius, K, centers, starts, m_cap, finder, {}, u, center_count)
         scans[u] = {
             m: _witness(u, exts, idxs, radius, a + B, K, block_half=B)
             for m, (a, idxs) in raw.items()
@@ -894,13 +992,14 @@ def cover_m_equicontinuity_test(
         )
     radius = N + B + K + 1
     finder = _RunCliqueFinder(K, m, m_min=m)
+    memo = _probe_memo(system)
     claim = (
         f"cover {m}-equicontinuity at scale 2^-{K} with gap bound {2 * B + 1} near the given point"
     )
     falsifications = []
     starts = (range(-N, N - centers + 2), range(0))
     for W, central, exts in _ladder_extensions(system, x, budget.ladder, radius):
-        best, raw = _run_scan(exts, radius, K, centers, starts, m, finder)
+        best, raw = _run_scan(exts, radius, K, centers, starts, m, finder, memo, central)
         if best < m:
             payload = {
                 **_certificate_header("cover-witness", system, m, K, budget),

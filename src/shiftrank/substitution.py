@@ -26,6 +26,14 @@ class RegimeError(ValueError):
     """An operation was applied outside its validity regime."""
 
 
+class ComplexityError(RuntimeError):
+    """A language table has fewer words of some length than of a shorter one.
+
+    The complexity p(n) of a subshift never decreases, since each word
+    extends to the right, so a smaller table has lost words.
+    """
+
+
 @dataclass(frozen=True)
 class Substitution:
     """Per-symbol rewriting rules; ``rules[i]`` is the image of symbol i."""
@@ -337,9 +345,21 @@ class LanguageTable:
         return text, {u: _window_starts(text, starts, n) for u, starts in index.items()}
 
     def words(self, n: int) -> tuple[str, ...]:
-        """All admissible words of length n, sorted and memoised."""
+        """All admissible words of length n, sorted and memoised.
+
+        A new table is checked against the sizes of every memoised one:
+        p(m) <= p(n) for m < n, and p(n) <= p(m) for m > n.
+        """
         if n not in self._cache:
-            self._cache[n] = self.build(n)
+            table = self.build(n)
+            for m, words in self._cache.items():
+                shorter, longer = (words, table) if m < n else (table, words)
+                if len(shorter) > len(longer):
+                    raise ComplexityError(
+                        f"the length-{n} table has {len(table)} words and the"
+                        f" length-{m} table {len(words)}: p(n) must not decrease"
+                    )
+            self._cache[n] = table
         return self._cache[n]
 
     def admits(self, word: str) -> bool:

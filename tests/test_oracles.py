@@ -4,6 +4,7 @@ import ast
 import collections
 import gc
 import hashlib
+import importlib.util
 import itertools
 import json
 import operator
@@ -24,6 +25,7 @@ from shiftrank.oracles import (
     _cylinders,
     _indexed_extension_groups,
     _ladder_extensions,
+    _probe_memo,
     _RunCliqueFinder,
     _SegmentBlocks,
     _run_scan,
@@ -629,6 +631,7 @@ def test_run_scan_skips_starts_the_center_counts_rule_out(monkeypatch):
     monkeypatch.setattr(_RunCliqueFinder, "best", counting_best)
     budget = SearchBudget()
     x = seed_point(TM_SYS, 0, max(budget.ladder))
+    _probe_memo.cache_clear()  # a cold scan: a warm one solves no clique
     assert cover_m_equicontinuity_test(TM_SYS, x, 3, budget.K, budget).witnessed
     assert len(solved) < 498 // 10  # one clique solve per start made 498
     solved.clear()
@@ -676,6 +679,7 @@ def test_run_scan_skips_starts_a_core_rules_out(monkeypatch):
 
     monkeypatch.setattr(_RunCliqueFinder, "best", counting_best)
     x = seed_point(TM_SYS, 0, max(budget.ladder))
+    _probe_memo.cache_clear()  # a cold scan: a warm one solves no clique
     assert cover_m_equicontinuity_test(TM_SYS, x, 5, budget.K, budget).witnessed
     # the per-center counts alone left 149 starts to solve over the whole run
     assert len(solved) <= 5
@@ -738,6 +742,7 @@ def test_clique_search_expands_few_nodes_where_no_clique_exists():
         if event == "call" and code.co_name == "grow" and code.co_filename == oracles.__file__:
             nodes += 1
 
+    _probe_memo.cache_clear()  # a cold scan: a warm one expands no node
     sys.setprofile(count_grow)
     try:
         verdict = cover_m_equicontinuity_test(system, x, 5, budget.K, budget)
@@ -984,6 +989,173 @@ def test_probe_cache_holds_no_window(name):
         # the entry still gives every group
         text, starts = entry
         assert {u: tuple(text[g : g + n] for g in starts[u]) for u in starts} == groups
+
+
+EXACT_PROBE_SYSTEMS = ("thue-morse", "period-doubling", "ternary-morse", "keane-morse-011")
+PROBE_RADIUS = 270  # the window radius of acceptance criterion 8 at the default budget
+
+
+def _probe_point(system, radius, g):
+    """The seed point of ``system`` shifted by g, as a radius-``radius`` window.
+
+    A factor system's point is the image of its source's seed point.
+    """
+    if hasattr(system, "point_window"):
+        return seed_point(system, 0, radius, shift=g)
+    source = seed_point(system.source, 0, radius + 1, shift=g)
+    return CenteredWord(system.apply(source.symbols)[1:], -radius)
+
+
+def _probe_outcome(system, x, m, budget, test):
+    """A probe's status, annotations and canonical certificate JSON."""
+    v = test(system, x, m, budget.K, budget)
+    return v.status, v.annotations, v.certificate and certificate_json(v.certificate)
+
+
+def test_cold_and_warm_probes_agree():
+    # every memo is one system's, so each system's calls run in each order in
+    # turn; the second budget reads the same ladder words at other radii, so
+    # the shared runs also grow the count arrays that the first budget filled
+    budgets = (SearchBudget(), SearchBudget(N=64))
+    tests = (m_equicontinuity_point_test, cover_m_equicontinuity_test)
+    for system in (*map(system_for, EXACT_PROBE_SYSTEMS), TM_XOR):
+        jobs = [
+            (budget, m, g, test)
+            for budget in budgets
+            for m in (2, 3, 4, 5)
+            for g in (0, 1, -1, 64, -64)
+            for test in tests
+        ]
+        points = {g: _probe_point(system, PROBE_RADIUS, g) for _, _, g, _ in jobs}
+
+        def run(job):
+            budget, m, g, test = job
+            return _probe_outcome(system, points[g], m, budget, test)
+
+        cold = {}
+        for job in jobs:
+            _probe_memo.cache_clear()
+            cold[job] = run(job)
+        _probe_memo.cache_clear()
+        assert {job: run(job) for job in jobs} == cold, system.name
+        _probe_memo.cache_clear()
+        assert {job: run(job) for job in reversed(jobs)} == cold, system.name
+
+
+def test_probes_pay_each_count_and_clique_once(monkeypatch):
+    calls = collections.Counter()
+    count, rows = _SegmentBlocks.count, _RunCliqueFinder._rows
+
+    def counted_count(self, lo):
+        calls["count"] += 1
+        return count(self, lo)
+
+    def counted_rows(self, blocks):
+        calls["rows"] += 1
+        return rows(self, blocks)
+
+    monkeypatch.setattr(_SegmentBlocks, "count", counted_count)
+    monkeypatch.setattr(_RunCliqueFinder, "_rows", counted_rows)
+    system, budget = system_for("thue-morse"), SearchBudget()
+    points = [seed_point(system, 0, PROBE_RADIUS, shift=g) for g in range(-64, 65)]
+    _probe_memo.cache_clear()
+    passes = []
+    for _ in range(2):
+        calls.clear()
+        for x in points:
+            m_equicontinuity_point_test(system, x, 5, budget.K, budget)
+            cover_m_equicontinuity_test(system, x, 5, budget.K, budget)
+        passes.append(dict(calls))
+    # without the memo every pass made 113,310 count reads and 1,376
+    # clique-row builds; now the first makes 10,386 and 66
+    assert 0 < passes[0]["count"] <= 12000 and 0 < passes[0]["rows"] <= 80
+    assert passes[1] == {}
+
+    # a cover test after a point test at the same point counts only centers
+    # the point test left unread
+    x = seed_point(system, 0, PROBE_RADIUS, shift=5)
+
+    def filled():
+        return {
+            (key, c - len(counts) // 2)
+            for key, counts in _probe_memo(system).items()
+            if len(key) == 2
+            for c, byte in enumerate(counts)
+            if byte
+        }
+
+    _probe_memo.cache_clear()
+    calls.clear()
+    cover_m_equicontinuity_test(system, x, 5, budget.K, budget)
+    cold = calls["count"]
+    _probe_memo.cache_clear()
+    m_equicontinuity_point_test(system, x, 5, budget.K, budget)
+    by_point = filled()
+    calls.clear()
+    cover_m_equicontinuity_test(system, x, 5, budget.K, budget)
+    assert calls["count"] == len(filled() - by_point) < cold
+
+
+def test_read_through_recomputes_what_a_byte_cannot_hold():
+    reads = []
+
+    def compute(i):
+        reads.append(i)
+        return 250 + i
+
+    table = bytearray(10)
+    read = oracles._read_through(table, 3, compute)
+    # 253 fits a byte as 254; 258 does not, so it is computed at every read
+    assert [read(i) for i in (3, 8, 3, 8)] == [253, 258, 253, 258]
+    assert reads == [3, 8, 8]
+    assert table[0] == 254 and table[5] == 0
+
+
+def _load_perfbench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_memo_holds_short_words_in_little_memory():
+    probes = _load_perfbench_workloads().WORKLOADS["probe-replay"]
+    jobs = probes.inputs(1)
+    budget = SearchBudget()
+    tracemalloc.start()
+    try:
+        _probe_memo.cache_clear()
+        for job in jobs:
+            probes.run(job)
+        memos = [_probe_memo(system) for system in {system for system, _, _ in jobs}]
+        # keys and values hold ladder words and run-blocks, no window
+        widest = 2 * budget.B + 2 * budget.K + 2
+        assert max(max(_held_word_lengths(memo)) for memo in memos) <= widest
+        del memos
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _probe_memo.cache_clear()
+        gc.collect()
+        held = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 600_000, held
+
+    # a wider budget grows the arrays the default one filled
+    system, m, wide = system_for("thue-morse"), 3, SearchBudget(N=1024)
+    x = seed_point(system, 0, max(wide.ladder), shift=7)
+    tests = (m_equicontinuity_point_test, cover_m_equicontinuity_test)
+    warm = [_probe_outcome(system, x, m, budget, test) for test in tests]
+    warm += [_probe_outcome(system, x, m, wide, test) for test in tests]
+    assert max(map(len, _probe_memo(system).values())) >= 2 * wide.N + 1
+    cold = []
+    for b in (budget, wide):
+        for test in tests:
+            _probe_memo.cache_clear()
+            cold.append(_probe_outcome(system, x, m, b, test))
+    assert warm == cold
 
 
 def test_cylinder_scans_hold_far_less_than_the_whole_table():

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from shiftrank import catalog, oracles, ranks, substitution
 from shiftrank.substitution import (
     APERIODICITY_N_MAX,
+    ComplexityError,
     LanguageTable,
     RegimeError,
     Substitution,
@@ -578,6 +579,29 @@ def test_memoized_language_table_shared():
     assert s.table.words(9) is s.table.words(9)
     # an equal substitution owns a table of its own
     assert Substitution(("01", "10")).table is not s.table
+
+
+@pytest.mark.parametrize("rules", [("01", "01"), ("00",)], ids=["period-2", "one-letter"])
+def test_a_table_that_loses_a_word_is_refused(monkeypatch, rules):
+    # (01)^Z has p(n) = 2 and the constant word p(n) = 1 at every length,
+    # so a length-4 table that loses one word is smaller than the length-3
+    # table memoised before it
+    table = Substitution(rules).table
+    shorter = table.words(3)
+    windows = LanguageTable._windows
+
+    def losing(self, n):
+        text, runs = windows(self, n)
+        words = sorted({text[g : g + n] for g in itertools.chain.from_iterable(runs)})[1:]
+        return "".join(words), [range(0, n * len(words), n)]
+
+    monkeypatch.setattr(LanguageTable, "_windows", losing)
+    assert len(table.build(4)) == len(shorter) - 1
+    with pytest.raises(ComplexityError, match="length-4 table has"):
+        table.words(4)
+    assert 4 not in table._cache  # the short table is not memoised
+    # a length derived from a memoised longer one reads no windows
+    assert table.words(2) == tuple(dict.fromkeys(w[:2] for w in shorter))
 
 
 def test_dropped_substitution_frees_its_table():
