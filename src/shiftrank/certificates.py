@@ -132,7 +132,9 @@ def _replay_scale_matrix(
     """Each off-diagonal entry is the pair's first difference at shift g.
 
     The matrix must be m x m, m = len(windows), with a null diagonal; a
-    matrix of another shape fails without its entries being compared.
+    matrix of another shape fails without its entries being compared.  The
+    first difference is symmetric, so each pair's is computed once and both
+    of its entries are checked against it.
     """
     m = len(windows)
     shape = [len(row) for row in matrix]
@@ -142,12 +144,15 @@ def _replay_scale_matrix(
     diagonal = [matrix[i][i] for i in range(m)]
     ledger.check(diagonal == [None] * m, "scale matrix diagonal {} is not null", diagonal)
     shifted = _shifted(windows, g, ledger, "scale matrix")
+    held = [i for i, w in enumerate(shifted) if w is not None]
+    scales = {}
+    for i, j in combinations(held, 2):
+        scales[i, j] = scales[j, i] = scale_of_difference(shifted[i], shifted[j])
+    reason = "scale matrix mismatch at ({},{}): {} != {}"
     for i, row in enumerate(matrix):
         for j, claimed in enumerate(row):
-            if i != j and shifted[i] is not None and shifted[j] is not None:
-                got = scale_of_difference(shifted[i], shifted[j])
-                reason = "scale matrix mismatch at ({},{}): {} != {}"
-                ledger.check(got == claimed, reason, i, j, got, claimed)
+            if (i, j) in scales:
+                ledger.check(scales[i, j] == claimed, reason, i, j, scales[i, j], claimed)
 
 
 def _replay_ladder(doc: dict, point: str, ledger: _Ledger) -> None:

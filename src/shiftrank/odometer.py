@@ -23,6 +23,18 @@ values, depend on the key alone; a state's count is the number of distinct
 values, which the first-occurrence indices keep.  Two states with one key
 therefore give equal counts along every continuation, so every plateau and
 ``stabilized`` flag of the walk is the one the windows themselves give.
+
+A leaf's continuation repeats a digit pattern, so it walks the graph's
+(node, pattern phase) states, and where it first plateaus is a fact of the
+state it starts from.  A state that, with its next ``PLATEAU`` successors
+along the pattern, shares one count plateaus ``PLATEAU`` steps on; any other
+state first plateaus one step past its successor.  ``census_extreme``
+settles each state by this rule once per call, so leaves whose
+continuations meet share the rest of the walk.  Settling ends: counts never
+increase along an edge, so the states of a cycle share one count and each
+of them starts a plateau, and every walk over finitely many states reaches
+a cycle.  ``fiber_census`` follows its residue with ``follow_path`` over
+``PathState`` windows, the reference the tests hold the graph to.
 """
 
 from __future__ import annotations
@@ -135,22 +147,36 @@ def proximal_pair(s: Substitution, a: str, b: str) -> bool:
 
 
 def _lift(
-    s: Substitution, q: int, m_lo: int, m_hi: int, digit: int, targets: Mapping[str, object]
+    s: Substitution,
+    q: int,
+    m_lo: int,
+    m_hi: int,
+    digit: int,
+    targets: Mapping[str, object],
+    cuts: dict[tuple[int, int, int], list[str]] | None = None,
 ) -> tuple[int, int, dict[str, object]]:
     """De-substitute blocks m_lo..m_hi one level along ``digit``.
 
     Returns the span new_lo..new_hi of the level-up blocks and maps every
     admissible word v over that span whose image, read over m_lo..m_hi, is a
-    key of ``targets`` to that key's value.
+    key of ``targets`` to that key's value.  The image slices depend only on
+    the span's length and the slice's offset and end, so ``cuts``, when
+    given, keeps each such geometry's slices, in word order, for later lifts.
     """
     new_lo = (m_lo + digit) // q
     new_hi = (m_hi + digit) // q
     # block m of the old span is symbol m + digit - q * new_lo of image(v)
     off = m_lo + digit - q * new_lo
     end = off + m_hi - m_lo + 1
+    n = new_hi - new_lo + 1
+    words = s.table.words(n)
+    cuts = {} if cuts is None else cuts
+    slices = cuts.get((n, off, end))
+    if slices is None:
+        slices = cuts[n, off, end] = [s.image(v)[off:end] for v in words]
     keep = {}
-    for v in s.table.words(new_hi - new_lo + 1):
-        value = targets.get(s.image(v)[off:end])
+    for v, cut in zip(words, slices):
+        value = targets.get(cut)
         if value is not None:
             keep[v] = value
     return new_lo, new_hi, keep
@@ -289,10 +315,14 @@ def census_graph(s: Substitution, radius: int) -> CensusGraph:
 
     States are keyed as the module docstring describes.  Survivors come out
     of ``_lift`` in the language table's sorted order, so a key needs no
-    sort.  The graph keeps only ints:
-    the keys and survivors are dropped once every state has its successors.
+    sort.  The lifts share one dict of image slices, so each word's slice
+    for a geometry is cut once per graph.  The root's are not kept: it is
+    the only state over its span, whose slices are the longest, so no other
+    lift reads them.  The graph keeps only ints: the keys, survivors and
+    slices are dropped once every state has its successors.
     """
     q = s.require_constant_length()
+    cuts: dict[tuple[int, int, int], list[str]] = {}
     ids: dict[tuple, int] = {}
     states: list[tuple[int, int, dict[str, int]]] = []  # m_lo, m_hi, survivor -> index
     counts: list[int] = []
@@ -314,8 +344,9 @@ def census_graph(s: Substitution, radius: int) -> CensusGraph:
     while len(successors) < len(states):  # interning appends the states still to lift
         m_lo, m_hi, indices = states[len(successors)]
         row = []
+        memo = cuts if successors else None  # no other state lifts over the root's span
         for d in range(q):
-            new_lo, new_hi, keep = _lift(s, q, m_lo, m_hi, d, indices)
+            new_lo, new_hi, keep = _lift(s, q, m_lo, m_hi, d, indices, memo)
             if not keep:
                 raise FiberInvariantError(
                     f"no survivors along digit {d}; the odometer map is onto, "
@@ -333,6 +364,54 @@ def _continuations(q: int, prefix: tuple[int, ...], policy: str) -> list[tuple[i
     return pats
 
 
+LEAF_LEVELS = 18  # how far a census leaf follows its pattern before it gives up on a plateau
+
+
+def _starts_plateau(graph: CensusGraph, node: int, pattern: tuple[int, ...], phase: int) -> bool:
+    """Whether (node, phase) and its next ``PLATEAU`` successors along ``pattern`` share a count."""
+    count = graph.counts[node]
+    for i in range(phase, phase + PLATEAU):
+        node = graph.successors[node][pattern[i % len(pattern)]]
+        if graph.counts[node] != count:
+            return False
+    return True
+
+
+def _leaf_census(
+    graph: CensusGraph,
+    settled: dict[tuple[int, tuple[int, ...], int], tuple[int, int]],
+    leaf: int,
+    pattern: tuple[int, ...],
+) -> tuple[int, bool]:
+    """``follow_path(graph.step, graph.count, leaf, (), pattern, LEAF_LEVELS)``'s count and flag.
+
+    ``settled`` maps each (node, pattern, phase) state already met to its
+    number of steps to the first plateau and the plateau's count.  Walks
+    from the leaf's state to the first state that is settled or starts a
+    plateau, then settles the states it passed, each one step further than
+    its successor.
+    """
+    path = []
+    node, phase = leaf, 0
+    while (known := settled.get((node, pattern, phase))) is None:
+        if _starts_plateau(graph, node, pattern, phase):
+            known = settled[node, pattern, phase] = (PLATEAU, graph.counts[node])
+            break
+        path.append((node, phase))
+        node = graph.successors[node][pattern[phase]]
+        phase = (phase + 1) % len(pattern)
+    steps, count = known
+    for node, phase in reversed(path):
+        steps += 1
+        settled[node, pattern, phase] = (steps, count)
+    if steps <= LEAF_LEVELS:
+        return count, True
+    node = leaf
+    for i in range(LEAF_LEVELS):
+        node = graph.successors[node][pattern[i % len(pattern)]]
+    return graph.counts[node], False
+
+
 def census_extreme(
     s: Substitution, policy: str, branch_depth: int, radius: int
 ) -> tuple[int, bool]:
@@ -344,40 +423,39 @@ def census_extreme(
     reach generic points.  Counts only decrease along a path, so for the
     maximum a subtree whose current count cannot beat the best is pruned.
     Returns the extreme count and whether some path reaching it stabilized.
+
+    Each leaf reads the count and ``stabilized`` flag that ``follow_path``
+    gives its continuation from the (node, pattern phase) states settled so
+    far in the call (``_leaf_census``), so each state is settled once per
+    call.  Settling ends because counts never increase along an edge: the
+    states of a cycle share one count, and each starts a plateau.
     """
     if policy not in ("min", "max"):
         raise ValueError(f'census policy must be "min" or "max", got {policy!r}')
     q = s.require_constant_length()
     graph = census_graph(s, radius)
+    settled: dict[tuple[int, tuple[int, ...], int], tuple[int, int]] = {}
     best: int | None = None
     all_stable = True
-
-    def consider(census: PathCensus) -> None:
-        nonlocal best, all_stable
-        if best is None:
-            best = census.count
-            all_stable = census.stabilized
-        else:
-            better = census.count > best if policy == "max" else census.count < best
-            if better:
-                best = census.count
-                all_stable = census.stabilized
-            elif census.count == best:
-                all_stable = all_stable or census.stabilized
-
-    def walk(node: int, prefix: tuple[int, ...]) -> None:
+    # depth first, lower digits first; a recursive closure would be a
+    # reference cycle, which keeps the graph and the memo alive until the
+    # next cyclic collection
+    stack = [(0, ())]
+    while stack:
+        node, prefix = stack.pop()
         if policy == "max" and best is not None and graph.count(node) <= best:
-            return
+            continue
         if policy == "min" and best == 1:
-            return
-        if len(prefix) >= branch_depth:
-            for pattern in _continuations(q, prefix, policy):
-                consider(follow_path(graph.step, graph.count, node, (), pattern, 18))
-            return
-        for d in range(q):
-            walk(graph.step(node, d), prefix + (d,))
-
-    walk(0, ())
+            break
+        if len(prefix) < branch_depth:
+            stack.extend((graph.step(node, d), prefix + (d,)) for d in reversed(range(q)))
+            continue
+        for pattern in _continuations(q, prefix, policy):
+            count, stabilized = _leaf_census(graph, settled, node, pattern)
+            if best is None or (count > best if policy == "max" else count < best):
+                best, all_stable = count, stabilized
+            elif count == best:
+                all_stable = all_stable or stabilized
     assert best is not None
     return best, all_stable
 

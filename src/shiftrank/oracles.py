@@ -45,7 +45,8 @@ times slower.
 
 Probes of one system at many points meet the same ladder words again, so
 they share a second bounded cache, ``_probe_memo``: per system, for up to 8
-systems, a dict of what their scans found, in ints and short words only.
+systems, a dict of what their scans found, in ints and short words only,
+emptied whenever it would pass ``_PROBE_MEMO_ENTRIES`` entries.
 Under the key (u, K) it holds, per ladder word u, the number of distinct
 (2K+1)-blocks among u's extensions at each block center, as one byte per
 center (``_center_counts``).  That number does not depend on the window
@@ -230,11 +231,30 @@ def _indexed_extension_groups(
 # The probes' memo grows with the ladder words probed, not with the calls:
 # after the 128 jobs of a seed-1 probe-replay round the four systems' memos
 # held about 395 KB (tracemalloc): 229 count arrays of about 530 bytes, and
-# the cores and 330 solved runs of 264 cover stages.
+# the cores and 330 solved runs of 264 cover stages.  A system's memo held
+# at most 157 entries then, and at most 633 after all 2,064 probe-replay
+# jobs; one that would pass _PROBE_MEMO_ENTRIES is emptied first.
+_PROBE_MEMO_ENTRIES = 2048
+
+
 @functools.lru_cache(maxsize=8)
 def _probe_memo(system: ShiftSystem) -> dict:
     """The point and cover tests' memo of ``system``, empty at first; see the module docstring."""
     return {}
+
+
+def _memo_entry(memo: dict, key: tuple, make: Callable[[], object]) -> object:
+    """``memo[key]``, made by ``make`` when absent; a full memo is emptied before it grows.
+
+    A scan holds the entries it reads, so emptying the memo under it only
+    makes later calls recompute them.
+    """
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= _PROBE_MEMO_ENTRIES:
+            memo.clear()
+        value = memo[key] = make()
+    return value
 
 
 def extensions(system: ShiftSystem, central: str, radius: int) -> tuple[str, ...]:
@@ -389,10 +409,8 @@ def _center_counts(
     counts at offset p, from ``exts`` by the segment kernel unless given.
     """
     half = radius - K
-    counts = memo.get((word, K))
-    if counts is None:
-        counts = memo[word, K] = bytearray(2 * half + 1)
-    elif len(counts) < 2 * half + 1:
+    counts = _memo_entry(memo, (word, K), lambda: bytearray(2 * half + 1))
+    if len(counts) < 2 * half + 1:
         pad = bytearray(half - len(counts) // 2)
         counts = memo[word, K] = pad + counts + pad
     count = count or _SegmentBlocks(exts, 2 * K + 1).count
@@ -853,9 +871,10 @@ def _run_scan(
     step = max(1, centers // 3)
     cores = _SegmentBlocks(exts, centers - step + 1 + 2 * K)
     # core index -> its largest clique (capped), run offset -> its solved clique
-    core_sizes, runs = memo.setdefault(
+    core_sizes, runs = _memo_entry(
+        memo,
         (word, radius, K, centers, finder.m_cap, finder.m_min),
-        (bytearray(len(exts[0]) // step + 1), {}),
+        lambda: (bytearray(len(exts[0]) // step + 1), {}),
     )
     core_size = _read_through(
         core_sizes, 0, lambda k: finder.best(tuple(sorted(cores.at(k * step))))[0]

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from shiftrank import certificates
 from shiftrank.certificates import (
     _REPLAYERS,
     _separated_at,
@@ -118,6 +119,22 @@ def test_negative_scale_exponent_fails_replay(make):
     result = replay(cert)
     assert not result.ok
     assert "negative scale exponent K=-1" in result.failures[0]
+
+
+@TUPLE_CERTIFICATES
+def test_replay_computes_each_pairs_first_difference_once(make, monkeypatch):
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return scale_of_difference(a, b)
+
+    monkeypatch.setattr(certificates, "scale_of_difference", counted)
+    cert = roundtrip(make())
+    assert replay(cert).ok
+    entries = cert.get("stages") or cert["cylinders"]
+    assert calls == sum(len(e["windows"]) * (len(e["windows"]) - 1) // 2 for e in entries) > 0
 
 
 def test_every_kind_requires_a_non_negative_scale_exponent():

@@ -1,5 +1,7 @@
 """Odometer factor: columns, pair classes, de-substitution, residues, fiber censuses."""
 
+import collections
+import gc
 import itertools
 
 import pytest
@@ -7,15 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from shiftrank import catalog, odometer, ranks
 from shiftrank.odometer import (
+    LEAF_LEVELS,
     PLATEAU,
+    CensusGraph,
     OdometerResidue,
     _continuations,
+    _leaf_census,
     _lift,
     base_windows,
     census_extreme,
     census_graph,
     column_number,
     fiber_census,
+    follow_path,
     initial_state,
     lift_state,
     proximal_pair,
@@ -574,6 +580,36 @@ def test_census_graph_lifts_each_state_once(monkeypatch):
     assert calls <= 4000
 
 
+@pytest.mark.parametrize("name", EXACT_CATALOG)
+def test_census_graph_cuts_each_slice_once_and_keeps_none_of_the_roots(name, monkeypatch):
+    s, radius = catalog.system_for(name).substitution, 64
+    census_graph.cache_clear()
+    census_graph(s, radius)  # builds the language table's words, which read images too
+    census_graph.cache_clear()
+    images, geometries, memos = 0, set(), []
+    lift, image = odometer._lift, type(s).image
+
+    def counted_image(self, word):
+        nonlocal images
+        images += 1
+        return image(self, word)
+
+    def recorded(s, q, m_lo, m_hi, digit, targets, cuts=None):
+        n = (m_hi + digit) // q - (m_lo + digit) // q + 1
+        off = (m_lo + digit) % q
+        geometries.add((n, off, off + m_hi - m_lo + 1))
+        memos.append(cuts)
+        return lift(s, q, m_lo, m_hi, digit, targets, cuts)
+
+    monkeypatch.setattr(type(s), "image", counted_image)
+    monkeypatch.setattr(odometer, "_lift", recorded)
+    census_graph(s, radius)
+    assert images == sum(len(s.table.words(n)) for n, _, _ in geometries)
+    kept = [memo for memo in memos if memo is not None]
+    assert len(memos) - len(kept) == s.constant_length  # the root's lifts
+    assert all(end - off < 2 * radius + 1 for n, off, end in kept[0])
+
+
 def test_census_graph_cache_is_bounded_and_holds_ints():
     assert census_graph.cache_info().maxsize == 2
     graph = census_graph(TM, 16)
@@ -581,3 +617,110 @@ def test_census_graph_cache_is_bounded_and_holds_ints():
     assert all(type(c) is int for c in graph.counts)
     nodes = range(len(graph.counts))
     assert all(type(n) is int and n in nodes for row in graph.successors for n in row)
+
+
+def _branch_patterns(q):
+    """Every pattern ``_continuations`` returns for either policy at branch depths 2 to 4."""
+    return {
+        pattern
+        for depth in (2, 3, 4)
+        for prefix in itertools.product(range(q), repeat=depth)
+        for policy in ("min", "max")
+        for pattern in _continuations(q, prefix, policy)
+    }
+
+
+def _leaves_match_follow_path(s, radius):
+    graph = census_graph(s, radius)
+    settled = {}
+    for pattern in sorted(_branch_patterns(s.constant_length)):
+        for node in range(len(graph.counts)):
+            path = follow_path(graph.step, graph.count, node, (), pattern, LEAF_LEVELS)
+            if _leaf_census(graph, settled, node, pattern) != (path.count, path.stabilized):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("radius", [16, 64])
+@pytest.mark.parametrize("name", EXACT_CATALOG)
+def test_settled_leaves_match_follow_path_on_catalog(name, radius):
+    assert _leaves_match_follow_path(catalog.system_for(name).substitution, radius)
+
+
+def test_settled_leaves_match_follow_path_on_criterion_5_sample():
+    for s in catalog.random_exact_substitutions(200):
+        assert _leaves_match_follow_path(s, 16), s.rules
+
+
+def test_settled_leaves_match_follow_path_past_the_leaf_levels():
+    # counts fall by one per step for 25 steps, then hold on a self-loop, so
+    # a leaf near the top first plateaus past LEAF_LEVELS
+    graph = CensusGraph(
+        tuple(26 - n for n in range(26)), tuple((min(n + 1, 25),) * 2 for n in range(26))
+    )
+    settled = {}
+    outcomes = set()
+    for pattern in ((0,), (1,), (1, 0)):
+        for node in range(26):
+            path = follow_path(graph.step, graph.count, node, (), pattern, LEAF_LEVELS)
+            outcome = _leaf_census(graph, settled, node, pattern)
+            assert outcome == (path.count, path.stabilized), (pattern, node)
+            outcomes.add(outcome)
+    # node 0 stops 18 steps on, unstabilized; node 10 plateaus at step 18
+    assert (8, False) in outcomes and (1, True) in outcomes
+
+
+def test_census_walk_settles_each_state_once(monkeypatch):
+    # the min and max rank reports of the rank-sweep benchmark's 40 systems,
+    # confirmation radius included; following every leaf's continuation
+    # made 2,780 follow_path calls here
+    calls = collections.Counter()
+    seen = set()
+    lift, starts_plateau, extreme = odometer._lift, odometer._starts_plateau, census_extreme
+
+    def counted_lift(*args):
+        calls["lift"] += 1
+        return lift(*args)
+
+    def counted_follow(*args):
+        calls["follow_path"] += 1
+        return follow_path(*args)
+
+    def recorded(graph, node, pattern, phase):
+        calls["settled"] += 1
+        calls["settled twice"] += (node, pattern, phase) in seen
+        seen.add((node, pattern, phase))
+        return starts_plateau(graph, node, pattern, phase)
+
+    def one_call(*args):
+        seen.clear()
+        return extreme(*args)
+
+    monkeypatch.setattr(odometer, "_lift", counted_lift)
+    monkeypatch.setattr(odometer, "follow_path", counted_follow)
+    monkeypatch.setattr(odometer, "_starts_plateau", recorded)
+    monkeypatch.setattr(ranks, "census_extreme", one_call)
+    census_graph.cache_clear()
+    for s in catalog.random_exact_substitutions(40):
+        ranks.minimal_rank(s, 3, 16)
+        ranks.maximal_rank(s, 3, 16)
+    assert calls["follow_path"] == calls["settled twice"] == 0
+    assert (calls["lift"], calls["settled"]) == (3295, 4062)
+
+
+def _settled_state(key):
+    """Whether ``key`` looks like a (node, pattern, phase) state of the census walk."""
+    return type(key) is tuple and [type(k) for k in key] == [int, tuple, int]
+
+
+def test_census_walk_frees_its_memo_on_return():
+    # a recursive closure for the walk would be a reference cycle, which
+    # holds every settled state until the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        census_extreme(TM, "max", 3, 16)
+        held = [o for o in gc.get_objects() if type(o) is dict and any(map(_settled_state, o))]
+    finally:
+        gc.enable()
+    assert held == []

@@ -1096,6 +1096,29 @@ def test_probes_pay_each_count_and_clique_once(monkeypatch):
     assert calls["count"] == len(filled() - by_point) < cold
 
 
+def test_probe_memo_is_emptied_before_it_passes_its_cap(monkeypatch):
+    cap = 6
+    monkeypatch.setattr(oracles, "_PROBE_MEMO_ENTRIES", cap)
+    system, budget, m = system_for("thue-morse"), SearchBudget(), 3
+    tests = (m_equicontinuity_point_test, cover_m_equicontinuity_test)
+    points = [seed_point(system, 0, PROBE_RADIUS, shift=g) for g in range(-40, 41, 5)]
+    _probe_memo.cache_clear()
+    warm, sizes = [], []
+    for x in points:
+        for test in tests:
+            warm.append(_probe_outcome(system, x, m, budget, test))
+            sizes.append(len(_probe_memo(system)))
+    assert max(sizes) <= cap
+    # the memo filled up and was emptied along the way
+    assert any(later < earlier for earlier, later in itertools.pairwise(sizes))
+    cold = []
+    for x in points:
+        for test in tests:
+            _probe_memo.cache_clear()
+            cold.append(_probe_outcome(system, x, m, budget, test))
+    assert warm == cold
+
+
 def test_read_through_recomputes_what_a_byte_cannot_hold():
     reads = []
 
