@@ -23,7 +23,7 @@ from .oracles import (
     m_equicontinuity_point_test,
     m_sensitivity_test,
 )
-from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, predict_profile, rank_report
+from .ranks import CENSUS_DEPTH, CENSUS_RADIUS, predict_profile, rank_report, require_profile_size
 from .substitution import RegimeError, SubstitutionSystem
 from .verify import BLOCK_SCALE, INCONSISTENT, M_MAX, verify_system
 
@@ -122,6 +122,7 @@ def cmd_ranks(args) -> int:
 
 def cmd_profile(args) -> int:
     system = _resolve_system(args.system)
+    require_profile_size(args.m_max)
     report = rank_report(system, args.depth, args.radius)
     profile = predict_profile(report, args.m_max)
     lines = [f"predicted profile for {system.name} (r_c={report.r_c.value}, r_M={report.r_M.value})"]

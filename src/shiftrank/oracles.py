@@ -13,16 +13,17 @@ The cylinder scans, ``sensitivity_scan`` and ``block_sensitivity_scan``, are
 the only drivers that scan every cylinder: the single-m tests, and with them
 the CLI, run them, and so does ``verify``.  Each is one loop over
 ``_cylinder_groups``, which yields one cylinder's extensions at a time, and
-drops each group before the next is built.  A system that offers
-``cylinders``, as every substitution and Toeplitz system does, builds each
-group only when a scan reaches it, so a scan holds its largest group, not the
-whole length-(2 R + 1) table; a factor system's groups come from that table,
-grouped by ``_cylinders``.  The point and cover probes read the same groups
-through the bounded cache ``_indexed_extension_groups``, whose entries hold
-no window: each is a text and, per central word, the sorted starts of its
-extensions in it, so the cache's bound of 8 entries bounds texts and starts.
-A probe cuts the windows of its first ladder stage out of the text when it
-reaches the stage, and drops them when it returns.
+drops each group before the next is built.  Both read one index per system
+(``_index``): a text and, per central word, the starts of its extensions in
+it.  A substitution or Toeplitz system's ``cylinders`` gives the table's
+window text, so a scan cuts each group only when it reaches it and holds its
+largest group, not the whole length-(2 R + 1) table; a factor system's index
+joins that table, grouped by ``_cylinders``.  The point and cover probes
+read the same groups through the bounded cache ``_indexed_extension_groups``,
+whose entries hold no window: each is the index with its starts sorted by
+window, so the cache's bound of 8 entries bounds texts and starts.  A probe
+cuts the windows of its first ladder stage out of the text when it reaches
+the stage, and drops them when it returns.
 
 The searches bound their tuples by distinct-block counts, which come from one
 of two counters.  The cylinder scans read the system's ``block_counter`` when
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .verdicts import Verdict, VerdictStatus, exhausted, witnessed
-from .words import CenteredWord, scale_of_difference, shift_window, shifts
+from .words import CenteredWord, _cut, _window_starts, scale_of_difference, shift_window, shifts
 
 
 class ShiftSystem(Protocol):
@@ -86,22 +87,17 @@ class ShiftSystem(Protocol):
 
     ``language(n)`` returns the sorted length-n words and keeps no copy, so
     a scan-length table of a system without ``cylinders`` lives as long as
-    the grouping ``_cylinders`` builds from it: the cylinder list of one
-    scan, or, joined into one text, an entry of the bounded
+    the index ``_index`` joins from it: one scan, or an entry of the bounded
     ``_indexed_extension_groups``.
 
-    A system may also offer ``cylinders(L, radius)``, which yields each
-    radius-L cylinder word in language order with its radius-``radius``
-    extensions, sorted, and builds each group only when it is reached
-    (``substitution.LanguageTable.cylinders``).  The cylinder scans read it
-    instead of grouping the whole table; see ``_cylinder_groups``.
-
-    With it a system offers ``cylinder_starts(L, radius)``: a text, and per
-    cylinder word the starts in it of the same extensions, in the same
-    order (``substitution.LanguageTable.cylinder_starts``).  An entry of the
-    probes' cache is exactly that: the table's window text, tens of KB at
-    the default budget, and starts, with no window of the scan length, so
-    the cache's bound of 8 entries bounds texts and starts.
+    A system may also offer ``cylinders(L, radius)``: a text, and per
+    radius-L cylinder word, in language order, the starts in it of the
+    length-(2 radius + 1) windows that are that word's extensions, a window
+    possibly at more than one start (``substitution.LanguageTable.cylinders``).
+    ``_index`` reads it instead of grouping the whole table.  For a
+    substitution it is the table's window text, tens of KB at the default
+    budget, so the scans and the probes' cache hold no window they have not
+    cut.
 
     And it may offer ``block_counter(central, width)``, an object whose
     ``words`` are the length-``central`` words, sorted, and whose ``row(e)``
@@ -181,20 +177,35 @@ def _cylinders(system: ShiftSystem, L: int, radius: int) -> list[tuple[str, tupl
     return [(u, tuple(groups.get(u, ()))) for u in system.language(2 * L + 1)]
 
 
+def _index(system: ShiftSystem, L: int, radius: int) -> tuple[str, dict[str, Sequence[int]]]:
+    """A text, and per radius-``L`` word, in language order, the starts of its extensions in it.
+
+    The system's ``cylinders`` when it has one.  Otherwise the ``_cylinders``
+    groups joined into one text, with starts at strides of 2 radius + 1.
+    """
+    if hasattr(system, "cylinders"):
+        return system.cylinders(L, radius)
+    n = 2 * radius + 1
+    groups = _cylinders(system, L, radius)
+    starts, base = {}, 0
+    for u, exts in groups:
+        starts[u] = range(base, base + len(exts) * n, n)
+        base += len(exts) * n
+    return "".join(w for _, exts in groups for w in exts), starts
+
+
 def _cylinder_groups(
     system: ShiftSystem, L: int, radius: int
 ) -> Iterator[tuple[str, tuple[str, ...]]]:
     """``_cylinders``, one group at a time, holding none it has handed out.
 
-    From the system's ``cylinders`` when it has one, which builds each group
-    only when it is reached, so no more than one group need be held at once.
-    Otherwise the groups are popped off the whole-table ``_cylinders``.
+    Each group's windows are cut out of the index's text, deduplicated and
+    sorted when it is reached, and its starts are dropped, so no more than
+    one group need be held at once.
     """
-    if hasattr(system, "cylinders"):
-        return system.cylinders(L, radius)
-    cylinders = _cylinders(system, L, radius)
-    cylinders.reverse()
-    return (cylinders.pop() for _ in range(len(cylinders)))
+    n = 2 * radius + 1
+    text, index = _index(system, L, radius)
+    return ((u, _cut(text, index.pop(u), n)) for u in list(index))
 
 
 # A point or cover test reads one entry per (system, radius), at the first
@@ -202,30 +213,23 @@ def _cylinder_groups(
 # cover radii fill 8 entries.  An entry holds no window: it is a text and,
 # per central word, the starts of its extensions in that text, and
 # ``extensions`` cuts one group's windows when a test asks for it.  So the
-# bound of 8 bounds texts and starts.  For a substitution or Toeplitz system
-# the text is the table's window text (``LanguageTable.cylinder_starts``):
-# at the default budget an entry of a catalog system takes 35-190 KB, its
-# windows as strings 0.45-2.3 MB.  A factor system has no such text, so its
-# entry joins its ``_cylinders`` groups, with starts at strides of
-# 2 radius + 1.  The scans never read this cache: they drop each group
-# before the next is built.
+# bound of 8 bounds texts and starts.  The text is ``_index``'s: for a
+# substitution or Toeplitz system the table's window text, at the default
+# budget 35-190 KB per catalog entry against 0.45-2.3 MB for its windows as
+# strings.  The scans never read this cache: they drop each group before
+# the next is built.
 @functools.lru_cache(maxsize=8)
 def _indexed_extension_groups(
     system: ShiftSystem, radius: int, half: int
 ) -> tuple[str, dict[str, Sequence[int]]]:
-    """A text, and per radius-``half`` central word the starts of its radius-``radius`` windows.
+    """``_index``, with each word's starts in window order, one per distinct window.
 
-    The starts of a word are in window order, one per distinct window.
+    Each group's windows are cut, to sort them, and dropped before the
+    next group's.
     """
-    if hasattr(system, "cylinder_starts"):
-        return system.cylinder_starts(half, radius)
     n = 2 * radius + 1
-    groups = _cylinders(system, half, radius)
-    starts, base = {}, 0
-    for u, exts in groups:
-        starts[u] = range(base, base + len(exts) * n, n)
-        base += len(exts) * n
-    return "".join(w for _, exts in groups for w in exts), starts
+    text, index = _index(system, half, radius)
+    return text, {u: _window_starts(text, starts, n) for u, starts in index.items()}
 
 
 # The probes' memo grows with the ladder words probed, not with the calls:

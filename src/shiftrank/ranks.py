@@ -258,11 +258,19 @@ class MultivariateProfile:
         }
 
 
+def require_profile_size(m_max: int) -> None:
+    """Refuse a profile with no row: its tuple sizes run from 2 to ``m_max``.
+
+    ``verify`` and the CLI's ``profile`` check before the rank census runs.
+    """
+    if m_max < 2:
+        raise ValueError("profile needs m_max >= 2")
+
+
 def predict_profile(report: RankReport, m_max: int) -> MultivariateProfile:
     """Apply the rank characterizations: sensitivity tracks the maximal rank,
     block sensitivity tracks the coincidence rank."""
-    if m_max < 2:
-        raise ValueError("profile needs m_max >= 2")
+    require_profile_size(m_max)
     r_M, r_c = report.r_M.value, report.r_c.value
     rows = tuple(
         ProfileRow(m, r_M is None or r_M >= m, r_c is None or r_c >= m) for m in range(2, m_max + 1)

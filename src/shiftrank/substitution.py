@@ -16,10 +16,10 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
-from .words import ALPHABET_CHARS, CenteredWord, _first_mismatch, shift_window, sym_char
+from .words import ALPHABET_CHARS, CenteredWord, _cut, _first_mismatch, shift_window, sym_char
 
 
 class RegimeError(ValueError):
@@ -158,9 +158,9 @@ class LanguageTable:
     revisit lengths: ``seed_pairs`` and the digit-path census.  The protocol
     read ``SubstitutionSystem.language``, which the CLI's ``language``
     command uses, goes through ``build``, so such a table lives only as long
-    as the caller holds it.  The cylinder scans read ``cylinders`` instead,
-    which builds the words of one central word at a time, and the probes
-    read ``cylinder_starts``, which keeps only the text they are cut from.
+    as the caller holds it.  The cylinder scans and the probes read
+    ``cylinders`` instead, which indexes the window text by central word and
+    cuts no window.
 
     The regime gate reads one length, ``APERIODICITY_N_MAX + 1``, once:
     ``aperiodicity_check`` memoises it and counts every shorter complexity
@@ -296,12 +296,14 @@ class LanguageTable:
         text, runs = self._windows(n)
         return _cut(text, itertools.chain.from_iterable(runs), n)
 
-    def _central_index(self, L: int, radius: int) -> tuple[str, dict[str, list[int]]]:
+    def cylinders(self, L: int, radius: int) -> tuple[str, dict[str, list[int]]]:
         """``_windows(2 radius + 1)``'s text, with the starts of each central word's windows.
 
         A window's length-(2 L + 1) central word is read at its start, so no
         window is cut.  The central words come in language order; the starts
-        of one may repeat a window.
+        of one may repeat a window.  Cutting a word's windows at its starts,
+        deduplicated and sorted, gives its group in the grouping of
+        ``build(2 radius + 1)`` by central word (``oracles._cylinder_groups``).
         """
         if not 0 <= L <= radius:
             raise ValueError(f"cylinder radius {L} outside [0, {radius}]")
@@ -313,36 +315,6 @@ class LanguageTable:
         order = sorted(range(len(starts)), key=centres.__getitem__)
         groups = itertools.groupby(order, centres.__getitem__)
         return text, {u: list(map(starts.__getitem__, group)) for u, group in groups}
-
-    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Each length-(2 L + 1) word, in order, with the length-(2 radius + 1) words centred on it.
-
-        Each group is the sorted tuple that grouping ``build(2 radius + 1)``
-        by central word gives, but only one group is built at a time: the
-        index (``_central_index``) holds only starts, and a group's windows
-        are cut, deduplicated and sorted when its turn comes.
-
-        The probes' cache (``oracles._indexed_extension_groups``) keeps every
-        group of up to 8 (system, radius, half), so it reads
-        ``cylinder_starts`` instead: an entry holds the text the windows are
-        cut from and their starts, and no window, so its bound of 8 bounds
-        texts and starts.
-        """
-        n = 2 * radius + 1
-        text, index = self._central_index(L, radius)
-        return ((u, _cut(text, index.pop(u), n)) for u in list(index))
-
-    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
-        """``cylinders`` as a text and, per central word, the starts of its group's windows.
-
-        Cutting ``text[g : g + 2 radius + 1]`` at each start of a word gives
-        exactly its group in ``cylinders``: the starts are sorted by window
-        and keep one start per distinct window.  Each group's windows are
-        cut, to sort them, and dropped before the next group's.
-        """
-        n = 2 * radius + 1
-        text, index = self._central_index(L, radius)
-        return text, {u: _window_starts(text, starts, n) for u, starts in index.items()}
 
     def words(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted and memoised.
@@ -366,17 +338,6 @@ class LanguageTable:
         words = self.words(len(word))
         i = bisect.bisect_left(words, word)
         return i < len(words) and words[i] == word
-
-
-def _cut(text: str, starts: Iterable[int], n: int) -> tuple[str, ...]:
-    """The distinct length-n windows of ``text`` at ``starts``, sorted."""
-    return tuple(sorted({text[g : g + n] for g in starts}))
-
-
-def _window_starts(text: str, starts: Iterable[int], n: int) -> tuple[int, ...]:
-    """One start per distinct length-n window of ``text`` at ``starts``, in window order."""
-    start_of = {text[g : g + n]: g for g in starts}
-    return tuple(map(start_of.__getitem__, sorted(start_of)))
 
 
 def _prefixes(words: tuple[str, ...], n: int) -> tuple[str, ...]:
@@ -764,16 +725,15 @@ def _exact_regime_flags(s: Substitution) -> dict:
     return flags
 
 
-@dataclass(frozen=True)
-class SubstitutionSystem:
-    """A named substitution subshift."""
+class _SubstitutionPresented:
+    """The protocol members of a system presented by a substitution.
 
-    name: str
+    A subclass sets ``substitution``, which gives the language, the
+    cylinder index and the block counts, and ``spec_text``, on which the
+    spec hash, and with it every certificate, rests.
+    """
+
     substitution: Substitution
-
-    @property
-    def spec_text(self) -> str:
-        return f"substitution\n{self.substitution.to_text()}"
 
     @property
     def spec_hash(self) -> str:
@@ -783,17 +743,12 @@ class SubstitutionSystem:
         """The length-n words, built per call and not kept (see ``LanguageTable``)."""
         return language(self.substitution, n)
 
-    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Each radius-L cylinder word with its radius-``radius`` extensions, one group at a time.
+    def cylinders(self, L: int, radius: int) -> tuple[str, dict[str, list[int]]]:
+        """The window text of the radius-``radius`` words, and each radius-L word's starts in it.
 
-        The groups come in language order, each built only when reached; see
-        ``LanguageTable.cylinders``.
+        See ``LanguageTable.cylinders``; ``oracles`` cuts the groups.
         """
         return self.substitution.table.cylinders(L, radius)
-
-    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
-        """The same groups as starts into one text; see ``LanguageTable.cylinder_starts``."""
-        return self.substitution.table.cylinder_starts(L, radius)
 
     def block_counter(self, central: int, width: int) -> BlockPairs | None:
         """``BlockPairs`` for words of these lengths, or None below constant length 2.
@@ -805,6 +760,18 @@ class SubstitutionSystem:
         if (self.substitution.constant_length or 0) < 2:
             return None
         return BlockPairs(self.substitution, central, width)
+
+
+@dataclass(frozen=True)
+class SubstitutionSystem(_SubstitutionPresented):
+    """A named substitution subshift."""
+
+    name: str
+    substitution: Substitution
+
+    @property
+    def spec_text(self) -> str:
+        return f"substitution\n{self.substitution.to_text()}"
 
     def seed_points(self) -> tuple[SeedPair, ...]:
         return seed_pairs(self.substitution)

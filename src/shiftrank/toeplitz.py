@@ -14,10 +14,9 @@ repeat is refused.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .ranks import (
     CENSUS_DEPTH,
@@ -28,7 +27,7 @@ from .ranks import (
     maximal_rank,
     minimal_rank,
 )
-from .substitution import BlockPairs, RegimeError, Substitution, SubstitutionSystem
+from .substitution import RegimeError, Substitution, _SubstitutionPresented
 from .words import ALPHABET_CHARS
 
 
@@ -191,18 +190,20 @@ def toeplitz_property(seq: str, periods: Iterable[int], positions: int) -> bool:
     return True
 
 
-class ToeplitzSystem:
+class ToeplitzSystem(_SubstitutionPresented):
     """A Toeplitz subshift presented by a skeleton and the substitution it repeats.
 
-    The language, the scans' block counts and the rank censuses are those of
-    ``sigma``, the ``SubstitutionSystem`` of ``skeleton.substitution()``.
-    The spec, and with it every certificate, stays the skeleton's.
+    The language, the scans' groups and block counts and the rank censuses
+    are those of ``substitution``, which is ``skeleton.substitution()``.
+    The spec, and with it every certificate, stays the skeleton's.  It is
+    no ``SubstitutionSystem``: it offers no seed points or fiber census,
+    and its r_c comes from its own ``rank_report``.
     """
 
     def __init__(self, name: str, skeleton: ToeplitzSkeleton):
         self.name = name
         self.skeleton = skeleton
-        self.sigma = SubstitutionSystem(name, skeleton.substitution())
+        self.substitution = skeleton.substitution()
 
     @property
     def spec_text(self) -> str:
@@ -212,30 +213,10 @@ class ToeplitzSystem:
             lines.append(f"stage {st.period}: {fills}")
         return "\n".join(lines)
 
-    @property
-    def spec_hash(self) -> str:
-        return hashlib.sha256(self.spec_text.encode()).hexdigest()[:16]
-
-    def language(self, n: int) -> tuple[str, ...]:
-        """The length-n words of ``sigma``, built per call and not kept."""
-        return self.sigma.language(n)
-
-    def cylinders(self, L: int, radius: int) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """``sigma``'s extension groups; see ``SubstitutionSystem.cylinders``."""
-        return self.sigma.cylinders(L, radius)
-
-    def cylinder_starts(self, L: int, radius: int) -> tuple[str, dict[str, tuple[int, ...]]]:
-        """``sigma``'s extension groups as starts; see ``SubstitutionSystem.cylinder_starts``."""
-        return self.sigma.cylinder_starts(L, radius)
-
-    def block_counter(self, central: int, width: int) -> BlockPairs | None:
-        """``sigma``'s block counter; see ``SubstitutionSystem.block_counter``."""
-        return self.sigma.block_counter(central, width)
-
     def rank_report(
         self, depth_max: int = CENSUS_DEPTH, radius_max: int = CENSUS_RADIUS
     ) -> RankReport:
-        """r_m and r_M from ``sigma``'s censuses, r_c from the almost-automorphic bound."""
+        """r_m and r_M from ``substitution``'s censuses, r_c from the almost-automorphic bound."""
         flags = {
             "toeplitz": True,
             "periods": list(self.skeleton.periods[:6]) + ["..."],
@@ -244,7 +225,7 @@ class ToeplitzSystem:
         if self.skeleton.periodic:
             one = Estimate(1, EstimateKind.EXACT, {"method": "periodic-orbit"})
             return RankReport(self.name, one, one, one, flags)
-        s = self.sigma.substitution
+        s = self.substitution
         r_m = minimal_rank(s, depth_max, radius_max)
         r_M = maximal_rank(s, depth_max, radius_max)
         if r_m.value == 1:

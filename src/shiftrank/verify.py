@@ -20,6 +20,7 @@ from .ranks import (
     RankReport,
     predict_profile,
     rank_report,
+    require_profile_size,
 )
 from .verdicts import Verdict
 
@@ -101,6 +102,7 @@ def verify_system(
     which the CLI's ``sensitivity`` and ``block`` commands run too, each run
     once for the tuple sizes 2..m_max.
     """
+    require_profile_size(m_max)
     budget = budget or SearchBudget()
     ranks = rank_report(system, depth_max, radius_max)
     profile = predict_profile(ranks, m_max)

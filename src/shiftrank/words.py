@@ -13,7 +13,7 @@ outside the overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Symbol ids are rendered as single characters, so words are plain strings.
 ALPHABET_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -24,6 +24,17 @@ def sym_char(i: int) -> str:
     if not 0 <= i < len(ALPHABET_CHARS):
         raise ValueError(f"symbol id out of range: {i}")
     return ALPHABET_CHARS[i]
+
+
+def _cut(text: str, starts: Iterable[int], n: int) -> tuple[str, ...]:
+    """The distinct length-n windows of ``text`` at ``starts``, sorted."""
+    return tuple(sorted({text[g : g + n] for g in starts}))
+
+
+def _window_starts(text: str, starts: Iterable[int], n: int) -> tuple[int, ...]:
+    """One start per distinct length-n window of ``text`` at ``starts``, in window order."""
+    start_of = {text[g : g + n]: g for g in starts}
+    return tuple(map(start_of.__getitem__, sorted(start_of)))
 
 
 @dataclass(frozen=True)

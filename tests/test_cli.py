@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import shiftrank
+from shiftrank import cli, verify
 from shiftrank.cli import main
 
 
@@ -228,6 +229,18 @@ def test_profile_command(capsys):
     code, out, _ = run_cli(capsys, "profile", "thue-morse", "--m-max", "5")
     assert code == 0
     assert "m=5" in out
+
+
+@pytest.mark.parametrize("command", ["profile", "verify"])
+def test_a_profile_without_rows_is_refused_before_the_rank_census(capsys, monkeypatch, command):
+    def census(*args):
+        raise AssertionError("the rank census ran")
+
+    monkeypatch.setattr(cli, "rank_report", census)
+    monkeypatch.setattr(verify, "rank_report", census)
+    code, out, err = run_cli(capsys, command, "thue-morse", "--m-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: profile needs m_max >= 2\n"
 
 
 def test_verify_single_system_exit_zero(capsys):

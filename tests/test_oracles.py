@@ -867,42 +867,47 @@ class _Counted(str):
         _Counted.deleted[len(self)] += 1
 
 
-class _CountedGroups:
-    """A system's cylinder groups with every extension a ``_Counted``.
+class _CountedCuts:
+    """``oracles._cut`` with every word it cuts a ``_Counted``.
 
-    ``held`` records, each time a group is about to be built and once after
-    the last, how many extensions handed out so far are still alive.
+    ``held`` records, each time a group is about to be cut and once when
+    ``done`` is called, how many of the words cut so far are still alive.
     """
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, cut):
+        self._cut = cut
+        self._deleted = _Counted.deleted.total()
+        self.cut = 0
         self.held = []
 
-    def cylinders(self, L, radius):
-        n = 2 * radius + 1
-        handed = _Counted.deleted[n]
-        for u, exts in self.system.cylinders(L, radius):
-            self.held.append(handed - _Counted.deleted[n])
-            group = tuple(map(_Counted, exts))
-            handed += len(group)
-            yield u, group
-            del group
-        self.held.append(handed - _Counted.deleted[n])
+    def _alive(self):
+        return self.cut - (_Counted.deleted.total() - self._deleted)
+
+    def __call__(self, text, starts, n):
+        self.held.append(self._alive())
+        group = tuple(map(_Counted, self._cut(text, starts, n)))
+        self.cut += len(group)
+        return group
+
+    def done(self):
+        self.held.append(self._alive())
 
 
-def test_cylinder_scans_drop_each_group_before_the_next():
+def test_cylinder_scans_drop_each_group_before_the_next(monkeypatch):
     budget = SearchBudget(N=16)
+    system, cut = system_for("ternary-morse"), oracles._cut
     for scan in (
-        lambda system: sensitivity_scan(system, 3, budget.K, budget),
-        lambda system: block_sensitivity_scan(system, 3, BLOCK_SCALE, budget.B, budget),
+        lambda: sensitivity_scan(system, 3, budget.K, budget),
+        lambda: block_sensitivity_scan(system, 3, BLOCK_SCALE, budget.B, budget),
     ):
-        tern = system_for("ternary-morse")
-        system = _CountedGroups(tern)
+        cuts = _CountedCuts(cut)
+        monkeypatch.setattr(oracles, "_cut", cuts)
         gc.collect()
-        scan(system)
-        # no word of cylinder k's group is alive when group k + 1 is built
-        assert len(system.held) == len(tern.language(2 * budget.L + 1)) + 1
-        assert system.held == [0] * len(system.held)
+        scan()
+        cuts.done()
+        # no word of cylinder k's group is alive when group k + 1 is cut
+        assert len(cuts.held) == len(system.language(2 * budget.L + 1)) + 1
+        assert cuts.held == [0] * len(cuts.held)
 
 
 class _WithoutBlockCounter:
@@ -911,6 +916,32 @@ class _WithoutBlockCounter:
     def __init__(self, system):
         self.name = system.name
         self.language = system.language
+
+
+# (L, radius) as in test_substitution: short radii, the point and cover
+# probes' 258 and 267, and verify's 516 and 523 at N = 512
+CYLINDER_RADII = [(0, 1), (1, 1), (2, 16), (2, 258), (2, 267), (2, 516), (2, 523)]
+# one system of every presentation: catalog substitutions and Toeplitz
+# systems, a factor, a substitution of non-constant length, and a
+# substitution read through its language alone
+PRESENTATIONS = {
+    **{name: system_for(name) for name in CATALOG_SCAN_SYSTEMS},
+    "tm-xor": TM_XOR,
+    "0->01;1->0": SubstitutionSystem("inline", Substitution.from_text("0->01;1->0")),
+    "thue-morse-language-only": _WithoutBlockCounter(system_for("thue-morse")),
+}
+
+
+@pytest.mark.parametrize("key", PRESENTATIONS)
+def test_every_presentation_indexes_the_whole_table_grouping(key):
+    system = PRESENTATIONS[key]
+    for L, radius in CYLINDER_RADII:
+        n = 2 * radius + 1
+        grouped = _cylinders(system, L, radius)
+        assert list(oracles._cylinder_groups(system, L, radius)) == grouped, (L, radius)
+        text, starts = _indexed_extension_groups.__wrapped__(system, radius, L)
+        cut = [(u, tuple(text[g : g + n] for g in starts[u])) for u in starts]
+        assert cut == grouped, (L, radius)
 
 
 def _verify_scans(system, budget):

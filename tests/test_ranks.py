@@ -85,7 +85,7 @@ def test_confirmation_census_is_no_wider_than_the_estimate(census):
     # toeplitz-rank-3 repeats a substitution of length q = 27, above the
     # radius 16, where the radius max(q, radius_max // 2) confirmed a
     # radius-16 estimate at radius 27
-    s = system_for("toeplitz-rank-3").sigma.substitution
+    s = system_for("toeplitz-rank-3").substitution
     assert s.constant_length == 27
     est = census(s, depth_max=3, radius_max=16)
     assert est.evidence["confirmation"]["branch_depth"] == 2
