@@ -13,16 +13,27 @@ and when a path's window count is taken as stabilized.  ``census_extreme`` is th
 point the rank estimates read, and ``fiber_census`` follows a single residue.
 
 ``census_extreme`` walks a ``CensusGraph``: the digit-path states of one
-substitution at one radius, interned so that each is lifted once, whatever
-the number of paths that reach it.  A state is keyed by its span m_lo..m_hi
-and its survivors, with each survivor's window replaced by the index of that
-window's first occurrence in sorted survivor order.  This merging is exact.
-``_lift`` carries each survivor's value to the words below it without
-reading it, so the survivors below a state, and which of them carry equal
-values, depend on the key alone; a state's count is the number of distinct
-values, which the first-occurrence indices keep.  Two states with one key
-therefore give equal counts along every continuation, so every plateau and
-``stabilized`` flag of the walk is the one the windows themselves give.
+substitution at one radius, the closure of the root under de-substitution
+along each digit (Dekking 1978; Allouche and Shallit 2003, ch. 5-6),
+interned so that each is lifted once, whatever the number of paths that
+reach it.  A state is its span m_lo..m_hi and a tuple of classes, one int
+per admissible word of the span in table order: two words share a class
+exactly when their expansions carry one central window, and classes are
+numbered by first occurrence.  This is exact, and the tuple is the whole
+state:
+
+- Every admissible word of a span survives.  The root holds every
+  admissible word of its span, and the image slice of an admissible word is
+  admissible, so every word over a child's span reads some parent survivor.
+  By induction each state's survivors are the whole table of its span
+  length, and no digit path runs out of survivors.
+- ``_lift`` carries each word's value to the words below it without
+  reading it: a word below takes the value of the parent word its image
+  slice spells, whose index ``ImageCuts.cut`` gives.  So the classes below a
+  state depend on its key alone, and its count, the number of distinct
+  windows, is its number of classes.  Two states with one key therefore
+  give equal counts along every continuation, so every plateau and
+  ``stabilized`` flag of the walk is the one the windows themselves give.
 
 A leaf's continuation repeats a digit pattern, so it walks the graph's
 (node, pattern phase) states, and where it first plateaus is a fact of the
@@ -34,21 +45,18 @@ continuations meet share the rest of the walk.  Settling ends: counts never
 increase along an edge, so the states of a cycle share one count and each
 of them starts a plateau, and every walk over finitely many states reaches
 a cycle.  ``fiber_census`` follows its residue with ``follow_path`` over
-``PathState`` windows, the reference the tests hold the graph to.
+``PathState`` windows, which ``lift_state`` carries through the same
+``_lift``: the reference the tests hold the graph to.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, Mapping, TypeVar
+from typing import Callable, Generic, Iterator, Mapping, Sequence, TypeVar
 
-from .substitution import Substitution
+from .substitution import ImageCuts, Substitution
 from .words import CenteredWord
-
-
-class FiberInvariantError(RuntimeError):
-    """A digit path lost all survivors; fibers of the odometer are never empty."""
 
 
 @dataclass(frozen=True)
@@ -146,40 +154,35 @@ def proximal_pair(s: Substitution, a: str, b: str) -> bool:
     return any(len(column) == 1 for level in _columns(s, start) for column in level)
 
 
+V = TypeVar("V")
+
+
 def _lift(
     s: Substitution,
     q: int,
     m_lo: int,
     m_hi: int,
     digit: int,
-    targets: Mapping[str, object],
-    cuts: dict[tuple[int, int, int], list[str]] | None = None,
-) -> tuple[int, int, dict[str, object]]:
+    values: Sequence[V],
+    cuts: ImageCuts | None = None,
+) -> tuple[int, int, tuple[V, ...]]:
     """De-substitute blocks m_lo..m_hi one level along ``digit``.
 
-    Returns the span new_lo..new_hi of the level-up blocks and maps every
-    admissible word v over that span whose image, read over m_lo..m_hi, is a
-    key of ``targets`` to that key's value.  The image slices depend only on
-    the span's length and the slice's offset and end, so ``cuts``, when
-    given, keeps each such geometry's slices, in word order, for later lifts.
+    ``values`` holds one value per admissible word over m_lo..m_hi, in table
+    order.  Returns the span new_lo..new_hi of the level-up blocks and, per
+    admissible word v over it in table order, the value of the word that
+    v's image reads over m_lo..m_hi: one ``ImageCuts.cut``, mapped.  The cut
+    depends only on the offset and the old span's length, so ``cuts``, when
+    given, keeps it for later lifts.
     """
     new_lo = (m_lo + digit) // q
     new_hi = (m_hi + digit) // q
     # block m of the old span is symbol m + digit - q * new_lo of image(v)
     off = m_lo + digit - q * new_lo
-    end = off + m_hi - m_lo + 1
-    n = new_hi - new_lo + 1
-    words = s.table.words(n)
-    cuts = {} if cuts is None else cuts
-    slices = cuts.get((n, off, end))
-    if slices is None:
-        slices = cuts[n, off, end] = [s.image(v)[off:end] for v in words]
-    keep = {}
-    for v, cut in zip(words, slices):
-        value = targets.get(cut)
-        if value is not None:
-            keep[v] = value
-    return new_lo, new_hi, keep
+    if cuts is None:
+        cuts = ImageCuts(s, s.table.words)
+    cut = cuts.cut(off, m_hi - m_lo + 1)
+    return new_lo, new_hi, tuple(map(values.__getitem__, cut))
 
 
 # --------------------------------------------------------------------------
@@ -191,14 +194,14 @@ class PathState:
     """Survivors of a digit path at one depth, each with its level-0 window.
 
     ``cut`` is the accumulated residue mod q^depth; survivors are the
-    admissible words over level-``depth`` blocks m_lo..m_hi whose expansion
-    matches some window of radius L that was alive on every shallower prefix
-    of the path.  ``survivors`` maps each survivor to the radius-L central
-    window of its depth-fold expansion at ``cut``.  The map is well defined
-    because a survivor induces exactly one word one level up the path: its
-    image, read over the parent's blocks, is a parent survivor, and the
-    survivor's expansion restricts to the same central window as the
-    parent's.  At depth 0 every word is its own window.
+    admissible words over level-``depth`` blocks m_lo..m_hi, all of them and
+    in table order (see the module docstring).  ``survivors`` maps each
+    survivor to the radius-L central window of its depth-fold expansion at
+    ``cut``.  The map is well defined because a survivor induces exactly one
+    word one level up the path: its image, read over the parent's blocks,
+    is a parent survivor, and the survivor's expansion restricts to the same
+    central window as the parent's.  At depth 0 every word is its own
+    window.
     """
 
     depth: int
@@ -217,18 +220,14 @@ def lift_state(s: Substitution, state: PathState, digit: int, radius: int) -> Pa
     q = s.require_constant_length()
     if not 0 <= digit < q:
         raise ValueError(f"digit {digit} out of range for base {q}")
-    new_lo, new_hi, keep = _lift(s, q, state.m_lo, state.m_hi, digit, state.survivors)
-    if not keep:
-        raise FiberInvariantError(
-            f"no survivors at depth {state.depth + 1}; the odometer map is onto, "
-            "so this indicates a bug or an inadmissible starting set"
-        )
+    windows = tuple(state.survivors.values())
+    new_lo, new_hi, lifted = _lift(s, q, state.m_lo, state.m_hi, digit, windows)
     return PathState(
         state.depth + 1,
         state.cut + digit * q**state.depth,
         new_lo,
         new_hi,
-        keep,
+        dict(zip(s.table.words(new_hi - new_lo + 1), lifted)),
     )
 
 
@@ -313,46 +312,37 @@ class CensusGraph:
 def census_graph(s: Substitution, radius: int) -> CensusGraph:
     """Every state reachable from ``initial_state(s, radius)``, each lifted once per digit.
 
-    States are keyed as the module docstring describes.  Survivors come out
-    of ``_lift`` in the language table's sorted order, so a key needs no
-    sort.  The lifts share one dict of image slices, so each word's slice
-    for a geometry is cut once per graph.  The root's are not kept: it is
-    the only state over its span, whose slices are the longest, so no other
-    lift reads them.  The graph keeps only ints: the keys, survivors and
-    slices are dropped once every state has its successors.
+    A state is its span and class tuple, as the module docstring describes;
+    the root's classes are 0, 1, ..., one per word, since each word is its
+    own window.  A lift maps the parent's classes through ``_lift`` and
+    renumbers them by first occurrence.  Every lift reads one ``ImageCuts``,
+    so the words under each span length are imaged once per graph, and
+    every offset's cut is kept as ints.  The graph keeps only ints too: the
+    class tuples and the kernel are dropped once every state has its
+    successors.
     """
     q = s.require_constant_length()
-    cuts: dict[tuple[int, int, int], list[str]] = {}
-    ids: dict[tuple, int] = {}
-    states: list[tuple[int, int, dict[str, int]]] = []  # m_lo, m_hi, survivor -> index
+    cuts = ImageCuts(s, s.table.words)
+    ids: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    states: list[tuple[int, int, tuple[int, ...]]] = []  # m_lo, m_hi, classes
     counts: list[int] = []
 
-    def intern(m_lo: int, m_hi: int, survivors: Mapping[str, object]) -> int:
-        first: dict[object, int] = {}
-        indices = {v: first.setdefault(w, len(first)) for v, w in survivors.items()}
-        key = (m_lo, m_hi, tuple(indices.items()))
+    def intern(m_lo: int, m_hi: int, values: Sequence[int]) -> int:
+        first: dict[int, int] = {}
+        classes = tuple([first.setdefault(c, len(first)) for c in values])
+        key = (m_lo, m_hi, classes)
         node = ids.get(key)
         if node is None:
             node = ids[key] = len(states)
-            states.append((m_lo, m_hi, indices))
+            states.append(key)
             counts.append(len(first))
         return node
 
-    root = initial_state(s, radius)
-    intern(root.m_lo, root.m_hi, root.survivors)
+    intern(-radius, radius, range(len(s.table.words(2 * radius + 1))))
     successors = []
     while len(successors) < len(states):  # interning appends the states still to lift
-        m_lo, m_hi, indices = states[len(successors)]
-        row = []
-        memo = cuts if successors else None  # no other state lifts over the root's span
-        for d in range(q):
-            new_lo, new_hi, keep = _lift(s, q, m_lo, m_hi, d, indices, memo)
-            if not keep:
-                raise FiberInvariantError(
-                    f"no survivors along digit {d}; the odometer map is onto, "
-                    "so this indicates a bug"
-                )
-            row.append(intern(new_lo, new_hi, keep))
+        m_lo, m_hi, classes = states[len(successors)]
+        row = [intern(*_lift(s, q, m_lo, m_hi, d, classes, cuts)) for d in range(q)]
         successors.append(tuple(row))
     return CensusGraph(tuple(counts), tuple(successors))
 

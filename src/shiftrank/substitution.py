@@ -14,9 +14,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .verdicts import Verdict, VerdictStatus, exhausted, refuted, witnessed
 from .words import ALPHABET_CHARS, CenteredWord, _cut, _first_mismatch, shift_window, sym_char
@@ -350,6 +350,62 @@ def language(s: Substitution, n: int) -> tuple[str, ...]:
     return s.table.build(n)
 
 
+class ImageCuts:
+    """The image slices of a substitution's words, as indices into its sorted tables.
+
+    ``cut(r, m)``, for an offset r < q, gives the index of sigma(w)[r : r + m]
+    among the length-m words for each length-n word w in table order, where
+    n = (r + m - 1) // q + 1 is the least length whose image covers the
+    slice.  The substitution maps admissible words to admissible words, so
+    the slice has an index.  ``source(n)`` gives the sorted length-n words.
+
+    Whoever asks for one offset at a length m asks for all q of them: a
+    census state lifts along every digit d, which reads its image at offset
+    (m_lo + d) mod q, and a block-pair node reads one cut per r < q.  A miss
+    therefore cuts every offset at once from one image of the length-n
+    words that offset q - 1 reads.  The smaller offsets read those words or
+    their (n - 1)-prefixes, which are exactly the length-(n - 1) words, in
+    order (see ``LanguageTable``), and a slice inside a prefix's image is the
+    same for every extension of it.
+
+    Both de-substitution steps read this kernel: ``odometer._lift`` maps a
+    state's values through a cut, and ``BlockPairs`` maps its pair rows.  The
+    memo lives as long as this object, which is one census graph or one scan,
+    and holds only the cuts, tuples of ints: no slice, image or index is
+    kept past the miss that reads it.
+    """
+
+    def __init__(self, s: Substitution, source: Callable[[int], tuple[str, ...]]):
+        self._q = s.require_constant_length()
+        self._image = s.image
+        self._source = source
+        self._cuts: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def cut(self, r: int, m: int) -> tuple[int, ...]:
+        cut = self._cuts.get((r, m))
+        if cut is None:
+            self._cut_offsets(m)
+            cut = self._cuts[r, m]
+        return cut
+
+    def _cut_offsets(self, m: int) -> None:
+        q = self._q
+        n = (q + m - 2) // q + 1  # the words offset q - 1 reads
+        words, targets = self._source(n), self._source(m)
+        index = dict(zip(targets, range(len(targets))))
+        text = self._image("".join(words))
+        step = q * n
+        prefixes = None  # per length-(n - 1) word, the position of one extension
+        for r in range(q):
+            cut = tuple([index[text[i : i + m]] for i in range(r, len(text), step)])
+            if (r + m - 1) // q + 1 < n:
+                if prefixes is None:
+                    first = map(operator.itemgetter(slice(n - 1)), words)
+                    prefixes = list(dict(zip(first, range(len(words)))).values())
+                cut = tuple(map(cut.__getitem__, prefixes))
+            self._cuts[r, m] = cut
+
+
 class BlockPairs:
     """How many length-``b`` words occur at each displacement from each length-``a`` word.
 
@@ -378,10 +434,11 @@ class BlockPairs:
 
     A node is one int, bit x * |W_b| + y set for the pair of the x-th and y-th
     words of the sorted tables W_a and W_b, interned to a small id.  A node
-    is keyed by the residue of e mod q, its lengths and its q children, and
-    each child row's image is memoised, so once its children are known a
-    displacement costs a few dict lookups; a child already memoised is read
-    without a call.  ``row(e)`` hands out a top node's counts, one per word
+    is keyed by the residue of e mod q, its lengths and its q children.  The
+    cuts sigma(x')[r : r + a] come from one ``ImageCuts`` over the prefixes
+    of the length-``base`` table, and each child row's image is memoised, so
+    once its children are known a displacement costs a few dict lookups; a
+    child already memoised is read without a call.  ``row(e)`` hands out a top node's counts, one per word
     of ``words``, as a tuple kept per node, so the displacements of one node
     share one row.  Everything lives as long as this object, which is one
     scan call.
@@ -391,18 +448,17 @@ class BlockPairs:
         self._q = q = s.require_constant_length()
         if q < 2:
             raise RegimeError("block pairs need a substitution of constant length at least 2")
-        self._image = s.image
         self._a, self._b = a, b
         self._base = a + b
         self._table = s.table.build(self._base)
         self._tables: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
+        self._cuts = ImageCuts(s, partial(_prefixes, self._table))
         self._memo: dict[tuple[int, int], dict[int, int]] = {}  # (a, b) -> e -> node id
         self._top = self._memo[a, b] = {}
         self._ids: dict[int, int] = {}  # node -> id
         self._nodes: list[int] = []  # id -> node
         self._lifted: dict[tuple[int, ...], int] = {}
-        self._cuts: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._rows: dict[tuple[int, int, int, int], int] = {}
+        self._rows: dict[tuple[int, int, int], int] = {}
         self._plans: dict[tuple[int, int, int], list[tuple[int, int, int, dict]]] = {}
         self._counts: dict[int, tuple[int, ...]] = {}  # top node id -> y count per x
 
@@ -426,22 +482,12 @@ class BlockPairs:
             self._nodes.append(node)
         return i
 
-    def _cut(self, n: int, r: int, m: int) -> tuple[int, ...]:
-        """Per length-n word w', the index of sigma(w')[r : r + m]."""
-        key = (n, r, m)
-        cut = self._cuts.get(key)
-        if cut is None:
-            ids = self._words(m)[1]
-            image = self._image
-            cut = self._cuts[key] = tuple(ids[image(w)[r : r + m]] for w in self._words(n)[0])
-        return cut
-
-    def _row(self, row: int, n: int, r: int, m: int) -> int:
-        """The row of the cuts sigma(y')[r : r + m] of the length-n words y' in ``row``."""
-        key = (row, n, r, m)
+    def _row(self, row: int, r: int, m: int) -> int:
+        """The row of the cuts sigma(y')[r : r + m] of the preimage words y' in ``row``."""
+        key = (row, r, m)
         image = self._rows.get(key)
         if image is None:
-            cut = self._cut(n, r, m)
+            cut = self._cuts.cut(r, m)
             image, bits = 0, row
             while bits:
                 low = bits & -bits
@@ -495,16 +541,16 @@ class BlockPairs:
         node = 0
         for r, child in enumerate(children):
             ry = (r + e) % q
-            # the child pairs the preimages x' and y', of these lengths
-            a_pre, b_pre = (r + a - 1) // q + 1, (ry + b - 1) // q + 1
-            cut = self._cut(a_pre, r, a)
+            # the child pairs the preimages x' and y'; y' has this length
+            b_pre = (ry + b - 1) // q + 1
+            cut = self._cuts.cut(r, a)
             nb_pre = len(self._words(b_pre)[0])
             full = (1 << nb_pre) - 1
             bits = self._nodes[child]
             for x in range(len(cut)):
                 row = (bits >> (x * nb_pre)) & full
                 if row:
-                    node |= self._row(row, b_pre, ry, b) << (cut[x] * nb)
+                    node |= self._row(row, ry, b) << (cut[x] * nb)
         return node
 
     def row(self, e: int) -> tuple[int, ...]:

@@ -79,9 +79,19 @@ class ToeplitzSkeleton:
         return chars
 
     def hole_residues(self) -> tuple[int, ...]:
-        """Residues mod the deepest period not filled by any stage."""
-        symbols = self._symbols(self.stages[-1].period)
-        return tuple(r for r, sym in enumerate(symbols) if sym is None)
+        """Residues mod the deepest period not filled by any stage, in increasing order.
+
+        Each period is a multiple of the one before, so a residue mod a
+        stage's period is a hole exactly when it reduces to a hole of the
+        previous stage and the stage does not fill it.  The holes are lifted
+        stage by stage, and no position up to the deepest period is written.
+        """
+        holes, prev = [0], 1
+        for st in self.stages:
+            filled = {r for r, _ in st.fills}
+            holes = sorted(r for h in holes for r in range(h, st.period, prev) if r not in filled)
+            prev = st.period
+        return tuple(holes)
 
     @cached_property
     def periodic(self) -> bool:

@@ -29,6 +29,7 @@ from shiftrank.odometer import (
 from shiftrank.oracles import _cylinders, _SegmentBlocks
 from shiftrank.substitution import (
     BlockPairs,
+    ImageCuts,
     RegimeError,
     Substitution,
     SubstitutionSystem,
@@ -169,8 +170,9 @@ def desubstitute(s, w, k):
     """All (cut, preimage) pairs whose k-fold expansion matches w on its window.
 
     Preimages are admissible words, read off ``odometer._lift`` one level at
-    a time.  The cuts are the window's odometer residues mod q^k, and an
-    empty result means the window itself is inadmissible.
+    a time: it maps a flag per word of w's length, set on w alone, to the
+    words whose image reads w.  The cuts are the window's odometer residues
+    mod q^k, and an empty result means the window itself is inadmissible.
     """
     q = s.require_constant_length()
     if not s.table.admits(w.symbols):
@@ -178,8 +180,10 @@ def desubstitute(s, w, k):
     if k == 0:
         return {(0, w)}
     out = set()
+    flags = tuple(v == w.symbols for v in s.table.words(len(w.symbols)))
     for c1 in range(q):
-        m_lo, _, preimages = _lift(s, q, w.left, w.right, c1, {w.symbols: w.symbols})
+        m_lo, m_hi, hits = _lift(s, q, w.left, w.right, c1, flags)
+        preimages = itertools.compress(s.table.words(m_hi - m_lo + 1), hits)
         for v1 in preimages:
             for c2, v2 in desubstitute(s, CenteredWord(v1, m_lo), k - 1):
                 out.add((c1 + q * c2, v2))
@@ -280,6 +284,20 @@ def test_block_pairs_match_segment_counts(a, b):
         column = {u: j for j, u in enumerate(pairs.words)}
         for u, e, want in _segment_counts(s, a, b):
             assert pairs.row(e)[column[u]] == want, (s.rules, u, e)
+
+
+def test_image_cuts_index_every_sliced_image():
+    # every offset of a length is cut at once, the shorter ones through the
+    # prefixes of the longer words; the reference slices each word's image
+    named = [catalog.system_for(name).substitution for name in EXACT_CATALOG]
+    for s in [*named, *_small_primitive_systems()]:
+        q, kernel = s.constant_length, ImageCuts(s, s.table.words)
+        for m in (1, 2, 3, 5, 8, 13):
+            targets = s.table.words(m)
+            for r in range(q):
+                words = s.table.words((r + m - 1) // q + 1)
+                want = tuple(targets.index(s.image(w)[r : r + m]) for w in words)
+                assert kernel.cut(r, m) == want, (s.rules, r, m)
 
 
 def test_block_pairs_need_an_expanding_constant_length():
@@ -531,6 +549,38 @@ def test_census_graph_counts_match_paths_on_criterion_5_sample():
         assert _graph_counts_match_paths(s, 8, 4), s.rules
 
 
+def _least_path_windows_match(s, radius):
+    """Whether every node of ``census_graph(s, radius)`` counts the windows of
+    the path state that ``lift_state`` reaches along the node's least digit path.
+
+    Breadth first from the root with digits in increasing order, each node is
+    first reached along its least digit path in shortlex order, and its state
+    is lifted from the state of the node it is reached from.
+    """
+    graph = census_graph(s, radius)
+    states = {0: initial_state(s, radius)}
+    queue = [0]
+    for node in queue:
+        for d, child in enumerate(graph.successors[node]):
+            if child not in states:
+                states[child] = lift_state(s, states[node], d, radius)
+                queue.append(child)
+    return len(states) == len(graph.counts) and all(
+        len(base_windows(state)) == graph.counts[node] for node, state in states.items()
+    )
+
+
+@pytest.mark.parametrize("radius", [16, 64])
+@pytest.mark.parametrize("name", EXACT_CATALOG)
+def test_every_census_node_counts_its_least_paths_windows(name, radius):
+    assert _least_path_windows_match(catalog.system_for(name).substitution, radius)
+
+
+def test_every_census_node_counts_its_least_paths_windows_on_criterion_5_sample():
+    for s in catalog.random_exact_substitutions(200):
+        assert _least_path_windows_match(s, 16), s.rules
+
+
 def _seam_cycle_words(s):
     """The legal 2-letter words on cycles of the seam map, which sends ba to σ(b)[-1] σ(a)[0].
 
@@ -577,11 +627,14 @@ def test_census_graph_lifts_each_state_once(monkeypatch):
     for s in catalog.random_exact_substitutions(40):
         ranks.minimal_rank(s, 3, 16)
         ranks.maximal_rank(s, 3, 16)
-    assert calls <= 4000
+    assert calls == 3295
 
 
 @pytest.mark.parametrize("name", EXACT_CATALOG)
-def test_census_graph_cuts_each_slice_once_and_keeps_none_of_the_roots(name, monkeypatch):
+def test_census_graph_images_each_span_length_once(name, monkeypatch):
+    # a lift's cut depends only on the parent's span length and the offset,
+    # and every lift of a graph reads one kernel, which cuts all q offsets of
+    # a length from one image of the words they read and keeps only ints
     s, radius = catalog.system_for(name).substitution, 64
     census_graph.cache_clear()
     census_graph(s, radius)  # builds the language table's words, which read images too
@@ -594,20 +647,20 @@ def test_census_graph_cuts_each_slice_once_and_keeps_none_of_the_roots(name, mon
         images += 1
         return image(self, word)
 
-    def recorded(s, q, m_lo, m_hi, digit, targets, cuts=None):
-        n = (m_hi + digit) // q - (m_lo + digit) // q + 1
-        off = (m_lo + digit) % q
-        geometries.add((n, off, off + m_hi - m_lo + 1))
+    def recorded(s, q, m_lo, m_hi, digit, values, cuts=None):
+        geometries.add(((m_lo + digit) % q, m_hi - m_lo + 1))
         memos.append(cuts)
-        return lift(s, q, m_lo, m_hi, digit, targets, cuts)
+        return lift(s, q, m_lo, m_hi, digit, values, cuts)
 
     monkeypatch.setattr(type(s), "image", counted_image)
     monkeypatch.setattr(odometer, "_lift", recorded)
     census_graph(s, radius)
-    assert images == sum(len(s.table.words(n)) for n, _, _ in geometries)
-    kept = [memo for memo in memos if memo is not None]
-    assert len(memos) - len(kept) == s.constant_length  # the root's lifts
-    assert all(end - off < 2 * radius + 1 for n, off, end in kept[0])
+    lengths = {m for _, m in geometries}
+    assert images == len(lengths)
+    kernel = memos[0]
+    assert kernel is not None and all(memo is kernel for memo in memos)
+    assert set(kernel._cuts) == {(r, m) for r in range(s.constant_length) for m in lengths}
+    assert all(type(i) is int for cut in kernel._cuts.values() for i in cut)
 
 
 def test_census_graph_cache_is_bounded_and_holds_ints():

@@ -102,6 +102,24 @@ def test_stride_fills_match_per_position_walk(sk):
         assert sk.prefix(2**15) == "".join(symbols)
 
 
+def test_lifted_holes_match_the_written_symbols():
+    # the reference writes every symbol up to the deepest period
+    skeletons = [
+        *(system_for(name).skeleton for name in CATALOG_TOEPLITZ),
+        *(doubling_skeleton(depth) for depth in range(1, 17)),
+        *(
+            rank_family_skeleton(r, depth)
+            for r, top in ((2, 16), (3, 10), (4, 8))
+            for depth in range(1, top + 1)
+        ),
+        FULL_FILL,
+        ToeplitzSkeleton((Stage(2, ((0, "0"),)), Stage(6, ((1, "1"), (3, "0"))))),
+    ]
+    for sk in skeletons:
+        symbols = sk._symbols(sk.stages[-1].period)
+        assert sk.hole_residues() == tuple(r for r, sym in enumerate(symbols) if sym is None), sk
+
+
 def test_doubling_census_ranks():
     system = ToeplitzSystem("toeplitz-doubling", doubling_skeleton(16))
     report = system.rank_report()
