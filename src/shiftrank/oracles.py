@@ -199,8 +199,9 @@ def _cylinder_groups(
 ) -> Iterator[tuple[str, tuple[str, ...]]]:
     """``_cylinders``, one group at a time, holding none it has handed out.
 
-    Each group's windows are cut out of the index's text, deduplicated and
-    sorted when it is reached, and its starts are dropped, so no more than
+    Each group's windows are cut out of the index's text when it is
+    reached, sorted with their repeats and kept once per run of equal
+    windows (``words._cut``), and its starts are dropped, so no more than
     one group need be held at once.
     """
     n = 2 * radius + 1
@@ -401,7 +402,6 @@ def _center_counts(
     exts: Sequence[str],
     radius: int,
     K: int,
-    count: Callable[[int], int] | None = None,
 ) -> Callable[[int], int]:
     """The number of distinct (2K+1)-blocks of ``exts`` at a string offset, read through ``memo``.
 
@@ -409,16 +409,15 @@ def _center_counts(
     p of a radius-``radius`` window is centered at coordinate p + K -
     radius, and byte c + H of the array, H = its length // 2, is for center
     c.  The array reaches at least the window's centers, radius - K each
-    side, and grows both ways when a wider window asks.  ``count(p)``
-    counts at offset p, from ``exts`` by the segment kernel unless given.
+    side, and grows both ways when a wider window asks.  A count is made
+    from ``exts`` by the segment kernel.
     """
     half = radius - K
     counts = _memo_entry(memo, (word, K), lambda: bytearray(2 * half + 1))
     if len(counts) < 2 * half + 1:
         pad = bytearray(half - len(counts) // 2)
         counts = memo[word, K] = pad + counts + pad
-    count = count or _SegmentBlocks(exts, 2 * K + 1).count
-    return _read_through(counts, half - len(counts) // 2, count)
+    return _read_through(counts, half - len(counts) // 2, _SegmentBlocks(exts, 2 * K + 1).count)
 
 
 def _first_indices(blocks: Iterable[str], limit: int) -> dict[str, int]:
@@ -803,13 +802,17 @@ def _run_scan(
     up[1], down[0], up[2], down[1], ..., one side going on alone once the
     other ends.  Returns witnesses keyed by tuple size, with the run start.
     ``center_count(p)`` is the number of distinct (2K+1)-blocks at string
-    offset p, from the extensions unless given.
+    offset p.  When it is given the scan reads it as it is, since its
+    source keeps its own counts (``substitution.BlockPairs`` memoises each
+    displacement's row); otherwise the counts are made from the extensions
+    and kept in ``memo``.
 
     The scan reads and fills ``memo`` (see the module docstring): the
-    center counts of the ladder word ``word``, and, per word, radius, K, run
-    length and finder cap and floor, each core's clique size and each solved
-    run's size, member blocks and number of distinct run-blocks, which is
-    all that cutting its witnesses from ``exts`` needs.  These are facts of
+    center counts of the ladder word ``word`` unless ``center_count`` is
+    given, and, per word, radius, K, run length and finder cap and floor,
+    each core's clique size and each solved run's size, member blocks and
+    number of distinct run-blocks, which is all that cutting its witnesses
+    from ``exts`` needs.  These are facts of
     the word's extensions, so a memo filled by other calls changes no result.
 
     Witnesses are made only for the sizes from the finder's floor m_min up,
@@ -865,7 +868,7 @@ def _run_scan(
     floor = finder.m_min - 1
     width = centers + 2 * K
     distinct = _SegmentBlocks(exts, width)
-    count_at = _center_counts(memo, word, exts, radius, K, center_count)
+    count_at = center_count or _center_counts(memo, word, exts, radius, K)
 
     # Core step S, at least 1 for the one-center runs of B = 0.  A smaller
     # S makes longer cores, which rule out more starts, but each core serves
@@ -953,7 +956,8 @@ def block_sensitivity_scan(
     ``block_counter`` rows when it has one, and from its extensions
     otherwise; the run-blocks and cores are always cut from the extensions.
     Every cylinder shares one clique finder, floored at m_min, and has a
-    fresh memo, which keeps each count it reads for the rest of its run scan.
+    fresh memo, which keeps its core and run cliques, and the counts made
+    from its extensions, for the rest of its run scan.
     """
     _require_scale(K)
     if B < 0:

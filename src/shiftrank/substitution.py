@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -300,21 +301,21 @@ class LanguageTable:
         """``_windows(2 radius + 1)``'s text, with the starts of each central word's windows.
 
         A window's length-(2 L + 1) central word is read at its start, so no
-        window is cut.  The central words come in language order; the starts
-        of one may repeat a window.  Cutting a word's windows at its starts,
-        deduplicated and sorted, gives its group in the grouping of
-        ``build(2 radius + 1)`` by central word (``oracles._cylinder_groups``).
+        window is cut.  The starts are grouped by central word in one pass, so
+        each word's starts come in text order, and the words are then put in
+        language order.  A word's starts may repeat a window.  Its windows cut
+        at its starts, with repeats dropped and sorted (``words._cut``), are
+        its group in the grouping of ``build(2 radius + 1)`` by central word
+        (``oracles._cylinder_groups``).
         """
         if not 0 <= L <= radius:
             raise ValueError(f"cylinder radius {L} outside [0, {radius}]")
         text, runs = self._windows(2 * radius + 1)
-        starts = list(itertools.chain.from_iterable(runs))
         lo, k = radius - L, 2 * L + 1
-        centres = [text[g + lo : g + lo + k] for g in starts]
-        # a stable sort groups the starts by central word, in language order
-        order = sorted(range(len(starts)), key=centres.__getitem__)
-        groups = itertools.groupby(order, centres.__getitem__)
-        return text, {u: list(map(starts.__getitem__, group)) for u, group in groups}
+        groups: defaultdict[str, list[int]] = defaultdict(list)
+        for g in itertools.chain.from_iterable(runs):
+            groups[text[g + lo : g + lo + k]].append(g)
+        return text, {u: groups[u] for u in sorted(groups)}
 
     def words(self, n: int) -> tuple[str, ...]:
         """All admissible words of length n, sorted and memoised.

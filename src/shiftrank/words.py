@@ -12,8 +12,9 @@ outside the overlap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 #: Symbol ids are rendered as single characters, so words are plain strings.
 ALPHABET_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -27,14 +28,30 @@ def sym_char(i: int) -> str:
 
 
 def _cut(text: str, starts: Iterable[int], n: int) -> tuple[str, ...]:
-    """The distinct length-n windows of ``text`` at ``starts``, sorted."""
-    return tuple(sorted({text[g : g + n] for g in starts}))
+    """The distinct length-n windows of ``text`` at ``starts``, sorted.
+
+    The windows are sorted with their repeats, which the sort puts next to
+    each other, and each run of equal windows is kept once.  A set would
+    hash every letter of every window, while a comparison stops at the
+    first letter where two windows differ, so only repeats are read whole.
+    The list holds the repeats until they are dropped.
+    """
+    windows = [text[g : g + n] for g in starts]
+    windows.sort()
+    return tuple(w for w, _ in itertools.groupby(windows))
 
 
-def _window_starts(text: str, starts: Iterable[int], n: int) -> tuple[int, ...]:
-    """One start per distinct length-n window of ``text`` at ``starts``, in window order."""
-    start_of = {text[g : g + n]: g for g in starts}
-    return tuple(map(start_of.__getitem__, sorted(start_of)))
+def _window_starts(text: str, starts: Sequence[int], n: int) -> tuple[int, ...]:
+    """One start per distinct length-n window of ``text`` at ``starts``, in window order.
+
+    The starts are sorted by their windows, as in ``_cut``, and the first
+    start of each run of equal windows is kept.  Every window is still cut,
+    to sort by it, and dropped on return.
+    """
+    windows = [text[g : g + n] for g in starts]
+    order = sorted(range(len(windows)), key=windows.__getitem__)
+    runs = itertools.groupby(order, windows.__getitem__)
+    return tuple(starts[next(run)] for _, run in runs)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,40 @@ def test_cylinder_groups_match_the_whole_table_grouping():
             assert list(oracles._cylinder_groups(system, L, radius)) == grouped, (s.rules, L, radius)
 
 
+
+def _sorted_starts_cylinders(table, L, radius):
+    # a stable sort of every start by its central word: the reference for
+    # cylinders' one-pass grouping
+    text, runs = table._windows(2 * radius + 1)
+    starts = list(itertools.chain.from_iterable(runs))
+    lo, k = radius - L, 2 * L + 1
+    centres = [text[g + lo : g + lo + k] for g in starts]
+    order = sorted(range(len(starts)), key=centres.__getitem__)
+    groups = itertools.groupby(order, centres.__getitem__)
+    return text, {u: list(map(starts.__getitem__, group)) for u, group in groups}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *(
+            name
+            for name in catalog.names()
+            if catalog.get(name).kind == "substitution"
+            and catalog.system_for(name).substitution.regime.exact
+        ),
+        "toeplitz-doubling",
+    ],
+)
+def test_cylinder_index_matches_the_sorted_starts_grouping(name):
+    table = catalog.system_for(name).substitution.table
+    for L, radius in [(1, 4), (2, 260), (2, 523)]:
+        text, index = table.cylinders(L, radius)
+        expected_text, expected = _sorted_starts_cylinders(table, L, radius)
+        assert text == expected_text
+        # the same words in the same order, each with the same starts in order
+        assert list(index.items()) == list(expected.items()), (L, radius)
+
 @pytest.fixture
 def image_builds(monkeypatch):
     """The lengths that tables build from letter images while the test runs."""

@@ -1,10 +1,12 @@
 """Window metric and shift action: examples plus metric laws."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftrank.words import (
     CenteredWord,
+    _cut,
+    _window_starts,
     scale_of_difference,
     shift_window,
     shifts,
@@ -161,3 +163,33 @@ def overlapping_pairs(draw):
 def test_scale_matches_coordinate_scan(pair):
     a, b = pair
     assert scale_of_difference(a, b) == _scan_every_coordinate(a, b)
+
+
+@st.composite
+def windows_at_starts(draw):
+    """A text over 1-3 letters, a window length n and starts, often repeating a window."""
+    letters = "012"[: draw(st.integers(1, 3))]
+    text = draw(st.text(letters, min_size=1, max_size=40))
+    n = draw(st.integers(1, len(text)))
+    starts = draw(st.lists(st.integers(0, len(text) - n), max_size=30))
+    return text, starts, n
+
+
+def _set_cut(text, starts, n):
+    return tuple(sorted({text[g : g + n] for g in starts}))
+
+
+@given(windows_at_starts())
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(("0110", [], 2))  # no start
+@example(("0110", [0, 1, 2, 3, 1], 1))  # n = 1
+@example(("0000", [0, 1, 2, 0], 2))  # one letter: every window repeats
+@example(("012012", [3, 0, 4, 1, 3], 3))  # repeated windows at distinct starts
+def test_sorting_cuts_match_the_set_reference(case):
+    # _cut and _window_starts drop repeats by sorting; a set of the windows
+    # cut at the starts is the reference for both
+    text, starts, n = case
+    assert _cut(text, starts, n) == _set_cut(text, starts, n)
+    kept = _window_starts(text, starts, n)
+    assert set(kept) <= set(starts)
+    assert tuple(text[g : g + n] for g in kept) == _set_cut(text, starts, n)
